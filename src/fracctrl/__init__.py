@@ -29,10 +29,10 @@ from .fraccalc import (
 )
 from .fracsys import (
     ControlSignal,
+    CuspControl,
     FracSystem,
     MinEnergyControl,
     PinvControl,
-    RankBasedControl,
     SampledControl,
     Trajectory,
     caputo_residual,
@@ -84,8 +84,8 @@ __all__ = [
     "GridFunction", "TimeGrid", "caputo_derivative", "frac_integral_left",
     "frac_integral_right", "rl_compose", "rl_derivative_left",
     "singular_convolution",
-    "ControlSignal", "FracSystem", "MinEnergyControl", "PinvControl",
-    "RankBasedControl", "SampledControl", "Trajectory", "caputo_residual",
+    "ControlSignal", "CuspControl", "FracSystem", "MinEnergyControl",
+    "PinvControl", "SampledControl", "Trajectory", "caputo_residual",
     "simulate", "trajectory_from_csv", "trajectory_to_csv",
     "DEFAULT_POLICY", "MLParams", "SeriesPolicy", "alpha_exp",
     "cl_truncation", "frac_cos", "frac_sin", "inverse_kernel", "ml_matrix",

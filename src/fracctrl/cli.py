@@ -99,6 +99,14 @@ def _reject_unknown(block: dict, allowed: set, where: str) -> None:
         raise InputError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _int_field(block: dict, key: str, default):
+    """A numerics field that must be a JSON integer (or null, if its default is)."""
+    val = block.get(key, default)
+    if type(val) is not int and not (val is None and default is None):
+        raise InputError(f"{key} must be an integer, got {val!r}")
+    return val
+
+
 class Problem:
     """Validated contents of a problem file."""
 
@@ -132,26 +140,24 @@ class Problem:
             raise InputError(f"a and b must have length {n}")
         if not self.T > 0.0:
             raise InputError("horizon T must be positive")
-        self.steps = int(numerics.get("grid_steps", 1024))
+        self.steps = _int_field(numerics, "grid_steps", 1024)
         if self.steps < 2:
             raise InputError("grid_steps must be >= 2")
         try:
             self.policy = SeriesPolicy(
                 rel_tol=float(numerics.get("series_rel_tol", 1e-14)),
-                max_terms=int(numerics.get("series_max_terms", 500)),
+                max_terms=_int_field(numerics, "series_max_terms", 500),
             )
             self.quad = QuadSettings(
                 rel_tol=float(numerics.get("quad_rel_tol", DEFAULT_QUAD.rel_tol)),
-                levels=int(numerics.get("quad_levels", DEFAULT_QUAD.levels)),
-                order=int(numerics.get("quad_order", DEFAULT_QUAD.order)),
+                levels=_int_field(numerics, "quad_levels", DEFAULT_QUAD.levels),
+                order=_int_field(numerics, "quad_order", DEFAULT_QUAD.order),
             )
         except FracctrlError as exc:
             raise InputError(f"invalid numerics block: {exc}") from exc
-        self.refine = numerics.get("refine")
-        if self.refine is not None:
-            self.refine = int(self.refine)
-            if self.refine < 1:
-                raise InputError("refine must be >= 1")
+        self.refine = _int_field(numerics, "refine", None)
+        if self.refine is not None and self.refine < 1:
+            raise InputError("refine must be >= 1")
         self.control_spec = doc.get("control")
         if self.control_spec is not None:
             _reject_unknown(self.control_spec, _CONTROL_KEYS, "control block")
@@ -169,6 +175,9 @@ class Problem:
         if spec is None:
             raise InputError("problem file has no control block")
         kind = spec.get("type")
+        need = {"constant": "value", "csv": "path", "synthesized": "path"}.get(kind)
+        if need is not None and need not in spec:
+            raise InputError(f"{kind} control needs {need!r}")
         if kind == "constant":
             val = np.atleast_1d(np.asarray(spec["value"], dtype=float))
             if val.shape != (self.system.m,):

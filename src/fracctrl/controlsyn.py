@@ -45,20 +45,25 @@ from .errors import (
     RankDeficient,
     RankDeficientB,
     SingularGramian,
-    SingularKernel,
 )
 from .fraccalc import GridFunction, TimeGrid, rl_derivative_left
 from .fracsys import (
     ControlSignal,
+    CuspControl,
     FracSystem,
     MinEnergyControl,
     PinvControl,
-    RankBasedControl,
     SampledControl,
     caputo_residual,
     simulate,
 )
-from .mlkernel import DEFAULT_POLICY, MLParams, SeriesPolicy, ml_matrix, ml_matrix_batch
+from .mlkernel import (
+    DEFAULT_POLICY,
+    SeriesPolicy,
+    _kernel_inverse_batch,
+    ml_matrix_batch,
+    state_transition,
+)
 
 __all__ = [
     "SteeringProblem",
@@ -99,6 +104,16 @@ class QuadSettings:
     levels: int = 12
     order: int = 16
     max_levels: int = 44
+
+    def __post_init__(self):
+        if not (0.0 < self.rel_tol < 1.0):
+            raise InvalidParams(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        if self.order < 1:
+            raise InvalidParams(f"order must be >= 1, got {self.order}")
+        if not (1 <= self.levels <= self.max_levels):
+            raise InvalidParams(
+                f"levels must lie in [1, max_levels={self.max_levels}], got {self.levels}"
+            )
 
 
 DEFAULT_QUAD = QuadSettings()
@@ -190,13 +205,25 @@ def _panel_nodes(panels: list, order: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _gramian_fixed(sys: FracSystem, T: float, levels: int, order: int,
-                   policy: SeriesPolicy) -> np.ndarray:
-    s, w = _panel_nodes(_graded_panels(T, levels, both_ends=False), order)
-    E = ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s, policy)
-    G = E @ sys.B
-    Q = np.einsum("s,sij,skj->ik", w, G, G)
-    return 0.5 * (Q + Q.T)
+def _adaptive_graded(integral, T: float, quad: QuadSettings, both_ends: bool,
+                     what: str):
+    """Graded Gauss-Legendre quadrature over [0, T], deepened by 4 levels at a
+    time until two successive gradings agree to ``quad.rel_tol`` relative in
+    max norm; returns (value, that relative change).  ``integral(s, w)`` is
+    the quadrature sum for nodes s and weights w."""
+    lv = quad.levels
+    v0 = integral(*_panel_nodes(_graded_panels(T, lv, both_ends), quad.order))
+    while lv <= quad.max_levels:
+        lv += 4
+        v1 = integral(*_panel_nodes(_graded_panels(T, lv, both_ends), quad.order))
+        err = float(np.abs(v1 - v0).max() / max(np.abs(v1).max(), 1e-300))
+        if err < quad.rel_tol:
+            return v1, err
+        v0 = v1
+    raise NonConvergence(
+        f"{what} quadrature did not reach rel_tol={quad.rel_tol} within "
+        f"{quad.max_levels} grading levels"
+    )
 
 
 def gramian(
@@ -209,27 +236,27 @@ def gramian(
 
     The neutralizer is cancelled analytically, so the integrand evaluated is
     the bounded E B B* E* product; ``quad_err`` is the change under the last
-    panel-doubling step.  Raises ``NonConvergence`` if grading to
+    panel-deepening step.  Raises ``NonConvergence`` if grading to
     ``quad.max_levels`` never meets ``quad.rel_tol``.
     """
     if not T > 0.0:
         raise InvalidParams(f"horizon must be positive, got {T}")
-    lv = quad.levels
-    Q0 = _gramian_fixed(sys, T, lv, quad.order, policy)
-    while lv <= quad.max_levels:
-        lv += 4
-        Q1 = _gramian_fixed(sys, T, lv, quad.order, policy)
-        scale = max(np.abs(Q1).max(), 1e-300)
-        err = float(np.abs(Q1 - Q0).max() / scale)
-        if err < quad.rel_tol:
-            ev = np.linalg.eigvalsh(Q1)
-            rcond = float(max(ev.min(), 0.0) / ev.max()) if ev.max() > 0.0 else 0.0
-            return GramianResult(Q=Q1, rcond=rcond, quad_err=err)
-        Q0 = Q1
-    raise NonConvergence(
-        f"gramian quadrature did not reach rel_tol={quad.rel_tol} within "
-        f"{quad.max_levels} grading levels"
-    )
+
+    def integral(s, w):
+        G = ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s, policy) @ sys.B
+        Q = np.einsum("s,sij,skj->ik", w, G, G)
+        return 0.5 * (Q + Q.T)
+
+    Q, err = _adaptive_graded(integral, T, quad, False, "gramian")
+    ev = np.linalg.eigvalsh(Q)
+    rcond = float(max(ev.min(), 0.0) / ev.max()) if ev.max() > 0.0 else 0.0
+    return GramianResult(Q=Q, rcond=rcond, quad_err=err)
+
+
+def _numerical_rank(M: np.ndarray) -> int:
+    """Rank of an n-row matrix: singular values above n * s_max * 64 eps."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    return int((sv > M.shape[0] * sv.max(initial=0.0) * np.finfo(float).eps * 64.0).sum())
 
 
 def kalman_rank(sys: FracSystem) -> RankData:
@@ -240,10 +267,7 @@ def kalman_rank(sys: FracSystem) -> RankData:
     for _ in range(n - 1):
         blocks.append(sys.A @ blocks[-1])
     kal = np.hstack(blocks)
-    sv = np.linalg.svd(kal, compute_uv=False)
-    smax = sv.max() if sv.size else 0.0
-    tol = n * smax * np.finfo(float).eps * 64.0
-    rank = int((sv > tol).sum()) if smax > 0.0 else 0
+    rank = _numerical_rank(kal)
     K_blocks = None
     if rank == n:
         K = np.linalg.pinv(kal)
@@ -253,8 +277,7 @@ def kalman_rank(sys: FracSystem) -> RankData:
 
 def _steering_defect(sys: FracSystem, a: np.ndarray, b: np.ndarray, T: float,
                      policy: SeriesPolicy) -> np.ndarray:
-    S0T = ml_matrix(MLParams(sys.alpha, 1.0), sys.A * T**sys.alpha, policy)
-    return S0T @ a - b
+    return state_transition(sys.A, sys.alpha, T, policy) @ a - b
 
 
 def _solve_spd(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -313,8 +336,7 @@ def synthesize_pinv(
     it reproduces the minimum energy).
     """
     sys = prob.sys
-    svB = np.linalg.svd(sys.B, compute_uv=False)
-    rankB = int((svB > sys.n * svB.max() * np.finfo(float).eps * 64.0).sum()) if svB.size and svB.max() > 0 else 0
+    rankB = _numerical_rank(sys.B)
     if rankB < sys.n:
         raise RankDeficientB(f"rank B = {rankB} < n = {sys.n}; no right inverse")
     B_pinv = np.linalg.pinv(sys.B)
@@ -380,14 +402,7 @@ def synthesize_rank_based(
         zero = SampledControl(GridFunction(grid, np.zeros((grid.steps + 1, sys.m))))
         return SynthesisResult(zero, f, 0.0, "rank-based", None)
     s = prob.T - t
-    E = ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s, policy)
-    sv = np.linalg.svd(E, compute_uv=False)
-    rc = float((sv.min(axis=-1) / sv.max(axis=-1)).min())
-    if rc < rcond_threshold:
-        raise SingularKernel(
-            f"Mittag-Leffler matrix ill-conditioned on [0, T] (rcond~{rc:.2e})"
-        )
-    Einv = np.linalg.inv(E)
+    Einv = _kernel_inverse_batch(sys.A, sys.alpha, s, policy, rcond_threshold)
     psi = (s ** (1.0 - sys.alpha))[:, None] * np.einsum("sij,j->si", Einv, v)
     psi = psi * phi.values[:, None]
     u_vals = psi @ rd.K_blocks[0].T
@@ -395,29 +410,20 @@ def synthesize_rank_based(
     for j in range(1, sys.n):
         cur = rl_derivative_left(cur, sys.alpha)
         u_vals = u_vals + cur.values @ rd.K_blocks[j].T
-    control = RankBasedControl(GridFunction(grid, u_vals))
+    control = SampledControl(GridFunction(grid, u_vals))
     energy = modified_energy(control, sys.alpha, prob.T, quad)
     return SynthesisResult(control, f, energy, "rank-based", None)
 
 
-def _energy_bounded(u, alpha: float, T: float, quad: QuadSettings) -> float:
+def _energy_bounded(u: CuspControl, alpha: float, T: float, quad: QuadSettings) -> float:
     """Energy via the algebraically neutralized integrand |w(s)|^2 exposed by
-    closed-form controls (u(T-s) = +-s^(1-alpha) w(s))."""
+    cusp controls (u(T-s) = s^(1-alpha) w(s))."""
 
-    def run(levels):
-        s, w = _panel_nodes(_graded_panels(T, levels, both_ends=True), quad.order)
+    def integral(s, w):
         W = u.kernel_weight(s)
         return float(w @ np.einsum("sj,sj->s", W, W))
 
-    lv = quad.levels
-    e0 = run(lv)
-    while lv <= quad.max_levels:
-        lv += 4
-        e1 = run(lv)
-        if abs(e1 - e0) < quad.rel_tol * (1.0 + abs(e1)):
-            return e1
-        e0 = e1
-    raise NonConvergence("energy quadrature did not converge")
+    return _adaptive_graded(integral, T, quad, True, "energy")[0]
 
 
 def _power_moment(e: float, s0: float, s1: float) -> float:
@@ -475,23 +481,15 @@ def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
 
 
 def _energy_pointwise(u: ControlSignal, alpha: float, T: float, quad: QuadSettings) -> float:
-    """Fallback: graded Gauss-Legendre on the raw weighted integrand."""
+    """Fallback for other controls: graded Gauss-Legendre on the raw weighted
+    integrand."""
 
-    def run(levels):
-        s, w = _panel_nodes(_graded_panels(T, levels, both_ends=True), quad.order)
+    def integral(s, w):
         vals = u.sample(T - s)
         integ = (s ** (2.0 * (alpha - 1.0))) * np.einsum("sj,sj->s", vals, vals)
         return float(w @ integ)
 
-    lv = quad.levels
-    e0 = run(lv)
-    while lv <= quad.max_levels:
-        lv += 4
-        e1 = run(lv)
-        if abs(e1 - e0) < quad.rel_tol * (1.0 + abs(e1)):
-            return e1
-        e0 = e1
-    raise NonConvergence("energy quadrature did not converge")
+    return _adaptive_graded(integral, T, quad, True, "energy")[0]
 
 
 def modified_energy(
@@ -499,11 +497,11 @@ def modified_energy(
 ) -> float:
     """The weighted energy functional  integral_0^T |(T-t)^(alpha-1) u(t)|^2 dt.
 
-    Closed-form controls expose a bounded neutralized integrand, integrated
-    on graded panels; sampled controls are product-integrated exactly per
+    Cusp controls expose a bounded neutralized integrand, integrated on
+    graded panels; sampled controls are product-integrated exactly per
     panel; anything else falls back to pointwise graded quadrature.
     """
-    if hasattr(u, "kernel_weight"):
+    if isinstance(u, CuspControl):
         return _energy_bounded(u, alpha, T, quad)
     if isinstance(u, SampledControl):
         return _energy_sampled(u, alpha, T)

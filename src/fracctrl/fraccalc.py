@@ -84,11 +84,6 @@ class GridFunction:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def from_callable(cls, grid: TimeGrid, fn: Callable) -> "GridFunction":
-        vals = np.asarray([fn(t) for t in grid.nodes], dtype=float)
-        return cls(grid, vals)
-
     def __call__(self, t: float) -> np.ndarray:
         """Piecewise-linear evaluation at a point of [t0, t1]."""
         g = self.grid

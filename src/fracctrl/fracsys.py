@@ -8,15 +8,16 @@ whose explicit solution is the fractional variation-of-constants formula:
 the free response through E_{alpha,1}(A t^alpha) plus the weakly singular
 convolution of the alpha-exponential kernel with B u.
 
-``simulate`` evaluates that formula by expanding the kernel in its defining
-series, which turns the convolution into a sum of fractional integrals
-I^{(k+1) alpha} u of the control.  Each integral is computed by product
-integration (exact power-kernel moments against the piecewise-linear control
-samples), so the kernel's t^(k alpha) non-smoothness never touches the
-quadrature and the error is governed purely by how well the sampled control
-is resolved.  Closed-form controls are therefore sampled on a refinement of
-the output grid; their (T-t)^(1-alpha) terminal cusp is the accuracy
-bottleneck.
+``simulate`` evaluates that convolution as one product integration against
+the full kernel: the sampled control is read as piecewise linear, and each
+hat function is integrated exactly against s^(alpha-1) E_{alpha,alpha}(A
+s^alpha) B through the kernel's antiderivatives, which are Mittag-Leffler
+functions themselves.  The weights form one discrete convolution, done by
+FFT once per input channel.  The kernel's non-smoothness never touches the
+quadrature, so the error is governed by how well the sampled control is
+resolved.  Closed-form controls are therefore sampled on a refinement of the
+output grid, and their (T-t)^(1-alpha) terminal cusp, the accuracy
+bottleneck, is integrated exactly on the terminal panel.
 """
 
 from __future__ import annotations
@@ -25,25 +26,30 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import rgamma as _rgamma
+from scipy.signal import fftconvolve
+from scipy.special import roots_jacobi
 
-from .errors import DomainError, InvalidParams, NonConvergence, SingularKernel
-from .fraccalc import GridFunction, TimeGrid, _frac_integral_values, caputo_derivative
-from .mlkernel import DEFAULT_POLICY, SeriesPolicy, ml_matrix_batch
+from .errors import DomainError, InvalidParams
+from .fraccalc import GridFunction, TimeGrid, caputo_derivative
+from .mlkernel import DEFAULT_POLICY, SeriesPolicy, _kernel_inverse_batch, _ml_series
 
 __all__ = [
     "FracSystem",
     "ControlSignal",
     "SampledControl",
+    "CuspControl",
     "MinEnergyControl",
     "PinvControl",
-    "RankBasedControl",
     "Trajectory",
     "simulate",
     "caputo_residual",
     "trajectory_to_csv",
     "trajectory_from_csv",
 ]
+
+# Gauss-Jacobi nodes for the terminal cusp moments; their integrand is an
+# entire function of y over a single step, far below degree 2 * 20 - 1
+_CUSP_NODES = 20
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,34 @@ class SampledControl(ControlSignal):
         return (1.0 - w) * v[i] + w * v[i + 1]
 
 
-class MinEnergyControl(ControlSignal):
+class CuspControl(ControlSignal):
+    """Closed-form control on [0, T] with the terminal cusp of the kernel
+    laws, u(T-s) = s^(1-alpha) w(s) with a bounded factor w.
+
+    Subclasses implement ``kernel_weight``.  ``simulate`` integrates the cusp
+    on the terminal panel exactly through it, and ``modified_energy``
+    integrates the neutralized integrand |w(s)|^2.
+    """
+
+    def __init__(self, A, alpha: float, T: float, policy: SeriesPolicy):
+        self.A = np.atleast_2d(np.asarray(A, float))
+        self.alpha = float(alpha)
+        self.T = float(T)
+        self.policy = policy
+
+    def kernel_weight(self, s: np.ndarray) -> np.ndarray:
+        """The bounded factor w at the lags s = T - t, shape (len(s), m)."""
+        raise NotImplementedError
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        s = self.T - np.asarray(times, float)
+        if (s < -1e-12 * self.T).any():
+            raise DomainError("control sampled beyond its horizon")
+        s = np.maximum(s, 0.0)
+        return (s ** (1.0 - self.alpha))[:, None] * self.kernel_weight(s)
+
+
+class MinEnergyControl(CuspControl):
     """Closed-form Gramian-based control
     u(t) = -(T-t)^(1-alpha) B^T E_{alpha,alpha}(A (T-t)^alpha)^T c.
 
@@ -133,81 +166,42 @@ class MinEnergyControl(ControlSignal):
 
     def __init__(self, A, B, alpha: float, T: float, coeff: np.ndarray,
                  policy: SeriesPolicy = DEFAULT_POLICY):
-        self.A = np.atleast_2d(np.asarray(A, float))
+        super().__init__(A, alpha, T, policy)
         self.B = np.asarray(B, float)
         if self.B.ndim == 1:
             self.B = self.B[:, None]
-        self.alpha = float(alpha)
-        self.T = float(T)
         self.coeff = np.asarray(coeff, float)
-        self.policy = policy
         self.m = self.B.shape[1]
 
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        s = self.T - np.asarray(times, float)
-        if (s < -1e-12 * self.T).any():
-            raise DomainError("control sampled beyond its horizon")
-        s = np.maximum(s, 0.0)
-        E = ml_matrix_batch(self.A, self.alpha, self.alpha, s, self.policy)
-        core = np.einsum("sij,i->sj", E @ self.B, self.coeff)
-        return -(s ** (1.0 - self.alpha))[:, None] * core
-
     def kernel_weight(self, s: np.ndarray) -> np.ndarray:
-        """The bounded factor w(s) = B^T E(A s^alpha)^T c with
-        u(T-s) = -s^(1-alpha) w(s); used for singularity-free energy
-        quadrature."""
-        E = ml_matrix_batch(self.A, self.alpha, self.alpha, np.asarray(s, float), self.policy)
-        return -np.einsum("sij,i->sj", E @ self.B, self.coeff)
+        """w(s) = -B^T E_{alpha,alpha}(A s^alpha)^T c."""
+        cE = _ml_series(self.A, self.alpha, self.alpha, np.asarray(s, float), self.coeff, self.policy)
+        return -(cE @ self.B)
 
 
-class PinvControl(ControlSignal):
+class PinvControl(CuspControl):
     """Right-inverse control u(t) = (1/T) B^+ g(T-t) v built from the inverse
-    kernel g(s) = s^(1-alpha) E_{alpha,alpha}(A s^alpha)^(-1)."""
+    kernel g(s) = s^(1-alpha) E_{alpha,alpha}(A s^alpha)^(-1).
+
+    Sampling, simulation and the energy raise ``SingularKernel`` where the
+    Mittag-Leffler matrix is ill-conditioned (singular-value ratio below
+    ``rcond_threshold``).
+    """
 
     def __init__(self, A, B_pinv: np.ndarray, alpha: float, T: float, v: np.ndarray,
                  policy: SeriesPolicy = DEFAULT_POLICY,
                  rcond_threshold: float = 1e-12):
-        self.A = np.atleast_2d(np.asarray(A, float))
+        super().__init__(A, alpha, T, policy)
         self.B_pinv = np.asarray(B_pinv, float)
-        self.alpha = float(alpha)
-        self.T = float(T)
         self.v = np.asarray(v, float)
-        self.policy = policy
         self.rcond_threshold = rcond_threshold
         self.m = self.B_pinv.shape[0]
 
-    def _ginv_apply(self, s: np.ndarray) -> np.ndarray:
-        """g(s) v for an array of lags, shape (len(s), n)."""
-        E = ml_matrix_batch(self.A, self.alpha, self.alpha, s, self.policy)
-        try:
-            Einv = np.linalg.inv(E)
-        except np.linalg.LinAlgError as exc:
-            raise SingularKernel("Mittag-Leffler matrix singular inside [0, T]") from exc
-        sv = np.linalg.svd(E, compute_uv=False)
-        rc = (sv.min(axis=-1) / sv.max(axis=-1)).min()
-        if rc < self.rcond_threshold:
-            raise SingularKernel(
-                f"Mittag-Leffler matrix ill-conditioned inside [0, T] (rcond~{rc:.2e})"
-            )
-        return (s ** (1.0 - self.alpha))[:, None] * np.einsum("sij,j->si", Einv, self.v)
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        s = self.T - np.asarray(times, float)
-        if (s < -1e-12 * self.T).any():
-            raise DomainError("control sampled beyond its horizon")
-        s = np.maximum(s, 0.0)
-        return self._ginv_apply(s) @ self.B_pinv.T / self.T
-
     def kernel_weight(self, s: np.ndarray) -> np.ndarray:
-        """Bounded factor w(s) with u(T-s) = s^(1-alpha) w(s)."""
-        E = ml_matrix_batch(self.A, self.alpha, self.alpha, np.asarray(s, float), self.policy)
-        Einv = np.linalg.inv(E)
+        """w(s) = (1/T) B^+ E_{alpha,alpha}(A s^alpha)^(-1) v."""
+        Einv = _kernel_inverse_batch(self.A, self.alpha, np.asarray(s, float),
+                                     self.policy, self.rcond_threshold)
         return np.einsum("sij,j->si", Einv, self.v) @ self.B_pinv.T / self.T
-
-
-class RankBasedControl(SampledControl):
-    """Sampled control assembled from the Kalman right-inverse blocks and
-    repeated Riemann-Liouville differentiation; see controlsyn."""
 
 
 @dataclass
@@ -217,31 +211,6 @@ class Trajectory:
     grid: TimeGrid
     states: np.ndarray
     outputs: Optional[np.ndarray] = None
-
-
-def _series_apply(A: np.ndarray, alpha: float, beta: float, vec: np.ndarray,
-                  t: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
-    """sum_k A^k vec * t^(k alpha) / Gamma(k alpha + beta) over a node array."""
-    n = A.shape[0]
-    out = np.zeros((t.shape[0], n))
-    P = vec.astype(float)
-    spow = np.ones_like(t)
-    ta = t**alpha
-    ref = 0.0
-    for k in range(policy.max_terms + 1):
-        term = np.multiply.outer(spow * _rgamma(k * alpha + beta), P)
-        tnorm = np.abs(term).max()
-        if ref > 0.0 and tnorm < policy.rel_tol * ref:
-            return out
-        out += term
-        ref = max(ref, np.abs(out).max())
-        P = A @ P
-        spow = spow * ta
-        if np.abs(P).max() == 0.0:
-            return out
-        if not np.isfinite(P).all():
-            raise NonConvergence("state-transition series overflow")
-    raise NonConvergence("state-transition series did not converge")
 
 
 def simulate(
@@ -254,12 +223,11 @@ def simulate(
 ) -> Trajectory:
     """Forward trajectory of the system from x(0) = a under the control u.
 
-    The convolution part is evaluated as sum_k A^k B I^{(k+1) alpha} u with
-    the fractional integrals taken against the control sampled on a
-    ``refine``-times finer grid (default 8 for closed-form controls, whose
-    values between coarse nodes carry real information; 1 for sampled
-    controls, which are piecewise linear already).  states[0] equals a
-    exactly.
+    The convolution integrates the control, sampled on a ``refine``-times
+    finer grid and read as piecewise linear, exactly against the full kernel
+    (default refinement 8 for closed-form controls, whose values between
+    coarse nodes carry real information; 1 for sampled controls, which are
+    piecewise linear already).  states[0] equals a exactly.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (sys.n,):
@@ -269,53 +237,66 @@ def simulate(
     if refine is None:
         refine = 1 if isinstance(u, SampledControl) else 8
     fine = grid.refined(refine) if refine > 1 else grid
-    t = fine.nodes
-    uf = u.sample(t)
+    uf = u.sample(fine.nodes)
     if uf.shape != (fine.steps + 1, sys.m):
         raise InvalidParams(
             f"control sample shape {uf.shape} does not match m={sys.m}"
         )
-    alpha = sys.alpha
-    x = _series_apply(sys.A, alpha, 1.0, a, t, policy)
+    At, Bt, alpha = sys.A.T, sys.B.T, sys.alpha
+    N, h = fine.steps, fine.h
+    lags = np.arange(N + 1) * h
 
-    # Controls with a (T-t)^(1-alpha) terminal cusp expose their bounded
-    # factor w (u(T-s) = s^(1-alpha) w(s)); the piecewise-linear terminal
-    # panel is then replaced by the closed-form moment of the cusp, removing
-    # an O(h) error in the terminal state.
-    w_pair = None
-    h = fine.h
-    if alpha < 1.0 and hasattr(u, "kernel_weight"):
-        w_pair = u.kernel_weight(np.asarray([0.0, h]))
+    # The kernel s^(alpha-1) E_{alpha,alpha}(A s^alpha) B has the
+    # antiderivatives G1(s) = s^alpha E_{alpha,alpha+1}(A s^alpha) B and
+    # G2(s) = s^(alpha+1) E_{alpha,alpha+2}(A s^alpha) B, kept transposed
+    # (lag, channel, state).  With D the first differences of G2 over h, the
+    # hat function at lag d*h integrates to D[d] - D[d-1] (D[-1] = 0), and
+    # the half hat at t = 0 to G1 - D.
+    D = _ml_series(At, alpha, alpha + 2.0, lags, Bt, policy)
+    D *= (lags ** (alpha + 1.0))[:, None, None]
+    D = np.diff(D, axis=0)
+    D /= h
+    first = _ml_series(At, alpha, alpha + 1.0, lags[1:], Bt, policy)
+    first *= (lags[1:] ** alpha)[:, None, None]
+    first -= D
+    W = np.diff(D, axis=0, prepend=0.0)
+    del D
+    conv = np.zeros((N + 1, sys.n))
+    conv[1:] = uf[0] @ first
+    for c in range(sys.m):
+        conv[1:] += fftconvolve(W[:, c], uf[1:, c, None], axes=0)[:N]
 
-    conv = np.zeros((t.shape[0], sys.n))
-    M = sys.B.copy()
-    ref = 0.0
-    for k in range(policy.max_terms + 1):
-        if np.abs(M).max() == 0.0:
-            break
-        beta = (k + 1) * alpha
-        Iu = _frac_integral_values(uf, beta, fine.h)
-        term = Iu @ M.T
-        if w_pair is not None:
-            w0, wh = w_pair
-            exact = (w0 * h ** (beta - alpha + 1.0) / (beta - alpha + 1.0)
-                     + (wh - w0) * h ** (beta - alpha + 1.0) / (beta - alpha + 2.0))
-            trap = (uf[-2] * h**beta / beta
-                    + (uf[-1] - uf[-2]) * h**beta / (beta * (beta + 1.0)))
-            term[-1] += _rgamma(beta + 1.0) * beta * (M @ (exact - trap))
-        conv += term
-        ref = max(ref, np.abs(conv).max())
-        if k >= 1 and np.abs(term).max() < policy.rel_tol * max(ref, 1e-300):
-            break
-        M = sys.A @ M
-        if not np.isfinite(M).all():
-            raise NonConvergence("trajectory kernel series overflow")
-    else:
-        raise NonConvergence("trajectory kernel series did not converge")
-    states = (x + conv)[::refine].copy()
+    # A cusp control u(T-s) = s^(1-alpha) w(s) is not piecewise linear on the
+    # terminal panel [0, h]: replace that panel's moment by the exact one of
+    # the cusp with w interpolated linearly, removing an O(h) terminal error.
+    if alpha < 1.0 and isinstance(u, CuspControl):
+        w0, wh = u.kernel_weight(np.asarray([0.0, h]))
+        exact = (w0 @ _cusp_moment(At, alpha, Bt, h, 0.0, policy)
+                 + (wh - w0) @ _cusp_moment(At, alpha, Bt, h, 1.0, policy))
+        panel = uf[-1] @ W[0] + uf[-2] @ first[0]
+        conv[-1] += exact - panel
+
+    x = _ml_series(At, alpha, 1.0, grid.nodes, a, policy)
+    states = x + conv[::refine]
     states[0] = a
     outputs = states @ sys.C.T if sys.C is not None else None
     return Trajectory(grid=grid, states=states, outputs=outputs)
+
+
+def _cusp_moment(At: np.ndarray, alpha: float, Bt: np.ndarray, h: float, p: float,
+                 policy: SeriesPolicy) -> np.ndarray:
+    """integral over [0, h] of B^T E_{alpha,alpha}(A^T s^alpha) (s/h)^p ds.
+
+    In y = (s/h)^alpha it is (h/alpha) times the integral over [0, 1] of the
+    entire function B^T E_{alpha,alpha}(A^T h^alpha y) against the weight
+    y^((p+1)/alpha - 1), which a fixed Gauss-Jacobi rule integrates to
+    rounding.
+    """
+    c = (p + 1.0) / alpha - 1.0
+    x, wq = roots_jacobi(_CUSP_NODES, 0.0, c)
+    y = 0.5 * (1.0 + x)
+    EB = _ml_series(At, alpha, alpha, h * y ** (1.0 / alpha), Bt, policy)
+    return (h / alpha) * 0.5 ** (c + 1.0) * np.einsum("q,qij->ij", wq, EB)
 
 
 def caputo_residual(

@@ -22,6 +22,7 @@ reciprocal-gamma values, so concurrent callers are safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,11 @@ class MLParams:
 class SeriesPolicy:
     """Truncation control for all series evaluations.
 
-    Summation stops once the next term's magnitude (max-norm for matrices)
-    drops below ``rel_tol`` times the partial sum's magnitude, or below
-    ``rel_tol`` absolutely while the partial sum is zero.  ``NonConvergence``
-    is raised if that never happens within ``max_terms`` terms.
+    Summation stops once the next term's magnitude (max-norm for matrices,
+    over every lag of a batch) drops below ``rel_tol`` times the partial
+    sum's magnitude, or below ``rel_tol`` absolutely while the partial sum is
+    zero.  ``NonConvergence`` is raised if that never happens within
+    ``max_terms`` terms.
     """
 
     rel_tol: float = 1e-14
@@ -137,20 +139,7 @@ def ml_matrix(params: MLParams, M: np.ndarray, policy: SeriesPolicy = DEFAULT_PO
     E_{alpha,beta}(A t^alpha)).
     """
     M = _as_square(M)
-    n = M.shape[0]
-    total = np.zeros((n, n))
-    P = np.eye(n)
-    for k in range(policy.max_terms + 1):
-        term = P * _rgamma(k * params.alpha + params.beta)
-        tnorm = np.abs(term).max()
-        ref = np.abs(total).max()
-        if (ref > 0.0 and tnorm < policy.rel_tol * ref) or (ref == 0.0 and k > 0 and tnorm < policy.rel_tol):
-            return total
-        total += term
-        P = P @ M
-        if not np.isfinite(P).all():
-            raise NonConvergence("ml_matrix: series terms overflow")
-    raise NonConvergence(f"ml_matrix: no convergence in {policy.max_terms} terms")
+    return _ml_series(M, params.alpha, params.beta, np.ones(1), np.eye(M.shape[0]), policy)[0]
 
 
 def ml_matrix_batch(
@@ -164,33 +153,45 @@ def ml_matrix_batch(
 
     Returns an array of shape ``s.shape + A.shape``.  Shared truncation: the
     series stops when the next term is negligible across every s, which keeps
-    the result a smooth function of s.  This is the workhorse behind
-    trajectory kernels and Gramian integrands.
+    the result a smooth function of s.
     """
     A = _as_square(A)
-    s = np.asarray(s, float)
+    return _ml_series(A, alpha, beta, np.asarray(s, float), np.eye(A.shape[0]), policy)
+
+
+def _ml_series(A: np.ndarray, alpha: float, beta: float, s: np.ndarray,
+               L: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
+    """L E_{alpha,beta}(A s^alpha) = sum_k L A^k s^(k alpha) / Gamma(k alpha + beta)
+    over lags s >= 0, for L of shape (p, n) or (n,); shape ``s.shape + L.shape``.
+
+    The package's only matrix kernel series, truncated by ``policy`` over all
+    lags at once and exact when L A^k vanishes.  A right factor R goes
+    through the transpose: E(A s^alpha) R = (R^T E(A^T s^alpha))^T.
+    """
     if (s < 0).any():
-        raise DomainError("ml_matrix_batch requires s >= 0")
-    n = A.shape[0]
-    out = np.zeros(s.shape + (n, n))
-    P = np.eye(n)
+        raise DomainError("Mittag-Leffler kernels need lags s >= 0")
+    out = np.zeros(s.shape + L.shape)
+    term = np.empty_like(out)
+    P = L
     spow = np.ones_like(s)
     sa = s**alpha
     ref = 0.0
     for k in range(policy.max_terms + 1):
-        term = np.multiply.outer(spow * _rgamma(k * alpha + beta), P)
-        tnorm = np.abs(term).max()
+        np.multiply.outer(spow * _rgamma(k * alpha + beta), P, out=term)
+        tnorm = max(term.max(), -term.min())
+        if not math.isfinite(tnorm):
+            raise NonConvergence("Mittag-Leffler matrix series terms overflow")
         if ref > 0.0 and tnorm < policy.rel_tol * ref:
             return out
         out += term
-        ref = max(ref, np.abs(out).max())
+        ref = max(out.max(), -out.min())
         P = P @ A
+        if not P.any():
+            return out
         spow = spow * sa
-        if not (np.isfinite(P).all() and np.isfinite(spow).all()):
-            raise NonConvergence("ml_matrix_batch: series terms overflow")
-        if np.abs(P).max() == 0.0:
-            return out  # nilpotent: series is exact
-    raise NonConvergence(f"ml_matrix_batch: no convergence in {policy.max_terms} terms")
+    raise NonConvergence(
+        f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
+    )
 
 
 def alpha_exp(
@@ -296,7 +297,7 @@ def inverse_kernel(
         Einv = np.linalg.inv(E)
     except np.linalg.LinAlgError as exc:
         raise SingularKernel(f"Mittag-Leffler matrix singular at t={t}") from exc
-    rcond = 1.0 / (_norm1(E) * _norm1(Einv))
+    rcond = 1.0 / (np.linalg.norm(E, 1) * np.linalg.norm(Einv, 1))
     if rcond < rcond_threshold:
         raise SingularKernel(
             f"Mittag-Leffler matrix ill-conditioned at t={t} (rcond~{rcond:.2e})"
@@ -304,8 +305,21 @@ def inverse_kernel(
     return t ** (1.0 - alpha) * Einv
 
 
-def _norm1(M: np.ndarray) -> float:
-    return float(np.abs(M).sum(axis=0).max())
+def _kernel_inverse_batch(A: np.ndarray, alpha: float, s: np.ndarray,
+                          policy: SeriesPolicy, rcond_threshold: float) -> np.ndarray:
+    """E_{alpha,alpha}(A s^alpha)^(-1) over an array of lags; ``SingularKernel``
+    where its singular-value ratio falls below ``rcond_threshold``."""
+    E = ml_matrix_batch(A, alpha, alpha, s, policy)
+    sv = np.linalg.svd(E, compute_uv=False)
+    rc = float((sv.min(axis=-1) / sv.max(axis=-1)).min())
+    if not rc >= rcond_threshold:
+        raise SingularKernel(
+            f"Mittag-Leffler matrix ill-conditioned inside [0, T] (rcond~{rc:.2e})"
+        )
+    try:
+        return np.linalg.inv(E)
+    except np.linalg.LinAlgError as exc:
+        raise SingularKernel("Mittag-Leffler matrix singular inside [0, T]") from exc
 
 
 def _as_square(M: np.ndarray) -> np.ndarray:

@@ -72,6 +72,20 @@ class TestSimulate:
         pf = write_problem(tmp_path / "p.json", extra={"x": 1})
         assert main(["simulate", pf]) == 2
 
+    @pytest.mark.parametrize("numerics", [
+        {"grid_steps": 2.7}, {"grid_steps": 512.0}, {"refine": 1.5},
+        {"quad_order": 0}, {"series_max_terms": True}, {"grid_steps": None},
+    ])
+    def test_malformed_numerics_rejected(self, tmp_path, capsys, numerics):
+        pf = write_problem(tmp_path / "p.json", numerics={"grid_steps": 512, **numerics})
+        assert main(["simulate", pf]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_constant_control_without_value_rejected(self, tmp_path, capsys):
+        pf = write_problem(tmp_path / "p.json", control={"type": "constant"})
+        assert main(["simulate", pf]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_bad_alpha_rejected(self, tmp_path):
         pf = write_problem(
             tmp_path / "p.json",

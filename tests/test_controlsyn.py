@@ -8,10 +8,14 @@ from scipy.special import gamma
 from fracctrl import (
     FracSystem,
     GridFunction,
+    InvalidParams,
+    PinvControl,
+    QuadSettings,
     RankDeficient,
     RankDeficientB,
     SampledControl,
     SingularGramian,
+    SingularKernel,
     SteeringProblem,
     TimeGrid,
     control_from_dict,
@@ -65,6 +69,12 @@ class TestGramian:
             assert np.abs(g.Q - g.Q.T).max() <= 1e-12 * max(np.abs(g.Q).max(), 1e-300)
             ev = np.linalg.eigvalsh(g.Q)
             assert ev.min() >= -1e-10 * np.abs(ev).max()
+
+    @pytest.mark.parametrize("field", [{"order": 0}, {"levels": 0},
+                                       {"levels": 50}, {"rel_tol": 0.0}])
+    def test_quad_settings_validated(self, field):
+        with pytest.raises(InvalidParams):
+            QuadSettings(**field)
 
 
 class TestKalmanRank:
@@ -164,6 +174,16 @@ class TestPinv:
     def test_rank_deficient_b_rejected(self, example1_system):
         with pytest.raises(RankDeficientB):
             synthesize_pinv(problem(example1_system, [1.0, 0.0], [0.0, 0.0], 1.0, steps=64))
+
+    def test_ill_conditioned_kernel_refused_by_energy(self, example1_system):
+        # E_{1/2,1/2}(A s^(1/2)) of the chain system has singular-value
+        # ratio 0.20 at s = 1, below the threshold of 0.5
+        u = PinvControl(example1_system.A, np.eye(2), 0.5, 1.0,
+                        np.array([1.0, 0.0]), rcond_threshold=0.5)
+        with pytest.raises(SingularKernel):
+            u.sample(np.array([0.0]))
+        with pytest.raises(SingularKernel):
+            modified_energy(u, 0.5, 1.0)
 
 
 class TestRankBased:

@@ -14,6 +14,7 @@ from fracctrl import (
     SampledControl,
     TimeGrid,
     caputo_residual,
+    frac_integral_left,
     simulate,
     state_transition,
     trajectory_from_csv,
@@ -119,6 +120,28 @@ class TestSimulate:
                         [0.0, 1.0], a, rtol=1e-11, atol=1e-13,
                         t_eval=grid.nodes)
         assert np.abs(traj.states - sol.y.T).max() <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_matches_series_of_fractional_integrals(self, alpha):
+        # x(t) = E_{alpha,1}(A t^alpha) a + sum_k A^k B I^{(k+1) alpha} u,
+        # assembled from public functions for a non-nilpotent system
+        A = np.array([[-0.4, 0.9, 0.1], [-0.7, 0.2, 0.5], [0.3, -0.6, -0.1]])
+        B = np.array([[1.0, 0.0], [0.5, -0.3], [-0.2, 0.8]])
+        sys = FracSystem(A, B, alpha=alpha)
+        a = np.array([0.6, -0.2, 0.9])
+        grid = TimeGrid(0.0, 2.0, 256)
+        t = grid.nodes
+        u = GridFunction(grid, np.stack([np.cos(3.0 * t), t * np.exp(-t)], axis=1))
+        traj = simulate(sys, a, SampledControl(u), grid)
+        want = np.stack([state_transition(A, alpha, tv) @ a for tv in t])
+        M = B.copy()
+        for k in range(120):
+            term = frac_integral_left(u, (k + 1) * alpha).values @ M.T
+            want += term
+            if np.abs(term).max() < 1e-18 * np.abs(want).max():
+                break
+            M = A @ M
+        assert np.abs(traj.states - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_output_trajectory(self, example1_system):
         sys = FracSystem(example1_system.A, example1_system.B,
