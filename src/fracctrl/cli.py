@@ -29,11 +29,14 @@ import json
 import sys as _sys
 
 import numpy as np
+from scipy.special import gamma as _gamma
 
 from .controlsyn import (
     DEFAULT_QUAD,
     QuadSettings,
     SteeringProblem,
+    _graded_panels,
+    _panel_nodes,
     control_from_dict,
     gramian,
     kalman_rank,
@@ -138,8 +141,10 @@ class Problem:
         n = self.system.n
         if self.a.shape != (n,) or self.b.shape != (n,):
             raise InputError(f"a and b must have length {n}")
-        if not self.T > 0.0:
-            raise InputError("horizon T must be positive")
+        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+            raise InputError("a and b must be finite")
+        if not 0.0 < self.T < np.inf:
+            raise InputError("horizon T must be positive and finite")
         self.steps = _int_field(numerics, "grid_steps", 1024)
         if self.steps < 2:
             raise InputError("grid_steps must be >= 2")
@@ -348,13 +353,7 @@ def _pass_fail(label: str, err: float, tol: float) -> bool:
 
 
 def cmd_reproduce(args) -> int:
-    if args.example == 1:
-        return _reproduce_example1()
-    if args.example == 2:
-        return _reproduce_example2()
-    if args.example == 3:
-        return _reproduce_example3()
-    raise InputError(f"unknown example {args.example}")
+    return {1: _reproduce_example1, 2: _reproduce_example2, 3: _reproduce_example3}[args.example]()
 
 
 def _reproduce_example1() -> int:
@@ -391,8 +390,6 @@ def _example2_energy(L: int | None = None) -> float:
     T = 10.0
     alphav = 0.5
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    from .controlsyn import _graded_panels, _panel_nodes
-
     s, w = _panel_nodes(_graded_panels(T, 24, both_ends=True), 20)
     sin_v = np.array([frac_sin(alphav, sv) for sv in s])
     if L is None:
@@ -430,8 +427,6 @@ def _reproduce_example2() -> int:
 
 def _reproduce_example3() -> int:
     print("worked example 3: scalar integrator, steer 0 -> 1")
-    from scipy.special import gamma as _gamma
-
     all_ok = True
     for alphav in (0.3, 0.5, 0.9):
         for T in (1.0, 5.0):
@@ -499,10 +494,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=_sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     except FracctrlError as exc:

@@ -187,9 +187,7 @@ def _graded_panels(T: float, levels: int, both_ends: bool) -> list:
     """Panels over [0, T], geometrically refined (ratio 1/2) toward s = 0,
     and optionally toward s = T as well."""
     if both_ends:
-        half = T / 2.0
-        edges = [half * 0.5**j for j in range(levels)] + [0.0]
-        left = [(edges[j + 1], edges[j]) for j in range(levels)][::-1]
+        left = _graded_panels(T / 2.0, levels, False)
         return left + [(T - hi, T - lo) for (lo, hi) in reversed(left)]
     edges = [T * 0.5**j for j in range(levels)] + [0.0]
     return [(edges[j + 1], edges[j]) for j in range(levels)][::-1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import rgamma as _rgamma
 
 from .errors import DomainError, InvalidOrder
@@ -95,33 +95,33 @@ class GridFunction:
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
 
-def _weights_interior(beta: float, h: float, N: int) -> np.ndarray:
-    """Convolution weights tau_{d+1}^{b+1} - 2 tau_d^{b+1} + tau_{d-1}^{b+1}
-    for d = 1..N-1, computed from physical distances to stay in range for
-    large beta."""
-    tau = np.arange(N + 1) * h
-    tb1 = tau ** (beta + 1.0)
-    return tb1[2:] - 2.0 * tb1[1:-1] + tb1[:-2]
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of a and b along axis 0, other axes broadcast;
+    bitwise equal to ``scipy.signal.fftconvolve(a, b, axes=0)``."""
+    if a.shape[0] == 1 or b.shape[0] == 1:
+        return a * b
+    n = a.shape[0] + b.shape[0] - 1
+    nf = next_fast_len(n, real=True)
+    return irfft(rfft(a, nf, axis=0) * rfft(b, nf, axis=0), nf, axis=0)[:n]
 
 
 def _frac_integral_values(values: np.ndarray, beta: float, h: float) -> np.ndarray:
     """Left fractional integral of order beta > 0 at every node (distances
-    measured from the grid start)."""
+    measured from the grid start, which keeps tau^(beta+1) in range for large
+    beta)."""
     N = values.shape[0] - 1
     tau = np.arange(N + 1) * h
-    c = _rgamma(beta + 2.0) / h
-    vec = values.ndim == 1
-    uu = values[:, None] if vec else values
-    n_idx = np.arange(1, N + 1)
-    a0 = (tau[n_idx - 1] ** (beta + 1.0)
-          - tau[n_idx] ** beta * (tau[n_idx] - (beta + 1.0) * h))
+    tb1 = tau ** (beta + 1.0)
+    uu = values.reshape(N + 1, -1)
+    a0 = tb1[:-1] - tau[1:] ** beta * (tau[1:] - (beta + 1.0) * h)
     acc = a0[:, None] * uu[0] + h ** (beta + 1.0) * uu[1:]
     if N >= 2:
-        w = _weights_interior(beta, h, N)
-        acc[1:] += fftconvolve(w[:, None], uu[1:], axes=0)[: N - 1]
+        # interior weights tau_{d+1}^{b+1} - 2 tau_d^{b+1} + tau_{d-1}^{b+1}
+        w = tb1[2:] - 2.0 * tb1[1:-1] + tb1[:-2]
+        acc[1:] += _fft_convolve(w[:, None], uu[1:])[: N - 1]
     out = np.zeros_like(uu)
-    out[1:] = c * acc
-    return out[:, 0] if vec else out
+    out[1:] = (_rgamma(beta + 2.0) / h) * acc
+    return out.reshape(values.shape)
 
 
 def frac_integral_left(f: GridFunction, alpha: float) -> GridFunction:
@@ -141,12 +141,8 @@ def frac_integral_left(f: GridFunction, alpha: float) -> GridFunction:
 def frac_integral_right(f: GridFunction, alpha: float) -> GridFunction:
     """Right-sided fractional integral: mirror image of the left one, zero at
     the grid end."""
-    if alpha < 0.0:
-        raise InvalidOrder(f"integral order must be >= 0, got {alpha}")
-    if alpha == 0.0:
-        return GridFunction(f.grid, f.values.copy())
-    rev = _frac_integral_values(f.values[::-1], alpha, f.grid.h)
-    return GridFunction(f.grid, rev[::-1].copy())
+    rev = frac_integral_left(GridFunction(f.grid, f.values[::-1]), alpha)
+    return GridFunction(f.grid, rev.values[::-1].copy())
 
 
 def rl_derivative_left(f: GridFunction, alpha: float) -> GridFunction:
@@ -159,12 +155,17 @@ def rl_derivative_left(f: GridFunction, alpha: float) -> GridFunction:
     """
     _check_unit_order(alpha)
     g = _frac_integral_values(f.values, 1.0 - alpha, f.grid.h)
-    h = f.grid.h
+    return GridFunction(f.grid, _centered_diff(g, f.grid.h))
+
+
+def _centered_diff(g: np.ndarray, h: float) -> np.ndarray:
+    """Derivative of node values along axis 0 by centered differences,
+    second-order one-sided at the endpoints."""
     d = np.zeros_like(g)
     d[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
     d[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
     d[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * h)
-    return GridFunction(f.grid, d)
+    return d
 
 
 def caputo_derivative(f: GridFunction, alpha: float) -> GridFunction:
@@ -180,12 +181,10 @@ def caputo_derivative(f: GridFunction, alpha: float) -> GridFunction:
     h = f.grid.h
     k = np.arange(N)
     b = (k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)
-    vec = vals.ndim == 1
-    df = np.diff(vals[:, None] if vec else vals, axis=0)
-    conv = fftconvolve(b[:, None], df, axes=0)[:N]
-    out = np.zeros_like(vals[:, None] if vec else vals)
-    out[1:] = conv * (_rgamma(2.0 - alpha) / h**alpha)
-    return GridFunction(f.grid, out[:, 0] if vec else out)
+    df = np.diff(vals.reshape(N + 1, -1), axis=0)
+    out = np.zeros((N + 1, df.shape[1]))
+    out[1:] = _fft_convolve(b[:, None], df)[:N] * (_rgamma(2.0 - alpha) / h**alpha)
+    return GridFunction(f.grid, out.reshape(vals.shape))
 
 
 def rl_compose(f: GridFunction, alpha: float, j: int) -> GridFunction:

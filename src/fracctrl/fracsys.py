@@ -22,15 +22,15 @@ bottleneck, is integrated exactly on the terminal panel.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import roots_jacobi
 
 from .errors import DomainError, InvalidParams
-from .fraccalc import GridFunction, TimeGrid, caputo_derivative
+from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, caputo_derivative
 from .mlkernel import DEFAULT_POLICY, SeriesPolicy, _kernel_inverse_batch, _ml_series
 
 __all__ = [
@@ -264,7 +264,7 @@ def simulate(
     conv = np.zeros((N + 1, sys.n))
     conv[1:] = uf[0] @ first
     for c in range(sys.m):
-        conv[1:] += fftconvolve(W[:, c], uf[1:, c, None], axes=0)[:N]
+        conv[1:] += _fft_convolve(W[:, c], uf[1:, c, None])[:N]
 
     # A cusp control u(T-s) = s^(1-alpha) w(s) is not piecewise linear on the
     # terminal panel [0, h]: replace that panel's moment by the exact one of
@@ -321,11 +321,7 @@ def caputo_residual(
     if sys.alpha < 1.0:
         D = caputo_derivative(GridFunction(grid, X), sys.alpha).values
     else:
-        D = np.zeros_like(X)
-        h = grid.h
-        D[1:-1] = (X[2:] - X[:-2]) / (2.0 * h)
-        D[0] = (-3.0 * X[0] + 4.0 * X[1] - X[2]) / (2.0 * h)
-        D[-1] = (3.0 * X[-1] - 4.0 * X[-2] + X[-3]) / (2.0 * h)
+        D = _centered_diff(X, grid.h)
     rhs = X @ sys.A.T + u.sample(grid.nodes) @ sys.B.T
     res = np.abs(D - rhs).max(axis=1)
     lo = max(1, int(np.ceil(skip_fraction * N)))
@@ -336,24 +332,15 @@ def caputo_residual(
 def trajectory_to_csv(traj: Trajectory, out) -> None:
     """Write ``t,x1..xn[,y1..yp]`` rows at full double precision (17
     significant digits) so values round-trip exactly."""
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w")
-        close = True
-    try:
-        n = traj.states.shape[1]
-        header = ["t"] + [f"x{i+1}" for i in range(n)]
-        if traj.outputs is not None:
-            header += [f"y{i+1}" for i in range(traj.outputs.shape[1])]
-        out.write(",".join(header) + "\n")
-        for i, t in enumerate(traj.grid.nodes):
-            row = [t, *traj.states[i]]
-            if traj.outputs is not None:
-                row += list(traj.outputs[i])
-            out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if close:
-            out.close()
+    cols = [traj.grid.nodes[:, None], traj.states]
+    header = ["t"] + [f"x{i+1}" for i in range(traj.states.shape[1])]
+    if traj.outputs is not None:
+        cols.append(traj.outputs)
+        header += [f"y{i+1}" for i in range(traj.outputs.shape[1])]
+    with open(out, "w") if isinstance(out, (str, bytes)) else nullcontext(out) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in np.hstack(cols):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def trajectory_from_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -14,15 +14,18 @@ alternating terms at strongly negative arguments can exceed the limit by many
 orders of magnitude (e.g. the terms of E_{1,1}(-10) peak near 2.8e3 while the
 sum is 4.5e-5); plain double summation would lose up to eight digits there.
 Matrix series are summed in ordinary doubles, which is adequate at desk scale
-(series argument max-norms up to roughly 20).
+(series argument max-norms up to roughly 20), by one primitive that keeps the
+lags on the last, contiguous axis and returns ``s.shape + L.shape`` arrays.
 
-All functions are pure; the only shared state is an append-only table of
-reciprocal-gamma values, so concurrent callers are safe.
+All functions are pure.  The only shared state is the per-(alpha, beta) table
+of reciprocal-gamma values, grown on demand under a lock, so concurrent
+callers are safe.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +74,9 @@ class SeriesPolicy:
 
     Summation stops once the next term's magnitude (max-norm for matrices,
     over every lag of a batch) drops below ``rel_tol`` times the partial
-    sum's magnitude, or below ``rel_tol`` absolutely while the partial sum is
-    zero.  ``NonConvergence`` is raised if that never happens within
+    sum's magnitude.  Scalar series also stop below ``rel_tol`` absolutely
+    while the partial sum is zero; matrix series do not, but stop when
+    L A^k vanishes.  ``NonConvergence`` is raised if no stop comes within
     ``max_terms`` terms.
     """
 
@@ -89,16 +93,19 @@ class SeriesPolicy:
 DEFAULT_POLICY = SeriesPolicy()
 
 # reciprocal-gamma tables for the double-double scalar path, keyed by
-# (alpha, beta); each value is an append-only list indexed by the term k
+# (alpha, beta); each value is an append-only list indexed by the term k,
+# grown only under the lock and in chunks as far as a series reaches
 _RGAMMA_DD: dict = {}
+_RGAMMA_LOCK = threading.Lock()
+_RGAMMA_CHUNK = 16
 
 
 def _rgamma_dd_table(alpha: float, beta: float, upto: int):
-    table = _RGAMMA_DD.setdefault((alpha, beta), [])
-    while len(table) <= upto:
-        k = len(table)
-        ka = dd.two_prod(float(k), alpha)
-        table.append(dd.rgamma(dd.add(ka, (beta, 0.0))))
+    with _RGAMMA_LOCK:
+        table = _RGAMMA_DD.setdefault((alpha, beta), [])
+        while len(table) <= upto:
+            ka = dd.two_prod(float(len(table)), alpha)
+            table.append(dd.rgamma(dd.add(ka, (beta, 0.0))))
     return table
 
 
@@ -110,7 +117,7 @@ def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
     raised (asymptotic large-argument algorithms are out of scope).
     """
     z = float(z)
-    table = _rgamma_dd_table(params.alpha, params.beta, policy.max_terms)
+    table = _rgamma_dd_table(params.alpha, params.beta, 0)
     total = table[0]
     zp = (1.0, 0.0)
     zdd = (z, 0.0)
@@ -120,6 +127,8 @@ def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
             raise NonConvergence(
                 f"E_{{{params.alpha},{params.beta}}}({z}): series terms overflow"
             )
+        if k >= len(table):
+            _rgamma_dd_table(params.alpha, params.beta, min(k + _RGAMMA_CHUNK, policy.max_terms))
         term = dd.mul(zp, table[k])
         ref = abs(dd.to_float(total))
         mag = abs(dd.to_float(term))
@@ -170,28 +179,45 @@ def _ml_series(A: np.ndarray, alpha: float, beta: float, s: np.ndarray,
     """
     if (s < 0).any():
         raise DomainError("Mittag-Leffler kernels need lags s >= 0")
-    out = np.zeros(s.shape + L.shape)
+    # Lags last: each term is L A^k broadcast against c = s^(k alpha) / Gamma(k
+    # alpha + beta).  Rounding is monotone, so the term's max-norm is exactly
+    # max|L A^k| max|c|, with max|c| at the largest lag.  max|out| is computed
+    # only once the term falls below rel_tol times 2 (last max|out| + term norms
+    # since), a bound on it, so each stop decision is that of a per-term max|out|.
+    out = np.zeros(L.shape + (s.size,))
     term = np.empty_like(out)
     P = L
-    spow = np.ones_like(s)
-    sa = s**alpha
-    ref = 0.0
+    spow = np.ones(s.size)
+    sa = s.ravel() ** alpha
+    sa_max = float(sa.max())
+    spow_max = 1.0
+    pmax = float(np.abs(P).max())
+    bound = 0.0
     for k in range(policy.max_terms + 1):
-        np.multiply.outer(spow * _rgamma(k * alpha + beta), P, out=term)
-        tnorm = max(term.max(), -term.min())
+        rg = float(_rgamma(k * alpha + beta))
+        tnorm = spow_max * abs(rg) * pmax
         if not math.isfinite(tnorm):
             raise NonConvergence("Mittag-Leffler matrix series terms overflow")
-        if ref > 0.0 and tnorm < policy.rel_tol * ref:
-            return out
+        if tnorm < policy.rel_tol * bound:
+            ref = max(out.max(), -out.min())
+            if ref > 0.0 and tnorm < policy.rel_tol * ref:
+                break
+            bound = 2.0 * ref
+        np.multiply(P[..., None], spow * rg, out=term)
         out += term
-        ref = max(out.max(), -out.min())
+        bound += 2.0 * tnorm
         P = P @ A
-        if not P.any():
-            return out
-        spow = spow * sa
-    raise NonConvergence(
-        f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
-    )
+        pmax = float(np.abs(P).max())
+        if not pmax:
+            break
+        spow *= sa
+        spow_max = spow_max * sa_max
+    else:
+        raise NonConvergence(
+            f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
+        )
+    del term  # peak memory: two arrays of the result's size, not three
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(s.shape + L.shape)
 
 
 def alpha_exp(
@@ -206,8 +232,6 @@ def alpha_exp(
     _check_order(alpha)
     if t < 0.0 or (t == 0.0 and alpha < 1.0):
         raise DomainError(f"alpha_exp undefined at t={t} for alpha={alpha}")
-    if t == 0.0:
-        return np.eye(A.shape[0])
     return t ** (alpha - 1.0) * ml_matrix(MLParams(alpha, alpha), A * t**alpha, policy)
 
 

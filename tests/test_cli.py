@@ -86,6 +86,17 @@ class TestSimulate:
         assert main(["simulate", pf]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steering", [
+        {"a": [1.0, 0.0], "b": [0.0, 0.0], "T": float("inf")},
+        {"a": [float("nan"), 0.0], "b": [0.0, 0.0], "T": 10.0},
+        {"a": [1.0, 0.0], "b": [0.0, float("-inf")], "T": 10.0},
+    ])
+    def test_non_finite_steering_rejected(self, tmp_path, capsys, steering):
+        pf = write_problem(tmp_path / "p.json", steering=steering)
+        assert main(["simulate", pf]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+
     def test_bad_alpha_rejected(self, tmp_path):
         pf = write_problem(
             tmp_path / "p.json",

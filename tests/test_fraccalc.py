@@ -1,8 +1,14 @@
 """Grid fractional-calculus tests: power rules, adjoint identities, scheme
 convergence orders, and the weakly singular convolution."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 from scipy.special import gamma
 
 from fracctrl import (
@@ -20,6 +26,8 @@ from fracctrl import (
     rl_derivative_left,
     singular_convolution,
 )
+import fracctrl
+from fracctrl.fraccalc import _fft_convolve
 
 
 def grid_fn(fn, t0=0.0, t1=1.0, steps=512):
@@ -282,3 +290,22 @@ class TestIdentities:
             errs.append(np.abs(got - ref[:: 4096 // steps]).max())
         order = np.log2(errs[0] / errs[1])
         assert order >= min(2.0 - alpha, 1.0)
+
+
+class TestFftConvolve:
+    @pytest.mark.parametrize("N", [2, 3, 17, 512, 2049, 16385])
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    def test_bitwise_equal_to_scipy_signal(self, N, d):
+        rng = np.random.default_rng(N * 10 + d)
+        for sa, sb in [((N, 1), (N, d)), ((N, d), (N, 1)), ((N - 1, 1), (N, d))]:
+            a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+            want = fftconvolve(a, b, axes=0)
+            got = _fft_convolve(a, b)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_cli_import_skips_scipy_signal(self):
+        code = "import sys, fracctrl.cli; print('scipy.signal' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(fracctrl.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120, env=env)
+        assert out.stdout.strip() == "False"

@@ -1,14 +1,20 @@
 """Mittag-Leffler kernel tests: series identities, closed forms, and the
 frozen high-precision oracle values."""
 
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import gamma
+from scipy.special import rgamma as _rgamma
 
 from fracctrl import (
+    DEFAULT_POLICY,
     DomainError,
     InvalidParams,
     MLParams,
@@ -23,6 +29,9 @@ from fracctrl import (
     ml_scalar,
     state_transition,
 )
+from fracctrl import _ddarith as dd
+from fracctrl import mlkernel
+from fracctrl.mlkernel import _ml_series
 
 # frozen 50-digit oracle values (independent fixed-precision summation of the
 # defining series; see tests/oracles.py to regenerate)
@@ -30,6 +39,35 @@ E_HALF_HALF_AT_MINUS_1 = 0.13660600739194928254
 E_HALF_ONE_SKEW_C = 0.36787944117144232160   # E_{1/2,1}(A), A=[[0,1],[-1,0]]: I-coefficient
 E_HALF_ONE_SKEW_D = 0.60715770584139372912   # same: A-coefficient
 C2_AT_HALF = -0.13298076013381089265         # cl_truncation(2, 0.5)
+
+
+def lag_first_series(A, alpha, beta, s, L, policy):
+    """Reference for ``_ml_series``: the lag-first loop it replaced, kept
+    verbatim (two full-array reductions per term)."""
+    if (s < 0).any():
+        raise DomainError("Mittag-Leffler kernels need lags s >= 0")
+    out = np.zeros(s.shape + L.shape)
+    term = np.empty_like(out)
+    P = L
+    spow = np.ones_like(s)
+    sa = s**alpha
+    ref = 0.0
+    for k in range(policy.max_terms + 1):
+        np.multiply.outer(spow * _rgamma(k * alpha + beta), P, out=term)
+        tnorm = max(term.max(), -term.min())
+        if not math.isfinite(tnorm):
+            raise NonConvergence("Mittag-Leffler matrix series terms overflow")
+        if ref > 0.0 and tnorm < policy.rel_tol * ref:
+            return out
+        out += term
+        ref = max(out.max(), -out.min())
+        P = P @ A
+        if not P.any():
+            return out
+        spow = spow * sa
+    raise NonConvergence(
+        f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
+    )
 
 
 class TestParams:
@@ -97,6 +135,74 @@ class TestMatrix:
             got = ml_matrix(params, np.diag(d))
             want = np.diag([ml_scalar(params, z) for z in d])
             assert np.allclose(got, want, rtol=1e-13)
+
+
+class TestSeriesPrimitive:
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("lags", ["single", "long", "2d"])
+    @pytest.mark.parametrize("left", ["vector", "matrix"])
+    def test_bitwise_equal_to_lag_first_loop(self, alpha, lags, left):
+        rng = np.random.default_rng(int(alpha * 10) + 100 * len(lags) + len(left))
+        s = {"single": np.array([0.8]), "long": np.linspace(0.0, 5.0, 8193),
+             "2d": rng.uniform(0.0, 3.0, (40, 7))}[lags]
+        for scale, beta in [(0.5, alpha), (2.0, alpha + 1.0), (1.0, 1.0)]:
+            A = scale * rng.uniform(-1.0, 1.0, (3, 3))
+            L = rng.uniform(-1.0, 1.0, (2, 3) if left == "matrix" else 3)
+            got = _ml_series(A, alpha, beta, s, L, DEFAULT_POLICY)
+            want = lag_first_series(A, alpha, beta, s, L, DEFAULT_POLICY)
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_nilpotent_early_exit_bitwise(self):
+        A = np.triu(np.random.default_rng(5).uniform(-1.0, 1.0, (4, 4)), 1)
+        s = np.linspace(0.0, 10.0, 1025)
+        for L in (np.eye(4), np.ones(4)):
+            assert np.array_equal(_ml_series(A, 0.5, 1.5, s, L, DEFAULT_POLICY),
+                                  lag_first_series(A, 0.5, 1.5, s, L, DEFAULT_POLICY))
+
+    @pytest.mark.parametrize("A, policy", [
+        (50.0 * np.eye(2), DEFAULT_POLICY),
+        (3.0 * np.eye(2), SeriesPolicy(max_terms=20)),
+    ])
+    def test_failures_match_lag_first_loop(self, A, policy):
+        s = np.linspace(0.0, 10.0, 101)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergence) as want:
+                lag_first_series(A, 0.5, 1.0, s, np.eye(2), policy)
+            with pytest.raises(NonConvergence) as got:
+                _ml_series(A, 0.5, 1.0, s, np.eye(2), policy)
+        assert str(got.value) == str(want.value)
+
+
+class TestRgammaTable:
+    def test_concurrent_growth_matches_single_thread(self):
+        key = (0.613, 1.287)
+        mlkernel._RGAMMA_DD.pop(key, None)  # start from a fresh table
+        z = -3.0
+        results = []
+        barrier = threading.Barrier(4)
+
+        def worker():
+            barrier.wait()
+            results.append(ml_scalar(MLParams(*key), z))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        table = mlkernel._RGAMMA_DD[key]
+        want = [dd.rgamma(dd.add(dd.two_prod(float(k), key[0]), (key[1], 0.0)))
+                for k in range(len(table))]
+        assert table == want
+        assert len(results) == 4 and len(set(results)) == 1
+        assert results[0] == ml_scalar(MLParams(*key), z)
 
 
 class TestAlphaExp:
