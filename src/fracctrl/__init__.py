@@ -6,94 +6,15 @@ minimum-modified-energy and rank-based steering controls, with
 Mittag-Leffler kernel evaluation and grid fractional calculus underneath.
 """
 
-from .errors import (
-    DomainError,
-    FracctrlError,
-    InvalidOrder,
-    InvalidParams,
-    NonConvergence,
-    RankDeficient,
-    RankDeficientB,
-    SingularGramian,
-    SingularKernel,
-)
-from .fraccalc import (
-    GridFunction,
-    TimeGrid,
-    caputo_derivative,
-    frac_integral_left,
-    frac_integral_right,
-    rl_compose,
-    rl_derivative_left,
-    singular_convolution,
-)
-from .fracsys import (
-    ControlSignal,
-    CuspControl,
-    FracSystem,
-    MinEnergyControl,
-    PinvControl,
-    SampledControl,
-    Trajectory,
-    caputo_residual,
-    simulate,
-    trajectory_from_csv,
-    trajectory_to_csv,
-)
-from .mlkernel import (
-    DEFAULT_POLICY,
-    MLParams,
-    SeriesPolicy,
-    alpha_exp,
-    cl_truncation,
-    frac_cos,
-    frac_sin,
-    inverse_kernel,
-    ml_matrix,
-    ml_matrix_batch,
-    ml_scalar,
-    state_transition,
-)
-from .controlsyn import (
-    DEFAULT_QUAD,
-    GramianResult,
-    QuadSettings,
-    RankData,
-    SINGULAR_GRAMIAN_RCOND,
-    SteeringProblem,
-    SteeringReport,
-    SynthesisResult,
-    control_from_dict,
-    default_shaping_density,
-    gramian,
-    kalman_rank,
-    modified_energy,
-    synthesis_to_dict,
-    synthesize_min_energy,
-    synthesize_pinv,
-    synthesize_rank_based,
-    verify_steering,
-)
+from . import controlsyn, errors, fraccalc, fracsys, mlkernel
+# each module's __all__ is the one list of its public names
+from .controlsyn import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fraccalc import *  # noqa: F403
+from .fracsys import *  # noqa: F403
+from .mlkernel import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError", "FracctrlError", "InvalidOrder", "InvalidParams",
-    "NonConvergence", "RankDeficient", "RankDeficientB", "SingularGramian",
-    "SingularKernel",
-    "GridFunction", "TimeGrid", "caputo_derivative", "frac_integral_left",
-    "frac_integral_right", "rl_compose", "rl_derivative_left",
-    "singular_convolution",
-    "ControlSignal", "CuspControl", "FracSystem", "MinEnergyControl",
-    "PinvControl", "SampledControl", "Trajectory", "caputo_residual",
-    "simulate", "trajectory_from_csv", "trajectory_to_csv",
-    "DEFAULT_POLICY", "MLParams", "SeriesPolicy", "alpha_exp",
-    "cl_truncation", "frac_cos", "frac_sin", "inverse_kernel", "ml_matrix",
-    "ml_matrix_batch", "ml_scalar", "state_transition",
-    "DEFAULT_QUAD", "GramianResult", "QuadSettings", "RankData",
-    "SINGULAR_GRAMIAN_RCOND", "SteeringProblem", "SteeringReport",
-    "SynthesisResult", "control_from_dict", "default_shaping_density",
-    "gramian", "kalman_rank", "modified_energy", "synthesis_to_dict",
-    "synthesize_min_energy", "synthesize_pinv", "synthesize_rank_based",
-    "verify_steering",
-]
+__all__ = [*errors.__all__, *fraccalc.__all__, *fracsys.__all__, *mlkernel.__all__,
+           *controlsyn.__all__]

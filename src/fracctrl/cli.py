@@ -35,9 +35,8 @@ from .controlsyn import (
     DEFAULT_QUAD,
     QuadSettings,
     SteeringProblem,
-    _graded_panels,
-    _panel_nodes,
     control_from_dict,
+    graded_gauss_rule,
     gramian,
     kalman_rank,
     synthesis_to_dict,
@@ -48,7 +47,7 @@ from .controlsyn import (
 )
 from .errors import FracctrlError
 from .fraccalc import GridFunction, TimeGrid
-from .fracsys import FracSystem, SampledControl, simulate, trajectory_to_csv
+from .fracsys import FracSystem, SampledControl, caputo_residual, simulate, trajectory_to_csv
 from .mlkernel import (
     MLParams,
     SeriesPolicy,
@@ -257,8 +256,6 @@ def cmd_simulate(args) -> int:
                     refine=prob.refine, policy=prob.policy)
     if args.out:
         trajectory_to_csv(traj, args.out)
-    from .fracsys import caputo_residual
-
     res = caputo_residual(prob.system, traj, control)
     print("terminal state: " + " ".join(_fmt17(v) for v in traj.states[-1]))
     print(f"caputo residual (interior): {_fmt(res)}")
@@ -390,7 +387,7 @@ def _example2_energy(L: int | None = None) -> float:
     T = 10.0
     alphav = 0.5
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    s, w = _panel_nodes(_graded_panels(T, 24, both_ends=True), 20)
+    s, w = graded_gauss_rule(T, 24, 20, both_ends=True)
     sin_v = np.array([frac_sin(alphav, sv) for sv in s])
     if L is None:
         cos_v = np.array([frac_cos(alphav, sv) for sv in s])

@@ -46,7 +46,7 @@ from .errors import (
     RankDeficientB,
     SingularGramian,
 )
-from .fraccalc import GridFunction, TimeGrid, rl_derivative_left
+from .fraccalc import GridFunction, TimeGrid, _gauss, rl_derivative_left
 from .fracsys import (
     ControlSignal,
     CuspControl,
@@ -82,6 +82,7 @@ __all__ = [
     "verify_steering",
     "SteeringReport",
     "default_shaping_density",
+    "graded_gauss_rule",
     "synthesis_to_dict",
     "control_from_dict",
 ]
@@ -183,24 +184,19 @@ class SteeringReport:
     caputo_residual: float
 
 
-def _graded_panels(T: float, levels: int, both_ends: bool) -> list:
-    """Panels over [0, T], geometrically refined (ratio 1/2) toward s = 0,
-    and optionally toward s = T as well."""
+def graded_gauss_rule(T: float, levels: int, order: int, both_ends: bool):
+    """Composite Gauss-Legendre rule over [0, T]: ``order`` nodes on each of
+    ``levels`` panels that halve toward s = 0 (and, with ``both_ends``, as
+    many more toward s = T).  Returns (nodes, weights), nodes ascending."""
+    if levels < 1 or order < 1:
+        raise InvalidParams(f"need levels, order >= 1, got {levels}, {order}")
+    edges = np.append(0.0, (T / 2.0 if both_ends else T) * 0.5 ** np.arange(levels)[::-1])
     if both_ends:
-        left = _graded_panels(T / 2.0, levels, False)
-        return left + [(T - hi, T - lo) for (lo, hi) in reversed(left)]
-    edges = [T * 0.5**j for j in range(levels)] + [0.0]
-    return [(edges[j + 1], edges[j]) for j in range(levels)][::-1]
-
-
-def _panel_nodes(panels: list, order: int):
-    xg, wg = roots_legendre(order)
-    nodes, weights = [], []
-    for lo, hi in panels:
-        mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + rad * xg)
-        weights.append(rad * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+        edges = np.append(edges, T - edges[-2::-1])
+    lo, hi = edges[:-1], edges[1:]
+    xg, wg = _gauss(roots_legendre, order)
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid[:, None] + rad[:, None] * xg).ravel(), (rad[:, None] * wg).ravel()
 
 
 def _adaptive_graded(integral, T: float, quad: QuadSettings, both_ends: bool,
@@ -210,10 +206,10 @@ def _adaptive_graded(integral, T: float, quad: QuadSettings, both_ends: bool,
     max norm; returns (value, that relative change).  ``integral(s, w)`` is
     the quadrature sum for nodes s and weights w."""
     lv = quad.levels
-    v0 = integral(*_panel_nodes(_graded_panels(T, lv, both_ends), quad.order))
+    v0 = integral(*graded_gauss_rule(T, lv, quad.order, both_ends))
     while lv <= quad.max_levels:
         lv += 4
-        v1 = integral(*_panel_nodes(_graded_panels(T, lv, both_ends), quad.order))
+        v1 = integral(*graded_gauss_rule(T, lv, quad.order, both_ends))
         err = float(np.abs(v1 - v0).max() / max(np.abs(v1).max(), 1e-300))
         if err < quad.rel_tol:
             return v1, err

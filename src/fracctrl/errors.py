@@ -1,5 +1,11 @@
 """Exception types raised by the fracctrl numerical routines."""
 
+__all__ = [
+    "DomainError", "FracctrlError", "InvalidOrder", "InvalidParams",
+    "NonConvergence", "RankDeficient", "RankDeficientB", "SingularGramian",
+    "SingularKernel",
+]
+
 
 class FracctrlError(Exception):
     """Base class for all fracctrl errors."""

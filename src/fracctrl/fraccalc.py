@@ -18,6 +18,7 @@ Accuracy caveats, documented rather than patched:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -103,6 +104,15 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[0] + b.shape[0] - 1
     nf = next_fast_len(n, real=True)
     return irfft(rfft(a, nf, axis=0) * rfft(b, nf, axis=0), nf, axis=0)[:n]
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss(rule: Callable, *args):
+    """Nodes and weights of the Gauss rule ``rule(*args)`` (a scipy.special
+    ``roots_*`` function), computed once per arguments and read-only."""
+    x, w = rule(*args)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _frac_integral_values(values: np.ndarray, beta: float, h: float) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import DomainError, InvalidParams
-from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, caputo_derivative
+from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, _gauss, caputo_derivative
 from .mlkernel import DEFAULT_POLICY, SeriesPolicy, _kernel_inverse_batch, _ml_series
 
 __all__ = [
@@ -185,7 +185,8 @@ class PinvControl(CuspControl):
 
     Sampling, simulation and the energy raise ``SingularKernel`` where the
     Mittag-Leffler matrix is ill-conditioned (singular-value ratio below
-    ``rcond_threshold``).
+    ``rcond_threshold``); the singular values are computed only where the
+    cheaper Frobenius-norm certificate of that bound does not hold.
     """
 
     def __init__(self, A, B_pinv: np.ndarray, alpha: float, T: float, v: np.ndarray,
@@ -293,7 +294,7 @@ def _cusp_moment(At: np.ndarray, alpha: float, Bt: np.ndarray, h: float, p: floa
     rounding.
     """
     c = (p + 1.0) / alpha - 1.0
-    x, wq = roots_jacobi(_CUSP_NODES, 0.0, c)
+    x, wq = _gauss(roots_jacobi, _CUSP_NODES, 0.0, c)
     y = 0.5 * (1.0 + x)
     EB = _ml_series(At, alpha, alpha, h * y ** (1.0 / alpha), Bt, policy)
     return (h / alpha) * 0.5 ** (c + 1.0) * np.einsum("q,qij->ij", wq, EB)

@@ -94,15 +94,20 @@ DEFAULT_POLICY = SeriesPolicy()
 
 # reciprocal-gamma tables for the double-double scalar path, keyed by
 # (alpha, beta); each value is an append-only list indexed by the term k,
-# grown only under the lock and in chunks as far as a series reaches
+# grown only under the lock and in chunks as far as a series reaches; at most
+# _RGAMMA_KEYS tables are kept, the least recently used evicted first
 _RGAMMA_DD: dict = {}
 _RGAMMA_LOCK = threading.Lock()
 _RGAMMA_CHUNK = 16
+_RGAMMA_KEYS = 256
 
 
 def _rgamma_dd_table(alpha: float, beta: float, upto: int):
     with _RGAMMA_LOCK:
-        table = _RGAMMA_DD.setdefault((alpha, beta), [])
+        # re-inserted last, so the dict's order is the order of last use
+        table = _RGAMMA_DD[(alpha, beta)] = _RGAMMA_DD.pop((alpha, beta), [])
+        while len(_RGAMMA_DD) > _RGAMMA_KEYS:
+            del _RGAMMA_DD[next(iter(_RGAMMA_DD))]
         while len(table) <= upto:
             ka = dd.two_prod(float(len(table)), alpha)
             table.append(dd.rgamma(dd.add(ka, (beta, 0.0))))
@@ -128,7 +133,7 @@ def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
                 f"E_{{{params.alpha},{params.beta}}}({z}): series terms overflow"
             )
         if k >= len(table):
-            _rgamma_dd_table(params.alpha, params.beta, min(k + _RGAMMA_CHUNK, policy.max_terms))
+            table = _rgamma_dd_table(params.alpha, params.beta, min(k + _RGAMMA_CHUNK, policy.max_terms))
         term = dd.mul(zp, table[k])
         ref = abs(dd.to_float(total))
         mag = abs(dd.to_float(term))
@@ -332,8 +337,27 @@ def inverse_kernel(
 def _kernel_inverse_batch(A: np.ndarray, alpha: float, s: np.ndarray,
                           policy: SeriesPolicy, rcond_threshold: float) -> np.ndarray:
     """E_{alpha,alpha}(A s^alpha)^(-1) over an array of lags; ``SingularKernel``
-    where its singular-value ratio falls below ``rcond_threshold``."""
-    E = ml_matrix_batch(A, alpha, alpha, s, policy)
+    where its singular-value ratio falls below ``rcond_threshold``, with the
+    SVD computed only where the Frobenius certificate of ``_checked_inverse``
+    does not hold."""
+    return _checked_inverse(ml_matrix_batch(A, alpha, alpha, s, policy), rcond_threshold)
+
+
+def _checked_inverse(E: np.ndarray, rcond_threshold: float) -> np.ndarray:
+    """``np.linalg.inv(E)`` over a stack of n x n matrices, refused as in
+    ``_kernel_inverse_batch``.  The SVD runs only where the Frobenius
+    certificate fails: r = max |E|_F |E^-1|_F >= sigma_max/sigma_min, so
+    r <= 1/(2 rcond_threshold) passes the rule with a factor 2 to spare, and
+    r <= 1/(64 n eps), the rank rule's margin, keeps the rounding of inv
+    (about n eps cond) far inside that factor."""
+    try:
+        Einv = np.linalg.inv(E)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        r = float((np.linalg.norm(E, axis=(-2, -1)) * np.linalg.norm(Einv, axis=(-2, -1))).max())
+        if 2.0 * rcond_threshold * r <= 1.0 and 64.0 * E.shape[-1] * np.finfo(float).eps * r <= 1.0:
+            return Einv
     sv = np.linalg.svd(E, compute_uv=False)
     rc = float((sv.min(axis=-1) / sv.max(axis=-1)).min())
     if not rc >= rcond_threshold:

@@ -3,7 +3,7 @@ laws, energy identities, minimality, and export round trips."""
 
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import gamma, roots_legendre
 
 from fracctrl import (
     FracSystem,
@@ -19,6 +19,7 @@ from fracctrl import (
     SteeringProblem,
     TimeGrid,
     control_from_dict,
+    graded_gauss_rule,
     gramian,
     kalman_rank,
     modified_energy,
@@ -42,6 +43,42 @@ def example1_gramian(T):
         [T**2 / 2.0, 2.0 * T**1.5 / (3.0 * np.sqrt(np.pi))],
         [2.0 * T**1.5 / (3.0 * np.sqrt(np.pi)), T / np.pi],
     ])
+
+
+def panel_loop_rule(T, levels, order, both_ends):
+    """Reference for ``graded_gauss_rule``: the panel list and per-panel loop
+    it replaced, kept verbatim."""
+    def graded_panels(T, levels, both_ends):
+        if both_ends:
+            left = graded_panels(T / 2.0, levels, False)
+            return left + [(T - hi, T - lo) for (lo, hi) in reversed(left)]
+        edges = [T * 0.5**j for j in range(levels)] + [0.0]
+        return [(edges[j + 1], edges[j]) for j in range(levels)][::-1]
+
+    xg, wg = roots_legendre(order)
+    nodes, weights = [], []
+    for lo, hi in graded_panels(T, levels, both_ends):
+        mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes.append(mid + rad * xg)
+        weights.append(rad * wg)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+class TestGradedRule:
+    @pytest.mark.parametrize("both_ends", [False, True])
+    def test_bitwise_equal_to_panel_loop(self, both_ends):
+        for T in (0.3, 1.0, 2.0, 5.0, 7.77, 10.0):
+            for levels in (1, 12, 16, 24, 48):
+                for order in (1, 16, 20):
+                    got = graded_gauss_rule(T, levels, order, both_ends)
+                    want = panel_loop_rule(T, levels, order, both_ends)
+                    assert all(g.shape == w.shape and np.array_equal(g, w)
+                               for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("levels, order", [(0, 16), (12, 0), (-1, 4)])
+    def test_empty_rule_refused(self, levels, order):
+        with pytest.raises(InvalidParams):
+            graded_gauss_rule(1.0, levels, order, False)
 
 
 class TestGramian:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
-from scipy.special import gamma
+from scipy.special import gamma, roots_jacobi, roots_legendre
 
 from fracctrl import (
     DomainError,
@@ -27,7 +27,7 @@ from fracctrl import (
     singular_convolution,
 )
 import fracctrl
-from fracctrl.fraccalc import _fft_convolve
+from fracctrl.fraccalc import _fft_convolve, _gauss
 
 
 def grid_fn(fn, t0=0.0, t1=1.0, steps=512):
@@ -309,3 +309,16 @@ class TestFftConvolve:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120, env=env)
         assert out.stdout.strip() == "False"
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("rule, args", [(roots_legendre, (16,)),
+                                            (roots_jacobi, (20, 0.0, 1.37))])
+    def test_cached_read_only_and_equal_to_scipy(self, rule, args):
+        x, w = _gauss(rule, *args)
+        assert _gauss(rule, *args)[0] is x
+        for got, want in zip((x, w), rule(*args)):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0

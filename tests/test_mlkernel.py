@@ -20,6 +20,7 @@ from fracctrl import (
     MLParams,
     NonConvergence,
     SeriesPolicy,
+    SingularKernel,
     alpha_exp,
     cl_truncation,
     frac_cos,
@@ -31,7 +32,7 @@ from fracctrl import (
 )
 from fracctrl import _ddarith as dd
 from fracctrl import mlkernel
-from fracctrl.mlkernel import _ml_series
+from fracctrl.mlkernel import _checked_inverse, _kernel_inverse_batch, _ml_series
 
 # frozen 50-digit oracle values (independent fixed-precision summation of the
 # defining series; see tests/oracles.py to regenerate)
@@ -68,6 +69,45 @@ def lag_first_series(A, alpha, beta, s, L, policy):
     raise NonConvergence(
         f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
     )
+
+
+def svd_first_inverse(E, rcond_threshold):
+    """Reference for ``_checked_inverse``: the SVD-first check it replaced,
+    kept verbatim."""
+    sv = np.linalg.svd(E, compute_uv=False)
+    rc = float((sv.min(axis=-1) / sv.max(axis=-1)).min())
+    if not rc >= rcond_threshold:
+        raise SingularKernel(
+            f"Mittag-Leffler matrix ill-conditioned inside [0, T] (rcond~{rc:.2e})"
+        )
+    try:
+        return np.linalg.inv(E)
+    except np.linalg.LinAlgError as exc:
+        raise SingularKernel("Mittag-Leffler matrix singular inside [0, T]") from exc
+
+
+def assert_same_inverse_outcome(E, rcond_threshold):
+    """``_checked_inverse`` returns the reference's array bitwise, or raises
+    the same exception type with the same message; returns whether it refused."""
+    with np.errstate(invalid="ignore"):  # 0/0 singular-value ratio of a zero matrix
+        try:
+            want = svd_first_inverse(E, rcond_threshold)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                _checked_inverse(E, rcond_threshold)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return True
+        got = _checked_inverse(E, rcond_threshold)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    return False
+
+
+def svd_batch(rng, n, lags, ratio):
+    """U diag(sigma) V^T with sigma_min / sigma_max = ratio, random scale."""
+    U = np.linalg.qr(rng.standard_normal((lags, n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((lags, n, n)))[0]
+    sigma = np.geomspace(1.0, ratio, n) * 10.0 ** rng.uniform(-3.0, 3.0, (lags, 1))
+    return U @ (sigma[..., None] * np.swapaxes(V, -1, -2))
 
 
 class TestParams:
@@ -203,6 +243,107 @@ class TestRgammaTable:
         assert table == want
         assert len(results) == 4 and len(set(results)) == 1
         assert results[0] == ml_scalar(MLParams(*key), z)
+
+
+    def test_key_count_bounded_and_rebuilt_bitwise(self, monkeypatch):
+        monkeypatch.setattr(mlkernel, "_RGAMMA_DD", {})  # other tests keep their tables
+        key = (0.371, 1.229)
+        want = ml_scalar(MLParams(*key), -2.0)
+        table = list(mlkernel._RGAMMA_DD[key])
+        for k in range(300):
+            mlkernel._rgamma_dd_table(0.5, 1.0 + k / 1024.0, 0)
+        assert len(mlkernel._RGAMMA_DD) <= mlkernel._RGAMMA_KEYS == 256
+        assert key not in mlkernel._RGAMMA_DD
+        assert ml_scalar(MLParams(*key), -2.0) == want
+        assert mlkernel._RGAMMA_DD[key] == table
+
+    def test_concurrent_eviction_mid_series(self, monkeypatch):
+        # one table kept for three keys: every growth step of a series may
+        # find its table evicted by another thread and rebuilt from entry 0
+        keys = [(0.611, 1.0 + j / 7.0) for j in range(3)]
+        want = {key: ml_scalar(MLParams(*key), -2.5) for key in keys}
+        monkeypatch.setattr(mlkernel, "_RGAMMA_DD", {})
+        monkeypatch.setattr(mlkernel, "_RGAMMA_KEYS", 1)
+        results, errors = [], []
+        barrier = threading.Barrier(4)
+
+        def worker(i):
+            barrier.wait()
+            try:
+                for r in range(6):
+                    key = keys[(i + r) % 3]
+                    results.append((key, ml_scalar(MLParams(*key), -2.5)))
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == [] and len(results) == 24
+        assert all(val == want[key] for key, val in results)
+        assert len(mlkernel._RGAMMA_DD) <= 1
+
+
+class TestCheckedInverse:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_well_conditioned_batches_bitwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        for lags in (1, 7, 16385):
+            E = np.eye(n) + 0.3 * rng.standard_normal((lags, n, n))
+            assert not assert_same_inverse_outcome(E, 1e-12)
+        for alpha in (0.3, 0.7, 1.0):
+            A = rng.uniform(-1.0, 1.0, (n, n))
+            E = mlkernel.ml_matrix_batch(A, alpha, alpha, np.linspace(0.0, 2.0, 16385))
+            assert not assert_same_inverse_outcome(E, 1e-12)
+
+    @pytest.mark.parametrize("thr, factor", [
+        (thr, factor) for thr in (1e-12, 1e-6, 0.5)
+        for factor in (0.5, 0.99, 1.01, 1.9, 2.1, 4.0)
+        if thr * factor <= 1.0  # a singular-value ratio cannot exceed 1
+    ])
+    def test_singular_value_ratio_near_threshold(self, thr, factor):
+        rng = np.random.default_rng(int(factor * 100) + int(-np.log10(thr)))
+        for n in (2, 3, 4):
+            E = svd_batch(rng, n, 64, thr * factor)
+            mixed = np.concatenate([svd_batch(rng, n, 63, min(1.0, 4.0 * thr)), E[:1]])
+            refused = assert_same_inverse_outcome(E, thr)
+            assert assert_same_inverse_outcome(mixed, thr) == refused
+            if factor <= 0.5 or factor >= 1.9:  # well clear of rounding in the ratio
+                assert refused == (factor < 1.0)
+
+    @pytest.mark.parametrize("thr", [1e-12, 0.0])
+    def test_singular_and_zero_matrices_in_batch(self, thr):
+        rng = np.random.default_rng(7)
+        good = np.eye(2) + 0.1 * rng.standard_normal((9, 2, 2))
+        for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 2))):
+            E = np.concatenate([good[:4], bad[None], good[4:]])
+            assert assert_same_inverse_outcome(E, thr)
+
+    def test_tiny_threshold(self):
+        rng = np.random.default_rng(17)
+        for ratio in (1e-3, 1e-10, 1e-14, 1e-16):
+            for n in (2, 4):
+                assert_same_inverse_outcome(svd_batch(rng, n, 32, ratio), 1e-17)
+
+    def test_well_conditioned_kernel_needs_no_svd(self, monkeypatch):
+        A = np.array([[0.3, -0.2, 0.1], [0.4, 0.1, -0.5], [0.0, 0.2, -0.3]])
+        s = np.linspace(0.0, 3.0, 16385)
+        want = np.linalg.inv(mlkernel.ml_matrix_batch(A, 0.6, 0.6, s))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD computed for a certified batch")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        got = _kernel_inverse_batch(A, 0.6, s, DEFAULT_POLICY, 1e-12)
+        assert np.array_equal(got, want)
 
 
 class TestAlphaExp:
