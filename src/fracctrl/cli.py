@@ -93,12 +93,17 @@ _NUMERICS_KEYS = {
     "quad_rel_tol", "quad_levels", "quad_order", "refine",
 }
 _CONTROL_KEYS = {"type", "value", "path"}
+_CONTROL_NEEDS = {"constant": "value", "csv": "path", "synthesized": "path"}
 
 
-def _reject_unknown(block: dict, allowed: set, where: str) -> None:
+def _block(block, allowed: set, where: str) -> dict:
+    """``block`` itself, if it is a JSON object with no keys outside ``allowed``."""
+    if not isinstance(block, dict):
+        raise InputError(f"{where} must be a JSON object, got {block!r}")
     unknown = set(block) - allowed
     if unknown:
         raise InputError(f"unknown keys in {where}: {sorted(unknown)}")
+    return block
 
 
 def _int_field(block: dict, key: str, default):
@@ -109,22 +114,25 @@ def _int_field(block: dict, key: str, default):
     return val
 
 
+def _float_field(block: dict, key: str, default: float) -> float:
+    """A numerics field that must be a JSON number."""
+    val = block.get(key, default)
+    if type(val) not in (int, float):
+        raise InputError(f"{key} must be a number, got {val!r}")
+    return float(val)
+
+
 class Problem:
     """Validated contents of a problem file."""
 
     def __init__(self, doc: dict):
-        if not isinstance(doc, dict):
-            raise InputError("problem file must be a JSON object")
-        _reject_unknown(doc, _TOP_KEYS, "problem file")
+        _block(doc, _TOP_KEYS, "problem file")
         try:
-            sysblock = doc["system"]
-            steering = doc["steering"]
+            sysblock = _block(doc["system"], _SYSTEM_KEYS, "system block")
+            steering = _block(doc["steering"], _STEERING_KEYS, "steering block")
         except KeyError as exc:
             raise InputError(f"problem file missing block {exc}") from None
-        _reject_unknown(sysblock, _SYSTEM_KEYS, "system block")
-        _reject_unknown(steering, _STEERING_KEYS, "steering block")
-        numerics = doc.get("numerics", {})
-        _reject_unknown(numerics, _NUMERICS_KEYS, "numerics block")
+        numerics = _block(doc.get("numerics", {}), _NUMERICS_KEYS, "numerics block")
         try:
             self.system = FracSystem(
                 A=np.asarray(sysblock["A"], dtype=float),
@@ -149,11 +157,11 @@ class Problem:
             raise InputError("grid_steps must be >= 2")
         try:
             self.policy = SeriesPolicy(
-                rel_tol=float(numerics.get("series_rel_tol", 1e-14)),
+                rel_tol=_float_field(numerics, "series_rel_tol", 1e-14),
                 max_terms=_int_field(numerics, "series_max_terms", 500),
             )
             self.quad = QuadSettings(
-                rel_tol=float(numerics.get("quad_rel_tol", DEFAULT_QUAD.rel_tol)),
+                rel_tol=_float_field(numerics, "quad_rel_tol", DEFAULT_QUAD.rel_tol),
                 levels=_int_field(numerics, "quad_levels", DEFAULT_QUAD.levels),
                 order=_int_field(numerics, "quad_order", DEFAULT_QUAD.order),
             )
@@ -164,7 +172,7 @@ class Problem:
             raise InputError("refine must be >= 1")
         self.control_spec = doc.get("control")
         if self.control_spec is not None:
-            _reject_unknown(self.control_spec, _CONTROL_KEYS, "control block")
+            _block(self.control_spec, _CONTROL_KEYS, "control block")
         self.method = doc.get("method", "min-energy")
 
     @property
@@ -179,25 +187,33 @@ class Problem:
         if spec is None:
             raise InputError("problem file has no control block")
         kind = spec.get("type")
-        need = {"constant": "value", "csv": "path", "synthesized": "path"}.get(kind)
-        if need is not None and need not in spec:
+        need = _CONTROL_NEEDS.get(kind) if isinstance(kind, str) else None
+        if need is None:
+            raise InputError(f"unknown control type {kind!r}")
+        if need not in spec:
             raise InputError(f"{kind} control needs {need!r}")
+        if need == "path" and not isinstance(spec["path"], str):
+            raise InputError(f"control path must be a string, got {spec['path']!r}")
         if kind == "constant":
-            val = np.atleast_1d(np.asarray(spec["value"], dtype=float))
+            try:
+                val = np.atleast_1d(np.asarray(spec["value"], dtype=float))
+            except TypeError as exc:
+                raise InputError(f"constant control value: {exc}") from None
             if val.shape != (self.system.m,):
                 raise InputError(f"constant control must have {self.system.m} entries")
             vals = np.tile(val, (self.steps + 1, 1))
             return SampledControl(GridFunction(self.grid, vals))
         if kind == "csv":
-            return _control_from_csv(spec["path"], self.system.m)
-        if kind == "synthesized":
-            with open(spec["path"]) as fh:
-                doc = json.load(fh)
+            return _control_from_csv(spec["path"], self.system.m, self.T)
+        with open(spec["path"]) as fh:
+            doc = json.load(fh)
+        try:
             return control_from_dict(doc)
-        raise InputError(f"unknown control type {kind!r}")
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed synthesis document: {exc!r}") from None
 
 
-def _control_from_csv(path: str, m: int) -> SampledControl:
+def _control_from_csv(path: str, m: int, T: float) -> SampledControl:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != m + 1:
         raise InputError(f"control CSV must have 1+{m} columns")
@@ -205,6 +221,10 @@ def _control_from_csv(path: str, m: int) -> SampledControl:
     h = np.diff(t)
     if len(t) < 3 or h.min() <= 0 or (abs(h - h[0]) > 1e-9 * h[0]).any():
         raise InputError("control CSV must be sampled on a uniform grid")
+    # no extrapolation: a control held constant past its last sample is a guess
+    if t[0] > 1e-12 * T or t[-1] < T - 1e-12 * T:
+        raise InputError(f"control CSV must span [0, T] = [0, {T:g}], "
+                         f"got [{t[0]:g}, {t[-1]:g}]")
     grid = TimeGrid(float(t[0]), float(t[-1]), len(t) - 1)
     return SampledControl(GridFunction(grid, data[:, 1:]))
 
@@ -231,7 +251,10 @@ def cmd_ml(args) -> int:
         print(_fmt(fn(args.alpha, args.t, pol)))
         return EXIT_OK
     if args.A is not None:
-        A = np.asarray(json.loads(args.A), dtype=float)
+        try:
+            A = np.asarray(json.loads(args.A), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"--A must be a JSON matrix: {exc}") from None
         if args.t is None:
             raise InputError("matrix evaluation needs --t")
         if args.exp:

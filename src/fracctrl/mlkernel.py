@@ -9,7 +9,7 @@ plays the role of the matrix exponential in fractional variation-of-constants
 formulas, the fractional sine/cosine series of rotation-type systems, and the
 pointwise inverse kernel g(t) = t^(1-alpha) E_{alpha,alpha}(A t^alpha)^(-1).
 
-Scalar series are summed in compensated double-double arithmetic because the
+Scalar series are summed in one 34-digit ``decimal`` context, because the
 alternating terms at strongly negative arguments can exceed the limit by many
 orders of magnitude (e.g. the terms of E_{1,1}(-10) peak near 2.8e3 while the
 sum is 4.5e-5); plain double summation would lose up to eight digits there.
@@ -17,21 +17,21 @@ Matrix series are summed in ordinary doubles, which is adequate at desk scale
 (series argument max-norms up to roughly 20), by one primitive that keeps the
 lags on the last, contiguous axis and returns ``s.shape + L.shape`` arrays.
 
-All functions are pure.  The only shared state is the per-(alpha, beta) table
-of reciprocal-gamma values, grown on demand under a lock, so concurrent
-callers are safe.
+All functions are pure.  The only shared state is an ``lru_cache`` of
+reciprocal-gamma values, which is safe for concurrent callers.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
-import threading
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import rgamma as _rgamma
 
-from . import _ddarith as dd
 from .errors import DomainError, InvalidParams, NonConvergence, SingularKernel
 
 __all__ = [
@@ -73,11 +73,13 @@ class SeriesPolicy:
     """Truncation control for all series evaluations.
 
     Summation stops once the next term's magnitude (max-norm for matrices,
-    over every lag of a batch) drops below ``rel_tol`` times the partial
+    over every lag of a batch; both rounded to doubles for scalar series,
+    which are summed at 34 digits) drops below ``rel_tol`` times the partial
     sum's magnitude.  Scalar series also stop below ``rel_tol`` absolutely
     while the partial sum is zero; matrix series do not, but stop when
     L A^k vanishes.  ``NonConvergence`` is raised if no stop comes within
-    ``max_terms`` terms.
+    ``max_terms`` terms, and by scalar series also for a non-finite argument
+    or once |z|^k passes about 1.3e300.
     """
 
     rel_tol: float = 1e-14
@@ -92,26 +94,51 @@ class SeriesPolicy:
 
 DEFAULT_POLICY = SeriesPolicy()
 
-# reciprocal-gamma tables for the double-double scalar path, keyed by
-# (alpha, beta); each value is an append-only list indexed by the term k,
-# grown only under the lock and in chunks as far as a series reaches; at most
-# _RGAMMA_KEYS tables are kept, the least recently used evicted first
-_RGAMMA_DD: dict = {}
-_RGAMMA_LOCK = threading.Lock()
-_RGAMMA_CHUNK = 16
-_RGAMMA_KEYS = 256
+# 34 digits, the precision of IEEE 754-2008 decimal128; every operation goes
+# through this context's methods, never through the thread-local context, and
+# no field is left to be copied from a DefaultContext a caller may have changed
+_CTX = decimal.Context(prec=34, rounding=decimal.ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
+                       capitals=1, clamp=0, flags=[],
+                       traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow])
+_D = decimal.Decimal
+
+# Stirling correction coefficients B_{2j} / (2j (2j-1)) from exact Bernoulli
+# fractions; for arguments >= 30 the first omitted term is below 1e-35
+_BERNOULLI = [
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+    (-236364091, 2730), (8553103, 6),
+]
+_STIRLING = [_CTX.divide(num, den * (2 * j + 2) * (2 * j + 1))
+             for j, (num, den) in enumerate(_BERNOULLI)]
+_HALF_LN_2PI = _D("0.9189385332046727417803297364056176398614")
+# |z|^k is refused beyond float_info.max / (2^27 + 1), about 1.3e300, where the
+# earlier double-double products overflowed, so the same arguments refuse
+_ZK_MAX = _D(sys.float_info.max / 134217729.0)
 
 
-def _rgamma_dd_table(alpha: float, beta: float, upto: int):
-    with _RGAMMA_LOCK:
-        # re-inserted last, so the dict's order is the order of last use
-        table = _RGAMMA_DD[(alpha, beta)] = _RGAMMA_DD.pop((alpha, beta), [])
-        while len(_RGAMMA_DD) > _RGAMMA_KEYS:
-            del _RGAMMA_DD[next(iter(_RGAMMA_DD))]
-        while len(table) <= upto:
-            ka = dd.two_prod(float(len(table)), alpha)
-            table.append(dd.rgamma(dd.add(ka, (beta, 0.0))))
-    return table
+def _rgamma_dec(x: decimal.Decimal) -> decimal.Decimal:
+    """1 / Gamma(x) for positive x: Stirling's series for log Gamma after
+    shifting the argument up to at least 30."""
+    c = _CTX
+    shift = _D(1)
+    while x < 30:
+        shift = c.multiply(shift, x)
+        x = c.add(x, 1)
+    lg = c.add(c.subtract(c.multiply(c.subtract(x, _D("0.5")), c.ln(x)), x), _HALF_LN_2PI)
+    x2 = c.multiply(x, x)
+    xp = x
+    for coef in _STIRLING:
+        lg = c.add(lg, c.divide(coef, xp))
+        xp = c.multiply(xp, x2)
+    return c.multiply(shift, c.exp(c.minus(lg)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _rgamma_chunk(alpha: float, beta: float, j: int) -> tuple:
+    """1 / Gamma(k alpha + beta) for k = 16 j, ..., 16 j + 15, as Decimals."""
+    a, b = _D(alpha), _D(beta)
+    return tuple(_rgamma_dec(_CTX.fma(k, a, b)) for k in range(16 * j, 16 * j + 16))
 
 
 def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -119,31 +146,29 @@ def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
 
     Intended for desk-scale arguments; far outside that range the stopping
     rule cannot fire within ``policy.max_terms`` and ``NonConvergence`` is
-    raised (asymptotic large-argument algorithms are out of scope).
+    raised (asymptotic large-argument algorithms are out of scope), as it is
+    for a non-finite z and once |z|^k passes about 1.3e300.
     """
     z = float(z)
-    table = _rgamma_dd_table(params.alpha, params.beta, 0)
-    total = table[0]
-    zp = (1.0, 0.0)
-    zdd = (z, 0.0)
+    alpha, beta = params.alpha, params.beta
+    if not math.isfinite(z):
+        raise NonConvergence(f"E_{{{alpha},{beta}}}({z}): series terms overflow")
+    c = _CTX
+    zd = _D(z)
+    total = _rgamma_chunk(alpha, beta, 0)[0]
+    zk = _D(1)
     for k in range(1, policy.max_terms + 1):
-        zp = dd.mul(zp, zdd)
-        if not np.isfinite(zp[0]):
-            raise NonConvergence(
-                f"E_{{{params.alpha},{params.beta}}}({z}): series terms overflow"
-            )
-        if k >= len(table):
-            table = _rgamma_dd_table(params.alpha, params.beta, min(k + _RGAMMA_CHUNK, policy.max_terms))
-        term = dd.mul(zp, table[k])
-        ref = abs(dd.to_float(total))
-        mag = abs(dd.to_float(term))
+        zk = c.multiply(zk, zd)
+        if zk.copy_abs() > _ZK_MAX:
+            raise NonConvergence(f"E_{{{alpha},{beta}}}({z}): series terms overflow")
+        term = c.multiply(zk, _rgamma_chunk(alpha, beta, k // 16)[k % 16])
+        ref = abs(float(total))
+        mag = abs(float(term))
         if (ref > 0.0 and mag < policy.rel_tol * ref) or (ref == 0.0 and mag < policy.rel_tol):
-            return dd.to_float(total)
-        total = dd.add(total, term)
+            return float(total)
+        total = c.add(total, term)
     raise NonConvergence(
-        f"E_{{{params.alpha},{params.beta}}}({z}): no convergence in "
-        f"{policy.max_terms} terms"
-    )
+        f"E_{{{alpha},{beta}}}({z}): no convergence in {policy.max_terms} terms")
 
 
 def ml_matrix(params: MLParams, M: np.ndarray, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:

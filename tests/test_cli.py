@@ -44,6 +44,16 @@ class TestMl:
     def test_usage_error(self, capsys):
         assert main(["ml", "--alpha", "1"]) == 2
 
+    def test_non_matrix_argument_is_input_error(self, capsys):
+        assert main(["ml", "--alpha", "0.5", "--A", "{}", "--t", "1"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("z", ["nan", "inf"])
+    def test_non_finite_argument_is_numeric_failure(self, capsys, z):
+        assert main(["ml", "--alpha", "0.5", "--z", z]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: NonConvergence:") and "Traceback" not in err
+
 
 class TestSimulate:
     def test_constant_control_terminal_state(self, tmp_path, capsys):
@@ -75,11 +85,48 @@ class TestSimulate:
     @pytest.mark.parametrize("numerics", [
         {"grid_steps": 2.7}, {"grid_steps": 512.0}, {"refine": 1.5},
         {"quad_order": 0}, {"series_max_terms": True}, {"grid_steps": None},
+        {"series_rel_tol": [1]}, {"quad_rel_tol": None}, {"series_rel_tol": True},
     ])
     def test_malformed_numerics_rejected(self, tmp_path, capsys, numerics):
         pf = write_problem(tmp_path / "p.json", numerics={"grid_steps": 512, **numerics})
         assert main(["simulate", pf]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("block, value", [
+        ("numerics", []), ("numerics", None), ("steering", None), ("system", None),
+        ("control", 5), ("control", {"type": []}),
+        ("control", {"type": "constant", "value": {}}),
+        ("control", {"type": "csv", "path": 5}),
+    ])
+    def test_malformed_blocks_rejected(self, tmp_path, capsys, block, value):
+        pf = write_problem(tmp_path / "p.json", **{block: value})
+        assert main(["simulate", pf]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+
+    def test_malformed_synthesis_document_rejected(self, tmp_path, capsys):
+        docp = tmp_path / "c.json"
+        pf = write_problem(tmp_path / "p.json", control={"type": "synthesized", "path": str(docp)})
+        for content in ({}, [], {"control": {"type": "min-energy"}}):
+            docp.write_text(json.dumps(content))
+            assert main(["simulate", pf]) == 2
+            assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("start, end, rc", [
+        (0.0, 5.0, 2), (0.5, 10.0, 2), (0.0, 10.0 - 1e-9, 2), (1e-9, 10.0, 2),
+        (0.0, 10.0, 0), (0.0, 10.0 * (1.0 - 1e-13), 0), (0.0, 20.0, 0), (-1.0, 10.0, 0),
+    ])
+    def test_control_csv_must_span_horizon(self, tmp_path, capsys, start, end, rc):
+        # T = 10: a grid that starts late or ends early is refused, not held
+        # constant to T; one that reaches beyond [0, T] is read inside it
+        csvp = tmp_path / "ctrl.csv"
+        rows = "".join(f"{float(t)!r},1.0\n" for t in np.linspace(start, end, 65))
+        csvp.write_text("t,u1\n" + rows)
+        pf = write_problem(tmp_path / "p.json", control={"type": "csv", "path": str(csvp)})
+        assert main(["simulate", pf]) == rc
+        err = capsys.readouterr().err
+        assert ("must span [0, T]" in err) == (rc == 2)
 
     def test_constant_control_without_value_rejected(self, tmp_path, capsys):
         pf = write_problem(tmp_path / "p.json", control={"type": "constant"})

@@ -1,16 +1,21 @@
 """Mittag-Leffler kernel tests: series identities, closed forms, and the
 frozen high-precision oracle values."""
 
+import decimal
+import functools
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import gamma
+from scipy.special import erfcx, gamma
 from scipy.special import rgamma as _rgamma
 
 from fracctrl import (
@@ -30,7 +35,6 @@ from fracctrl import (
     ml_scalar,
     state_transition,
 )
-from fracctrl import _ddarith as dd
 from fracctrl import mlkernel
 from fracctrl.mlkernel import _checked_inverse, _kernel_inverse_batch, _ml_series
 
@@ -151,6 +155,48 @@ class TestScalar:
         with pytest.raises(NonConvergence):
             ml_scalar(MLParams(0.5, 0.5), -40.0, SeriesPolicy(max_terms=200))
 
+    def test_erfcx_at_strong_cancellation(self):
+        # E_{1/2,1}(-x) = erfcx(x); at x = 6.5 the terms peak near 1e18
+        got = ml_scalar(MLParams(0.5, 1.0), -6.5)
+        assert abs(got / erfcx(6.5) - 1.0) <= 1e-12
+
+    def test_independent_of_callers_decimal_context(self):
+        cases = [(MLParams(0.5, 1.0), -6.5), (MLParams(0.37, 1.91), 3.2),
+                 (MLParams(1.0, 1.0), -10.0)]
+        want = [ml_scalar(p, z) for p, z in cases]
+        with decimal.localcontext(prec=6, rounding=decimal.ROUND_DOWN, Emax=10, Emin=-10):
+            got = [ml_scalar(p, z) for p, z in cases]
+        assert got == want
+
+    def test_independent_of_default_context_at_import(self):
+        # a DefaultContext changed before the import must not reach the series
+        code = ("import decimal\n"
+                "decimal.DefaultContext.prec = 6\n"
+                "decimal.DefaultContext.traps[decimal.Inexact] = True\n"
+                "from fracctrl import MLParams, ml_scalar\n"
+                "print(ml_scalar(MLParams(0.5, 1.0), -6.5).hex())\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(mlkernel.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120, env=env)
+        assert float.fromhex(out.stdout.strip()) == ml_scalar(MLParams(0.5, 1.0), -6.5)
+
+    def test_at_least_34_digits(self):
+        # the benchmark explains a scalar miss as cancellation only within
+        # 10 cond 2^-104, so the series must carry more than 31 digits
+        assert mlkernel._CTX.prec >= 34
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_refused(self, z):
+        with pytest.raises(NonConvergence, match="series terms overflow"):
+            ml_scalar(MLParams(0.5, 1.0), z)
+
+    def test_overflow_refusal_near_x_eight(self):
+        # E_{1/2,1}(-x) needs |x|^k beyond 1.3e300 before it stops near
+        # x = 7.25; below that it converges
+        assert ml_scalar(MLParams(0.5, 1.0), -7.2) == pytest.approx(erfcx(7.2), rel=1e-8)
+        with pytest.raises(NonConvergence, match=r"E_\{0.5,1.0\}\(-7.35\): series terms overflow"):
+            ml_scalar(MLParams(0.5, 1.0), -7.35)
+
 
 class TestMatrix:
     def test_diagonal_exponential(self):
@@ -215,10 +261,19 @@ class TestSeriesPrimitive:
 
 
 class TestRgammaTable:
-    def test_concurrent_growth_matches_single_thread(self):
+    def test_concurrent_growth_matches_single_thread(self, monkeypatch):
         key = (0.613, 1.287)
-        mlkernel._RGAMMA_DD.pop(key, None)  # start from a fresh table
         z = -3.0
+        raw = mlkernel._rgamma_chunk.__wrapped__
+
+        def fresh_cache():
+            cache = functools.lru_cache(maxsize=4096)(raw)
+            monkeypatch.setattr(mlkernel, "_rgamma_chunk", cache)
+            return cache
+
+        fresh_cache()
+        want = ml_scalar(MLParams(*key), z)
+        cache = fresh_cache()
         results = []
         barrier = threading.Barrier(4)
 
@@ -237,33 +292,34 @@ class TestRgammaTable:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(old)
-        table = mlkernel._RGAMMA_DD[key]
-        want = [dd.rgamma(dd.add(dd.two_prod(float(k), key[0]), (key[1], 0.0)))
-                for k in range(len(table))]
-        assert table == want
-        assert len(results) == 4 and len(set(results)) == 1
-        assert results[0] == ml_scalar(MLParams(*key), z)
-
+        assert results == [want] * 4
+        chunks = cache.cache_info().currsize
+        assert chunks >= 2
+        assert all(cache(*key, j) == raw(*key, j) for j in range(chunks))
 
     def test_key_count_bounded_and_rebuilt_bitwise(self, monkeypatch):
-        monkeypatch.setattr(mlkernel, "_RGAMMA_DD", {})  # other tests keep their tables
+        assert mlkernel._rgamma_chunk.cache_info().maxsize == 4096
+        # a smaller cache of the same function, so 300 keys overflow it
+        cache = functools.lru_cache(maxsize=256)(mlkernel._rgamma_chunk.__wrapped__)
+        monkeypatch.setattr(mlkernel, "_rgamma_chunk", cache)
         key = (0.371, 1.229)
         want = ml_scalar(MLParams(*key), -2.0)
-        table = list(mlkernel._RGAMMA_DD[key])
+        chunk = cache(*key, 0)
         for k in range(300):
-            mlkernel._rgamma_dd_table(0.5, 1.0 + k / 1024.0, 0)
-        assert len(mlkernel._RGAMMA_DD) <= mlkernel._RGAMMA_KEYS == 256
-        assert key not in mlkernel._RGAMMA_DD
+            cache(0.5, 1.0 + k / 1024.0, 0)
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize == 256
         assert ml_scalar(MLParams(*key), -2.0) == want
-        assert mlkernel._RGAMMA_DD[key] == table
+        assert cache.cache_info().misses > info.misses  # evicted and recomputed
+        assert cache(*key, 0) == chunk
 
     def test_concurrent_eviction_mid_series(self, monkeypatch):
-        # one table kept for three keys: every growth step of a series may
-        # find its table evicted by another thread and rebuilt from entry 0
+        # one chunk kept for three keys: every chunk a series reads may have
+        # been evicted by another thread and is computed again
         keys = [(0.611, 1.0 + j / 7.0) for j in range(3)]
         want = {key: ml_scalar(MLParams(*key), -2.5) for key in keys}
-        monkeypatch.setattr(mlkernel, "_RGAMMA_DD", {})
-        monkeypatch.setattr(mlkernel, "_RGAMMA_KEYS", 1)
+        monkeypatch.setattr(mlkernel, "_rgamma_chunk",
+                            functools.lru_cache(maxsize=1)(mlkernel._rgamma_chunk.__wrapped__))
         results, errors = [], []
         barrier = threading.Barrier(4)
 
@@ -289,7 +345,7 @@ class TestRgammaTable:
             sys.setswitchinterval(old)
         assert errors == [] and len(results) == 24
         assert all(val == want[key] for key, val in results)
-        assert len(mlkernel._RGAMMA_DD) <= 1
+        assert mlkernel._rgamma_chunk.cache_info().currsize <= 1
 
 
 class TestCheckedInverse:
