@@ -7,7 +7,10 @@ Subcommands:
   synthesize  steering-control synthesis + verification, JSON/CSV output
   reproduce   run the built-in worked reference examples
 
-Problem files are strict JSON documents (unknown keys rejected):
+A problem file is a JSON object read through one field table: unknown and
+missing keys and values of the wrong JSON type (a number is never a boolean or
+a string) are refused, and so is any range, shape or finiteness that the
+types built from it refuse (FracSystem, SteeringProblem, TimeGrid, ...):
 
   {
     "system":   {"alpha": 0.5, "A": [[0,1],[0,0]], "B": [[0],[1]], "C": null},
@@ -32,7 +35,6 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .controlsyn import (
-    DEFAULT_QUAD,
     QuadSettings,
     SteeringProblem,
     control_from_dict,
@@ -66,6 +68,9 @@ EXIT_NUMERIC = 3
 
 RANK_RCOND_THRESHOLD = 1e-8  # Gramian-side controllability verdict
 
+_SYNTHESES = {"min-energy": synthesize_min_energy, "pinv": synthesize_pinv,
+              "rank": synthesize_rank_based}
+
 # kernel evaluations are printed to 15 significant digits, so truncate the
 # series well below that
 _ML_PRINT_POLICY = SeriesPolicy(rel_tol=1e-16, max_terms=600)
@@ -85,135 +90,104 @@ def _fmt17(x: float) -> str:
 
 # ---------------------------------------------------------------- problem IO
 
-_TOP_KEYS = {"system", "steering", "numerics", "control", "method"}
-_SYSTEM_KEYS = {"alpha", "A", "B", "C"}
-_STEERING_KEYS = {"a", "b", "T"}
-_NUMERICS_KEYS = {
-    "grid_steps", "series_rel_tol", "series_max_terms",
-    "quad_rel_tol", "quad_levels", "quad_order", "refine",
+# Each field of each block of a problem file: the Python types its JSON value
+# may take, and its default (_REQUIRED where it has none).  A JSON number is
+# an int or a float, never a bool or a string, and is read as a float.
+_REQUIRED = object()
+_NUM, _INT, _STR, _LIST, _OBJ = (int, float), (int,), (str,), (list,), (dict,)
+_FIELDS = {
+    "problem file": {"system": (_OBJ, _REQUIRED), "steering": (_OBJ, _REQUIRED),
+                     "numerics": (_OBJ, {}), "control": (_OBJ, None), "method": (_STR, "min-energy")},
+    "system block": {"alpha": (_NUM, _REQUIRED), "A": (_LIST, _REQUIRED),
+                     "B": (_LIST, _REQUIRED), "C": (_LIST, None)},
+    "steering block": {"a": (_LIST, _REQUIRED), "b": (_LIST, _REQUIRED), "T": (_NUM, _REQUIRED)},
+    "numerics block": {
+        "grid_steps": (_INT, 1024), "refine": (_INT, None),
+        "series_rel_tol": (_NUM, SeriesPolicy.rel_tol),
+        "series_max_terms": (_INT, SeriesPolicy.max_terms),
+        "quad_rel_tol": (_NUM, QuadSettings.rel_tol),
+        "quad_levels": (_INT, QuadSettings.levels), "quad_order": (_INT, QuadSettings.order),
+    },
+    "control block": {"type": (_STR, _REQUIRED), "value": (_NUM + _LIST, None), "path": (_STR, None)},
 }
-_CONTROL_KEYS = {"type", "value", "path"}
 _CONTROL_NEEDS = {"constant": "value", "csv": "path", "synthesized": "path"}
 
 
-def _block(block, allowed: set, where: str) -> dict:
-    """``block`` itself, if it is a JSON object with no keys outside ``allowed``."""
-    if not isinstance(block, dict):
+def _read(block, where: str) -> dict:
+    """The fields ``_FIELDS[where]`` of ``block``, defaults filled in.  The
+    block must be a JSON object without unknown keys, with every required key
+    and with each value of its field's types (null only where that is the
+    default); a field that is an object is read as the block ``"<key> block"``."""
+    if type(block) is not dict:
         raise InputError(f"{where} must be a JSON object, got {block!r}")
-    unknown = set(block) - allowed
+    fields = _FIELDS[where]
+    unknown = set(block) - set(fields)
     if unknown:
         raise InputError(f"unknown keys in {where}: {sorted(unknown)}")
-    return block
-
-
-def _int_field(block: dict, key: str, default):
-    """A numerics field that must be a JSON integer (or null, if its default is)."""
-    val = block.get(key, default)
-    if type(val) is not int and not (val is None and default is None):
-        raise InputError(f"{key} must be an integer, got {val!r}")
-    return val
-
-
-def _float_field(block: dict, key: str, default: float) -> float:
-    """A numerics field that must be a JSON number."""
-    val = block.get(key, default)
-    if type(val) not in (int, float):
-        raise InputError(f"{key} must be a number, got {val!r}")
-    return float(val)
+    out = {}
+    for key, (types, default) in fields.items():
+        val = block.get(key, default)
+        if val is _REQUIRED:
+            raise InputError(f"{where} is missing {key!r}")
+        if type(val) not in types and not (val is None is default):
+            names = " or ".join(t.__name__ for t in types)
+            raise InputError(f"{key} in {where} must be {names}, got {val!r}")
+        if type(val) is dict:
+            val = _read(val, f"{key} block")
+        out[key] = float(val) if type(val) is int and float in types else val
+    return out
 
 
 class Problem:
-    """Validated contents of a problem file."""
+    """A problem file's contents, read by ``_read`` and checked by the types
+    built from them; every refusal is an ``InputError``."""
 
-    def __init__(self, doc: dict):
-        _block(doc, _TOP_KEYS, "problem file")
-        try:
-            sysblock = _block(doc["system"], _SYSTEM_KEYS, "system block")
-            steering = _block(doc["steering"], _STEERING_KEYS, "steering block")
-        except KeyError as exc:
-            raise InputError(f"problem file missing block {exc}") from None
-        numerics = _block(doc.get("numerics", {}), _NUMERICS_KEYS, "numerics block")
-        try:
-            self.system = FracSystem(
-                A=np.asarray(sysblock["A"], dtype=float),
-                B=np.asarray(sysblock["B"], dtype=float),
-                C=None if sysblock.get("C") is None else np.asarray(sysblock["C"], dtype=float),
-                alpha=float(sysblock["alpha"]),
-            )
-            self.a = np.asarray(steering["a"], dtype=float)
-            self.b = np.asarray(steering["b"], dtype=float)
-            self.T = float(steering["T"])
-        except (KeyError, TypeError, ValueError, FracctrlError) as exc:
-            raise InputError(f"invalid system/steering data: {exc}") from exc
-        n = self.system.n
-        if self.a.shape != (n,) or self.b.shape != (n,):
-            raise InputError(f"a and b must have length {n}")
-        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
-            raise InputError("a and b must be finite")
-        if not 0.0 < self.T < np.inf:
-            raise InputError("horizon T must be positive and finite")
-        self.steps = _int_field(numerics, "grid_steps", 1024)
-        if self.steps < 2:
-            raise InputError("grid_steps must be >= 2")
-        try:
-            self.policy = SeriesPolicy(
-                rel_tol=_float_field(numerics, "series_rel_tol", 1e-14),
-                max_terms=_int_field(numerics, "series_max_terms", 500),
-            )
-            self.quad = QuadSettings(
-                rel_tol=_float_field(numerics, "quad_rel_tol", DEFAULT_QUAD.rel_tol),
-                levels=_int_field(numerics, "quad_levels", DEFAULT_QUAD.levels),
-                order=_int_field(numerics, "quad_order", DEFAULT_QUAD.order),
-            )
-        except FracctrlError as exc:
-            raise InputError(f"invalid numerics block: {exc}") from exc
-        self.refine = _int_field(numerics, "refine", None)
-        if self.refine is not None and self.refine < 1:
+    def __init__(self, doc):
+        doc = _read(doc, "problem file")
+        system, steering, numerics = doc["system"], doc["steering"], doc["numerics"]
+        # simulate refuses it too; checked here so that every command does
+        if numerics["refine"] is not None and numerics["refine"] < 1:
             raise InputError("refine must be >= 1")
-        self.control_spec = doc.get("control")
-        if self.control_spec is not None:
-            _block(self.control_spec, _CONTROL_KEYS, "control block")
-        self.method = doc.get("method", "min-energy")
-
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(0.0, self.T, self.steps)
-
-    def steering_problem(self) -> SteeringProblem:
-        return SteeringProblem(self.system, self.a, self.b, self.T, self.grid)
+        try:
+            self.system = FracSystem(**system)
+            grid = TimeGrid(0.0, steering["T"], numerics["grid_steps"])
+            self.steering = SteeringProblem(self.system, grid=grid, **steering)
+            self.policy = SeriesPolicy(numerics["series_rel_tol"], numerics["series_max_terms"])
+            self.quad = QuadSettings(numerics["quad_rel_tol"], numerics["quad_levels"],
+                                     numerics["quad_order"])
+        except (FracctrlError, TypeError, ValueError) as exc:
+            raise InputError(f"invalid problem data: {exc}") from exc
+        self.refine = numerics["refine"]
+        self.control_spec, self.method = doc["control"], doc["method"]
 
     def control(self) -> SampledControl:
-        spec = self.control_spec
+        spec, grid = self.control_spec, self.steering.grid
         if spec is None:
             raise InputError("problem file has no control block")
-        kind = spec.get("type")
-        need = _CONTROL_NEEDS.get(kind) if isinstance(kind, str) else None
+        need = _CONTROL_NEEDS.get(spec["type"])
         if need is None:
-            raise InputError(f"unknown control type {kind!r}")
-        if need not in spec:
-            raise InputError(f"{kind} control needs {need!r}")
-        if need == "path" and not isinstance(spec["path"], str):
-            raise InputError(f"control path must be a string, got {spec['path']!r}")
-        if kind == "constant":
+            raise InputError(f"unknown control type {spec['type']!r}")
+        if spec[need] is None:
+            raise InputError(f"{spec['type']} control needs {need!r}")
+        if need == "value":
             try:
                 val = np.atleast_1d(np.asarray(spec["value"], dtype=float))
             except TypeError as exc:
                 raise InputError(f"constant control value: {exc}") from None
             if val.shape != (self.system.m,):
                 raise InputError(f"constant control must have {self.system.m} entries")
-            vals = np.tile(val, (self.steps + 1, 1))
-            return SampledControl(GridFunction(self.grid, vals))
-        if kind == "csv":
-            return _control_from_csv(spec["path"], self.system.m, self.T)
+            return SampledControl(GridFunction(grid, np.tile(val, (grid.steps + 1, 1))))
+        if spec["type"] == "csv":
+            return _control_from_csv(spec["path"], self.system.m)
         with open(spec["path"]) as fh:
             doc = json.load(fh)
         try:
             return control_from_dict(doc)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, FracctrlError) as exc:
             raise InputError(f"malformed synthesis document: {exc!r}") from None
 
 
-def _control_from_csv(path: str, m: int, T: float) -> SampledControl:
+def _control_from_csv(path: str, m: int) -> SampledControl:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != m + 1:
         raise InputError(f"control CSV must have 1+{m} columns")
@@ -221,10 +195,6 @@ def _control_from_csv(path: str, m: int, T: float) -> SampledControl:
     h = np.diff(t)
     if len(t) < 3 or h.min() <= 0 or (abs(h - h[0]) > 1e-9 * h[0]).any():
         raise InputError("control CSV must be sampled on a uniform grid")
-    # no extrapolation: a control held constant past its last sample is a guess
-    if t[0] > 1e-12 * T or t[-1] < T - 1e-12 * T:
-        raise InputError(f"control CSV must span [0, T] = [0, {T:g}], "
-                         f"got [{t[0]:g}, {t[-1]:g}]")
     grid = TimeGrid(float(t[0]), float(t[-1]), len(t) - 1)
     return SampledControl(GridFunction(grid, data[:, 1:]))
 
@@ -275,7 +245,7 @@ def cmd_ml(args) -> int:
 def cmd_simulate(args) -> int:
     prob = _load_problem(args.problem)
     control = prob.control()
-    traj = simulate(prob.system, prob.a, control, prob.grid,
+    traj = simulate(prob.system, prob.steering.a, control, prob.steering.grid,
                     refine=prob.refine, policy=prob.policy)
     if args.out:
         trajectory_to_csv(traj, args.out)
@@ -289,12 +259,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_gramian(args) -> int:
     prob = _load_problem(args.problem)
-    g = gramian(prob.system, prob.T, prob.quad, prob.policy)
+    g = gramian(prob.system, prob.steering.T, prob.quad, prob.policy)
     rd = kalman_rank(prob.system)
     n = prob.system.n
     rank_ok = rd.rank == n
     gram_ok = g.rcond > RANK_RCOND_THRESHOLD
-    print(f"Q_T (T={_fmt(prob.T)}):")
+    print(f"Q_T (T={_fmt(prob.steering.T)}):")
     for row in g.Q:
         print("  " + " ".join(_fmt17(v) for v in row))
     print(f"rcond = {_fmt(g.rcond)}")
@@ -306,7 +276,7 @@ def cmd_gramian(args) -> int:
     print("rank/gramian equivalence: " + ("consistent" if rank_ok == gram_ok else "INCONSISTENT"))
     if args.out:
         doc = {
-            "T": prob.T,
+            "T": prob.steering.T,
             "Q": g.Q.tolist(),
             "rcond": g.rcond,
             "quad_err": g.quad_err,
@@ -326,15 +296,10 @@ def cmd_gramian(args) -> int:
 def cmd_synthesize(args) -> int:
     prob = _load_problem(args.problem)
     method = args.method or prob.method
-    sp = prob.steering_problem()
-    if method == "min-energy":
-        result = synthesize_min_energy(sp, prob.quad, prob.policy)
-    elif method == "pinv":
-        result = synthesize_pinv(sp, prob.quad, prob.policy)
-    elif method == "rank":
-        result = synthesize_rank_based(sp, quad=prob.quad, policy=prob.policy)
-    else:
+    if method not in _SYNTHESES:
         raise InputError(f"unknown method {method!r}")
+    sp = prob.steering
+    result = _SYNTHESES[method](sp, quad=prob.quad, policy=prob.policy)
     report = verify_steering(sp, result, prob.quad, prob.policy, refine=prob.refine)
     print(f"method: {result.method}")
     print(f"modified energy: {_fmt17(result.energy)}")
@@ -343,7 +308,7 @@ def cmd_synthesize(args) -> int:
     print(f"energy quadrature mismatch: {_fmt(report.energy_mismatch_rel)}")
     print(f"caputo residual: {_fmt(report.caputo_residual)}")
     if args.out:
-        doc = synthesis_to_dict(result, prob.system, prob.T)
+        doc = synthesis_to_dict(result, prob.system, sp.T)
         doc["report"] = {
             "terminal_error_abs": report.terminal_error_abs,
             "terminal_error_rel": report.terminal_error_rel,
@@ -356,7 +321,7 @@ def cmd_synthesize(args) -> int:
             fh.write("\n")
         print(f"synthesis written to {args.out}")
     if args.csv:
-        ts = np.linspace(0.0, prob.T, prob.steps + 1)
+        ts = sp.grid.nodes
         table = result.control.sample(ts)
         with open(args.csv, "w") as fh:
             fh.write("t," + ",".join(f"u{i+1}" for i in range(table.shape[1])) + "\n")
@@ -498,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("synthesize", help="steering-control synthesis + verification")
     sy.add_argument("problem")
-    sy.add_argument("--method", choices=["min-energy", "pinv", "rank"])
+    sy.add_argument("--method", choices=list(_SYNTHESES))
     sy.add_argument("--out", help="synthesis JSON path")
     sy.add_argument("--csv", help="control samples CSV path")
     sy.set_defaults(fn=cmd_synthesize)

@@ -60,6 +60,7 @@ from .fracsys import (
 from .mlkernel import (
     DEFAULT_POLICY,
     SeriesPolicy,
+    _finite,
     _kernel_inverse_batch,
     ml_matrix_batch,
     state_transition,
@@ -131,13 +132,13 @@ class SteeringProblem:
     grid: TimeGrid
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "a", _finite(self.a, "a"))
+        object.__setattr__(self, "b", _finite(self.b, "b"))
         n = self.sys.n
         if self.a.shape != (n,) or self.b.shape != (n,):
             raise InvalidParams(f"states must have shape ({n},)")
-        if not self.T > 0.0:
-            raise InvalidParams(f"horizon must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise InvalidParams(f"horizon must be positive and finite, got {self.T}")
         if self.grid.t0 != 0.0 or not math.isclose(self.grid.t1, self.T, rel_tol=1e-12):
             raise InvalidParams("grid must span exactly [0, T]")
 
@@ -570,18 +571,17 @@ def synthesis_to_dict(result: SynthesisResult, sys: FracSystem, T: float,
 
 
 def control_from_dict(doc: dict) -> ControlSignal:
-    """Rebuild the exact control exported by ``synthesis_to_dict``."""
+    """Rebuild the exact control exported by ``synthesis_to_dict``.  The
+    document's system is checked as a ``FracSystem`` and its control arrays
+    must be finite; a document missing a key raises ``KeyError``."""
     spec = doc["control"]
-    A = np.asarray(doc["system"]["A"], float)
-    B = np.asarray(doc["system"]["B"], float)
-    alpha = float(doc["alpha"])
+    sys = FracSystem(doc["system"]["A"], doc["system"]["B"], alpha=doc["alpha"])
     T = float(doc["T"])
     kind = spec["type"]
     if kind == "min-energy":
-        return MinEnergyControl(A, B, alpha, T, np.asarray(spec["coeff"], float))
+        return MinEnergyControl(sys.A, sys.B, sys.alpha, T, spec["coeff"])
     if kind == "pinv":
-        return PinvControl(A, np.asarray(spec["B_pinv"], float), alpha, T,
-                           np.asarray(spec["v"], float))
+        return PinvControl(sys.A, spec["B_pinv"], sys.alpha, T, spec["v"])
     if kind == "sampled":
         g = spec["grid"]
         grid = TimeGrid(float(g["t0"]), float(g["t1"]), int(g["steps"]))

@@ -49,8 +49,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not self.t1 > self.t0:
-            raise DomainError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+        if not -np.inf < self.t0 < self.t1 < np.inf:
+            raise DomainError(f"need finite t0 < t1, got [{self.t0}, {self.t1}]")
         if self.steps < 2:
             raise DomainError(f"need at least 2 steps, got {self.steps}")
 

@@ -31,7 +31,8 @@ from scipy.special import roots_jacobi
 
 from .errors import DomainError, InvalidParams
 from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, _gauss, caputo_derivative
-from .mlkernel import DEFAULT_POLICY, SeriesPolicy, _kernel_inverse_batch, _ml_series
+from .mlkernel import (DEFAULT_POLICY, SeriesPolicy, _as_square, _check_order, _finite,
+                       _kernel_inverse_batch, _ml_series)
 
 __all__ = [
     "FracSystem",
@@ -54,7 +55,10 @@ _CUSP_NODES = 20
 
 @dataclass(frozen=True)
 class FracSystem:
-    """State-space data (A, B, C, alpha) with commensurate Caputo order."""
+    """State-space data (A, B, C, alpha) with commensurate Caputo order:
+    finite matrices A (n x n), B (n x m; a vector is one column) and an
+    optional C (p x n; a vector is one row), and alpha in (0, 1].  Anything
+    else raises ``InvalidParams``."""
 
     A: np.ndarray
     B: np.ndarray
@@ -62,31 +66,19 @@ class FracSystem:
     alpha: float = 1.0
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
+        A = _as_square(self.A)
+        B = _finite(self.B, "B")
+        B = B[:, None] if B.ndim == 1 else B
+        C = None if self.C is None else np.atleast_2d(_finite(self.C, "C"))
+        n = A.shape[0]
+        if B.ndim != 2 or B.shape[0] != n:
+            raise InvalidParams(f"B must be a 2-D matrix with {n} rows, got shape {B.shape}")
+        if C is not None and (C.ndim != 2 or C.shape[1] != n):
+            raise InvalidParams(f"C must be a 2-D matrix with {n} columns, got shape {C.shape}")
+        _check_order(self.alpha)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise InvalidParams(f"A must be square, got shape {A.shape}")
-        if B.shape[0] != A.shape[0]:
-            raise InvalidParams(
-                f"B has {B.shape[0]} rows but the state dimension is {A.shape[0]}"
-            )
-        if self.C is not None:
-            C = np.atleast_2d(np.asarray(self.C, dtype=float))
-            object.__setattr__(self, "C", C)
-            if C.shape[1] != A.shape[0]:
-                raise InvalidParams(
-                    f"C has {C.shape[1]} columns but the state dimension is {A.shape[0]}"
-                )
-            if not np.isfinite(C).all():
-                raise InvalidParams("C entries must be finite")
-        if not (0.0 < self.alpha <= 1.0):
-            raise InvalidParams(f"order must lie in (0, 1], got {self.alpha}")
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise InvalidParams("system matrices must be finite")
+        object.__setattr__(self, "C", C)
 
     @property
     def n(self) -> int:
@@ -143,6 +135,8 @@ class CuspControl(ControlSignal):
         self.alpha = float(alpha)
         self.T = float(T)
         self.policy = policy
+        if not 0.0 < self.T < np.inf:
+            raise InvalidParams(f"control horizon must be positive and finite, got {T}")
 
     def kernel_weight(self, s: np.ndarray) -> np.ndarray:
         """The bounded factor w at the lags s = T - t, shape (len(s), m)."""
@@ -170,7 +164,7 @@ class MinEnergyControl(CuspControl):
         self.B = np.asarray(B, float)
         if self.B.ndim == 1:
             self.B = self.B[:, None]
-        self.coeff = np.asarray(coeff, float)
+        self.coeff = _finite(coeff, "coeff")
         self.m = self.B.shape[1]
 
     def kernel_weight(self, s: np.ndarray) -> np.ndarray:
@@ -193,8 +187,8 @@ class PinvControl(CuspControl):
                  policy: SeriesPolicy = DEFAULT_POLICY,
                  rcond_threshold: float = 1e-12):
         super().__init__(A, alpha, T, policy)
-        self.B_pinv = np.asarray(B_pinv, float)
-        self.v = np.asarray(v, float)
+        self.B_pinv = _finite(B_pinv, "B_pinv")
+        self.v = _finite(v, "v")
         self.rcond_threshold = rcond_threshold
         self.m = self.B_pinv.shape[0]
 
@@ -235,8 +229,16 @@ def simulate(
         raise InvalidParams(f"initial state must have shape ({sys.n},)")
     if grid.t0 != 0.0:
         raise DomainError("simulation grids start at t = 0")
+    if isinstance(u, SampledControl):
+        g, T = u.data.grid, grid.t1
+        # no extrapolation: a control held constant past its last sample is a guess
+        if g.t0 > 1e-12 * T or g.t1 < T - 1e-12 * T:
+            raise DomainError(f"sampled control must span [0, T] = [0, {T:g}], "
+                              f"got [{g.t0:g}, {g.t1:g}]")
     if refine is None:
         refine = 1 if isinstance(u, SampledControl) else 8
+    if refine < 1:
+        raise InvalidParams(f"refine must be >= 1, got {refine}")
     fine = grid.refined(refine) if refine > 1 else grid
     uf = u.sample(fine.nodes)
     if uf.shape != (fine.steps + 1, sys.m):

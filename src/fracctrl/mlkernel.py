@@ -395,12 +395,18 @@ def _checked_inverse(E: np.ndarray, rcond_threshold: float) -> np.ndarray:
         raise SingularKernel("Mittag-Leffler matrix singular inside [0, T]") from exc
 
 
+def _finite(x, name: str) -> np.ndarray:
+    """``x`` as a float array, refused unless every entry is finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise InvalidParams(f"{name} entries must be finite")
+    return x
+
+
 def _as_square(M: np.ndarray) -> np.ndarray:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(_finite(M, "matrix"))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidParams(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InvalidParams("matrix entries must be finite")
     return M
 
 

@@ -1,18 +1,28 @@
 """CLI tests: subcommand behaviour, exit codes, problem-file validation,
 deterministic artifacts, and the synthesize/simulate round trip."""
 
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracctrl.cli import main
 
 
+CHAIN = {"alpha": 0.5, "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]}
+STEERING = {"a": [1.0, 0.0], "b": [0.0, 0.0], "T": 10.0}
+
+
 def write_problem(path, **overrides):
     doc = {
-        "system": {"alpha": 0.5, "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
-        "steering": {"a": [1.0, 0.0], "b": [0.0, 0.0], "T": 10.0},
+        "system": CHAIN,
+        "steering": STEERING,
         "numerics": {"grid_steps": 512},
         "control": {"type": "constant", "value": [1.0]},
     }
@@ -98,6 +108,12 @@ class TestSimulate:
         ("control", 5), ("control", {"type": []}),
         ("control", {"type": "constant", "value": {}}),
         ("control", {"type": "csv", "path": 5}),
+        # numbers are JSON numbers, not booleans or strings
+        ("system", {**CHAIN, "alpha": True}), ("system", {**CHAIN, "alpha": "0.5"}),
+        ("steering", {**STEERING, "T": True}), ("steering", {**STEERING, "T": "10"}),
+        # B and C are 2-D matrices
+        ("system", {**CHAIN, "B": 1}), ("system", {**CHAIN, "B": [[[0.0]], [[1.0]]]}),
+        ("system", {**CHAIN, "C": [[[0.0], [1.0]]]}),
     ])
     def test_malformed_blocks_rejected(self, tmp_path, capsys, block, value):
         pf = write_problem(tmp_path / "p.json", **{block: value})
@@ -105,10 +121,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
     def test_malformed_synthesis_document_rejected(self, tmp_path, capsys):
         docp = tmp_path / "c.json"
         pf = write_problem(tmp_path / "p.json", control={"type": "synthesized", "path": str(docp)})
-        for content in ({}, [], {"control": {"type": "min-energy"}}):
+        good = {"alpha": 0.5, "T": 10.0, "system": {"A": CHAIN["A"], "B": CHAIN["B"]},
+                "control": {"type": "min-energy", "coeff": [0.1, 0.2]}}
+        # a sampled control held constant past its last sample, or on [0, inf]
+        sampled = {"type": "sampled", "grid": {"t0": 0.0, "t1": 5.0, "steps": 4},
+                   "values": [[1.0]] * 5}
+        unbounded = {**sampled, "grid": {"t0": 0.0, "t1": float("inf"), "steps": 4}}
+        for content in ({}, [], {"control": {"type": "min-energy"}},
+                        {**good, "alpha": 5}, {**good, "T": float("nan")},
+                        {**good, "control": {"type": "min-energy", "coeff": [float("nan"), 1]}},
+                        {**good, "control": sampled}, {**good, "control": unbounded}):
             docp.write_text(json.dumps(content))
             assert main(["simulate", pf]) == 2
             assert capsys.readouterr().err.startswith("input error:")
@@ -165,6 +191,17 @@ class TestGramian:
         doc = json.loads(out.read_text())
         assert doc["Q"][0][0] == pytest.approx(50.0, rel=1e-8)
         assert doc["consistent"] is True
+
+    def test_integer_numbers_written_as_floats(self, tmp_path, capsys):
+        # a JSON number is read as a float, so an integer T or alpha comes
+        # back as 10.0 and 1.0 in the written documents
+        pf = write_problem(tmp_path / "p.json", system={**CHAIN, "alpha": 1},
+                           steering={**STEERING, "T": 10})
+        gram, synth = tmp_path / "g.json", tmp_path / "s.json"
+        assert main(["gramian", pf, "--out", str(gram)]) == 0
+        assert main(["synthesize", pf, "--out", str(synth)]) == 0
+        assert '"T": 10.0,' in gram.read_text()
+        assert '"alpha": 1.0,' in synth.read_text() and '"T": 10.0,' in synth.read_text()
 
     def test_uncontrollable_verdict(self, tmp_path, capsys):
         pf = write_problem(tmp_path / "p.json",
@@ -278,3 +315,54 @@ class TestReproduce:
     def test_example_3(self, capsys):
         assert main(["reproduce", "--example", "3"]) == 0
         assert "ALL PASS" in capsys.readouterr().out
+
+
+# Replacement values for one field of docs/example1.json: a fixed, bounded
+# pool with no large integer, so that no mutation can ask for a huge grid.
+DELETE, UNKNOWN = "<delete the key>", "<add an unknown key beside it>"
+FUZZ_VALUES = [None, True, False, -1, 0, 1, 2, 2.5, 1e308, -1e308, float("nan"),
+               float("inf"), float("-inf"), "x", [], {}, [1], [[1]], [[[1]]], DELETE, UNKNOWN]
+FUZZ_FIELDS = (
+    [(block,) for block in ("system", "steering", "numerics", "control", "method")]
+    + [("system", key) for key in ("alpha", "A", "B", "C")]
+    + [("steering", key) for key in ("a", "b", "T")]
+    + [("numerics", key) for key in ("grid_steps", "series_rel_tol", "series_max_terms",
+                                     "quad_rel_tol", "quad_levels", "quad_order", "refine")]
+    + [("control", key) for key in ("type", "value", "path")]
+)
+EXAMPLE1 = json.loads((Path(__file__).parents[1] / "docs" / "example1.json").read_text())
+
+
+def mutate(doc, field, value):
+    *parents, key = field
+    block = doc
+    for name in parents:
+        block = block.get(name) if isinstance(block, dict) else None
+    if not isinstance(block, dict):
+        return
+    if value == DELETE:
+        block.pop(key, None)
+    elif value == UNKNOWN:
+        block["unknown"] = 1
+    else:
+        block[key] = copy.deepcopy(value)
+
+
+class TestFuzz:
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES)),
+                    min_size=1, max_size=2))
+    def test_mutated_example_exits_cleanly(self, tmp_path_factory, mutations):
+        doc = copy.deepcopy(EXAMPLE1)
+        doc["numerics"]["grid_steps"] = 64
+        for field, value in mutations:
+            mutate(doc, field, value)
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        for cmd in ("simulate", "gramian", "synthesize"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                rc = main([cmd, str(path)])
+            err = err.getvalue()
+            assert rc in (0, 2, 3) and "Traceback" not in err, (cmd, rc, err)
+            assert rc != 2 or err.startswith("input error:"), (cmd, err)

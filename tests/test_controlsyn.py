@@ -81,6 +81,16 @@ class TestGradedRule:
             graded_gauss_rule(1.0, levels, order, False)
 
 
+class TestSteeringProblem:
+    @pytest.mark.parametrize("a, b, T", [
+        ([np.nan, 0.0], [0.0, 0.0], 1.0), ([1.0, 0.0], [0.0, np.inf], 1.0),
+        ([1.0, 0.0], [0.0, 0.0], np.inf), ([1.0, 0.0], [0.0, 0.0], np.nan),
+    ])
+    def test_non_finite_refused(self, example1_system, a, b, T):
+        with pytest.raises(InvalidParams):
+            SteeringProblem(example1_system, a, b, T, TimeGrid(0.0, 1.0, 64))
+
+
 class TestGramian:
     @pytest.mark.parametrize("T", [1.0, 2.0, 10.0])
     def test_chain_system_closed_form(self, example1_system, T):

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from fracctrl import (
+    DomainError,
     FracSystem,
     GridFunction,
     InvalidParams,
@@ -38,6 +39,14 @@ class TestSystemType:
         with pytest.raises(InvalidParams):
             FracSystem(np.zeros((2, 2)), np.zeros((2, 1)),
                        C=np.zeros((1, 3)), alpha=0.5)
+        # B and C must be 2-D: a scalar B and 3-D B or C are refused too
+        with pytest.raises(InvalidParams):
+            FracSystem(np.zeros((2, 2)), 1.0, alpha=0.5)
+        with pytest.raises(InvalidParams):
+            FracSystem(np.zeros((2, 2)), np.zeros((2, 1, 1)), alpha=0.5)
+        with pytest.raises(InvalidParams):
+            FracSystem(np.zeros((2, 2)), np.zeros((2, 1)),
+                       C=np.zeros((1, 2, 1)), alpha=0.5)
 
     def test_vector_b_promoted(self):
         sys = FracSystem(np.zeros((2, 2)), np.array([0.0, 1.0]), alpha=0.5)
@@ -69,6 +78,21 @@ class TestSimulate:
         t = grid.nodes
         want = np.stack([t**2 / 2.0, t], axis=1)
         assert np.abs(traj.states - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("refine", [-1, 0])
+    def test_refine_below_one_refused(self, example1_system, refine):
+        # a negative refine would run the convolution backwards, 0 has no grid
+        grid = TimeGrid(0.0, 1.0, 64)
+        with pytest.raises(InvalidParams):
+            simulate(example1_system, np.array([1.0, 0.0]),
+                     constant_control(grid, 1.0), grid, refine=refine)
+
+    def test_sampled_control_must_span_horizon(self, example1_system):
+        # samples on [0, 0.5] would be held constant over (0.5, 1]
+        grid = TimeGrid(0.0, 1.0, 64)
+        with pytest.raises(DomainError, match="must span"):
+            simulate(example1_system, np.zeros(2),
+                     constant_control(TimeGrid(0.0, 0.5, 32), 1.0), grid)
 
     def test_initial_state_exact(self, example2_system):
         grid = TimeGrid(0.0, 1.0, 64)
