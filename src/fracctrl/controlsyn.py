@@ -211,6 +211,8 @@ def _adaptive_graded(integral, T: float, quad: QuadSettings, both_ends: bool,
     while lv <= quad.max_levels:
         lv += 4
         v1 = integral(*graded_gauss_rule(T, lv, quad.order, both_ends))
+        if not np.isfinite(v1).all():
+            raise NonConvergence(f"{what} quadrature overflows")
         err = float(np.abs(v1 - v0).max() / max(np.abs(v1).max(), 1e-300))
         if err < quad.rel_tol:
             return v1, err

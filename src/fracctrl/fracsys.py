@@ -15,9 +15,12 @@ s^alpha) B through the kernel's antiderivatives, which are Mittag-Leffler
 functions themselves.  The weights form one discrete convolution, done by
 FFT once per input channel.  The kernel's non-smoothness never touches the
 quadrature, so the error is governed by how well the sampled control is
-resolved.  Closed-form controls are therefore sampled on a refinement of the
-output grid, and their (T-t)^(1-alpha) terminal cusp, the accuracy
-bottleneck, is integrated exactly on the terminal panel.
+resolved.  At the terminal node of a closed-form control u(T-s) = s^(1-alpha)
+w(s) the kernel's s^(alpha-1) cancels the cusp; w, analytic in y = s^alpha,
+is interpolated quadratically in y on each panel pair and integrated exactly
+against E_{alpha,alpha}(A s^alpha) B through its moments (product
+integration, as in Diethelm, *The Analysis of Fractional Differential
+Equations*).
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import rgamma as _rgamma
 
-from .errors import DomainError, InvalidParams
-from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, _gauss, caputo_derivative
+from .errors import DomainError, InvalidParams, NonConvergence
+from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, caputo_derivative
 from .mlkernel import (DEFAULT_POLICY, SeriesPolicy, _as_square, _check_order, _finite,
                        _kernel_inverse_batch, _ml_series)
 
@@ -47,11 +50,6 @@ __all__ = [
     "trajectory_to_csv",
     "trajectory_from_csv",
 ]
-
-# Gauss-Jacobi nodes for the terminal cusp moments; their integrand is an
-# entire function of y over a single step, far below degree 2 * 20 - 1
-_CUSP_NODES = 20
-
 
 @dataclass(frozen=True)
 class FracSystem:
@@ -125,9 +123,9 @@ class CuspControl(ControlSignal):
     """Closed-form control on [0, T] with the terminal cusp of the kernel
     laws, u(T-s) = s^(1-alpha) w(s) with a bounded factor w.
 
-    Subclasses implement ``kernel_weight``.  ``simulate`` integrates the cusp
-    on the terminal panel exactly through it, and ``modified_energy``
-    integrates the neutralized integrand |w(s)|^2.
+    Subclasses implement ``kernel_weight``.  ``simulate`` integrates the
+    terminal state as a smooth function of y = s^alpha through it, and
+    ``modified_energy`` integrates the neutralized integrand |w(s)|^2.
     """
 
     def __init__(self, A, alpha: float, T: float, policy: SeriesPolicy):
@@ -160,12 +158,13 @@ class MinEnergyControl(CuspControl):
 
     def __init__(self, A, B, alpha: float, T: float, coeff: np.ndarray,
                  policy: SeriesPolicy = DEFAULT_POLICY):
-        super().__init__(A, alpha, T, policy)
-        self.B = np.asarray(B, float)
-        if self.B.ndim == 1:
-            self.B = self.B[:, None]
+        sys = FracSystem(A, B, alpha=alpha)
+        super().__init__(sys.A, alpha, T, policy)
+        self.B = sys.B
         self.coeff = _finite(coeff, "coeff")
-        self.m = self.B.shape[1]
+        if self.coeff.shape != (sys.n,):
+            raise InvalidParams(f"coeff must have shape ({sys.n},), got {self.coeff.shape}")
+        self.m = sys.m
 
     def kernel_weight(self, s: np.ndarray) -> np.ndarray:
         """w(s) = -B^T E_{alpha,alpha}(A s^alpha)^T c."""
@@ -219,10 +218,13 @@ def simulate(
     """Forward trajectory of the system from x(0) = a under the control u.
 
     The convolution integrates the control, sampled on a ``refine``-times
-    finer grid and read as piecewise linear, exactly against the full kernel
-    (default refinement 8 for closed-form controls, whose values between
-    coarse nodes carry real information; 1 for sampled controls, which are
-    piecewise linear already).  states[0] equals a exactly.
+    finer grid (default 1) and read as piecewise linear, exactly against the
+    full kernel; states[0] equals a exactly.  The terminal state under a cusp
+    control ending at T is integrated in y = s^alpha instead, exactly when w
+    is quadratic in y.  Interior states are second order in the step, so
+    about refine^2 times less accurate than with refinement (midpoint
+    relative error up to 1.5e-5 at 2048 steps, 2.2e-7 at refine 8).
+    ``NonConvergence`` is raised when the states overflow.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (sys.n,):
@@ -235,71 +237,76 @@ def simulate(
         if g.t0 > 1e-12 * T or g.t1 < T - 1e-12 * T:
             raise DomainError(f"sampled control must span [0, T] = [0, {T:g}], "
                               f"got [{g.t0:g}, {g.t1:g}]")
-    if refine is None:
-        refine = 1 if isinstance(u, SampledControl) else 8
+    refine = 1 if refine is None else refine
     if refine < 1:
         raise InvalidParams(f"refine must be >= 1, got {refine}")
     fine = grid.refined(refine) if refine > 1 else grid
     uf = u.sample(fine.nodes)
     if uf.shape != (fine.steps + 1, sys.m):
-        raise InvalidParams(
-            f"control sample shape {uf.shape} does not match m={sys.m}"
-        )
+        raise InvalidParams(f"control sample shape {uf.shape} does not match m={sys.m}")
     At, Bt, alpha = sys.A.T, sys.B.T, sys.alpha
     N, h = fine.steps, fine.h
     lags = np.arange(N + 1) * h
+    cusp = isinstance(u, CuspControl) and abs(u.T - grid.t1) <= 1e-12 * grid.t1
 
     # The kernel s^(alpha-1) E_{alpha,alpha}(A s^alpha) B has the
     # antiderivatives G1(s) = s^alpha E_{alpha,alpha+1}(A s^alpha) B and
     # G2(s) = s^(alpha+1) E_{alpha,alpha+2}(A s^alpha) B, kept transposed
     # (lag, channel, state).  With D the first differences of G2 over h, the
     # hat function at lag d*h integrates to D[d] - D[d-1] (D[-1] = 0), and
-    # the half hat at t = 0 to G1 - D.
-    D = _ml_series(At, alpha, alpha + 2.0, lags, Bt, policy)
-    D *= (lags ** (alpha + 1.0))[:, None, None]
-    D = np.diff(D, axis=0)
-    D /= h
-    first = _ml_series(At, alpha, alpha + 1.0, lags[1:], Bt, policy)
-    first *= (lags[1:] ** alpha)[:, None, None]
-    first -= D
-    W = np.diff(D, axis=0, prepend=0.0)
-    del D
-    conv = np.zeros((N + 1, sys.n))
-    conv[1:] = uf[0] @ first
-    for c in range(sys.m):
-        conv[1:] += _fft_convolve(W[:, c], uf[1:, c, None])[:N]
-
-    # A cusp control u(T-s) = s^(1-alpha) w(s) is not piecewise linear on the
-    # terminal panel [0, h]: replace that panel's moment by the exact one of
-    # the cusp with w interpolated linearly, removing an O(h) terminal error.
-    if alpha < 1.0 and isinstance(u, CuspControl):
-        w0, wh = u.kernel_weight(np.asarray([0.0, h]))
-        exact = (w0 @ _cusp_moment(At, alpha, Bt, h, 0.0, policy)
-                 + (wh - w0) @ _cusp_moment(At, alpha, Bt, h, 1.0, policy))
-        panel = uf[-1] @ W[0] + uf[-2] @ first[0]
-        conv[-1] += exact - panel
-
-    x = _ml_series(At, alpha, 1.0, grid.nodes, a, policy)
-    states = x + conv[::refine]
+    # the half hat at t = 0 to G1 - D, needed at the output lags only.  One
+    # pass also sums the cusp moments F_p(x) = integral over [0, x] of
+    # E_{alpha,alpha}(A s^alpha) B s^(p alpha) ds, p = 0, 1, 2, after their
+    # factor x^(p alpha + 1): sum_k A^k B x^(k alpha) / (Gamma(k alpha + alpha)
+    # (k alpha + p alpha + 1)).
+    betas = [alpha + 2.0] + [alpha + 1.0] * (refine == 1) + [
+        lambda k, p=p: float(_rgamma(k * alpha + alpha)) / (k * alpha + p * alpha + 1.0)
+        for p in range(3)] * cusp
+    with np.errstate(all="ignore"):
+        S = _ml_series(At, alpha, betas, lags, Bt, policy)
+        D = np.diff(S[0] * (lags ** (alpha + 1.0))[:, None, None], axis=0)
+        D /= h
+        out = lags[refine::refine]
+        G1 = S[1, 1:] if refine == 1 else _ml_series(At, alpha, alpha + 1.0, out, Bt, policy)
+        first = G1 * (out ** alpha)[:, None, None] - D[refine - 1::refine]
+        W = np.diff(D, axis=0, prepend=0.0)
+        del D
+        conv = np.zeros((N + 1, sys.n))
+        conv[refine::refine] = uf[0] @ first
+        for c in range(sys.m):
+            conv[1:] += _fft_convolve(W[:, c], uf[1:, c, None])[:N]
+        x = _ml_series(At, alpha, 1.0, grid.nodes, a, policy)
+        states = x + conv[::refine]
+        if cusp:
+            states[-1] = x[-1] + _cusp_terminal(u, uf, fine.nodes, lags, S[-3:])
+    if not np.isfinite(states).all():
+        raise NonConvergence("simulated states overflow")
     states[0] = a
     outputs = states @ sys.C.T if sys.C is not None else None
     return Trajectory(grid=grid, states=states, outputs=outputs)
 
 
-def _cusp_moment(At: np.ndarray, alpha: float, Bt: np.ndarray, h: float, p: float,
-                 policy: SeriesPolicy) -> np.ndarray:
-    """integral over [0, h] of B^T E_{alpha,alpha}(A^T s^alpha) (s/h)^p ds.
-
-    In y = (s/h)^alpha it is (h/alpha) times the integral over [0, 1] of the
-    entire function B^T E_{alpha,alpha}(A^T h^alpha y) against the weight
-    y^((p+1)/alpha - 1), which a fixed Gauss-Jacobi rule integrates to
-    rounding.
-    """
-    c = (p + 1.0) / alpha - 1.0
-    x, wq = _gauss(roots_jacobi, _CUSP_NODES, 0.0, c)
-    y = 0.5 * (1.0 + x)
-    EB = _ml_series(At, alpha, alpha, h * y ** (1.0 / alpha), Bt, policy)
-    return (h / alpha) * 0.5 ** (c + 1.0) * np.einsum("q,qij->ij", wq, EB)
+def _cusp_terminal(u: CuspControl, uf: np.ndarray, nodes: np.ndarray, lags: np.ndarray,
+                   S: np.ndarray) -> np.ndarray:
+    """integral over [0, T] of B^T E_{alpha,alpha}(A^T s^alpha) w(s) ds from u
+    sampled as ``uf`` at ``nodes`` and the moment series S at ``lags``, with
+    w quadratic in y on each panel pair in Newton form (for odd N, the last
+    panel's through its last three nodes)."""
+    # in lag order, divided by the same s as u.sample multiplied; w(0) directly
+    s = np.maximum(u.T - nodes[::-1], 0.0)
+    w = uf[::-1] / (s ** (1.0 - u.alpha))[:, None]
+    w[0] = u.kernel_weight(np.zeros(1))[0]
+    F = S * (lags ** (np.arange(3)[:, None] * u.alpha + 1.0))[:, :, None, None]
+    y, N = lags ** u.alpha, lags.size - 1
+    lo = np.arange(0, N, 2)
+    hi, n0 = np.minimum(lo + 2, N), np.minimum(lo, N - 2)
+    y0, y1, y2 = y[n0, None], y[n0 + 1, None], y[n0 + 2, None]
+    d1 = (w[n0 + 1] - w[n0]) / (y1 - y0)
+    d2 = ((w[n0 + 2] - w[n0 + 1]) / (y2 - y1) - d1) / (y2 - y0)
+    dF = F[:, hi] - F[:, lo]
+    I1 = dF[1] - y0[..., None] * dF[0]
+    I2 = dF[2] - (y0 + y1)[..., None] * dF[1] + (y0 * y1)[..., None] * dF[0]
+    return np.einsum("qpm,qpmn->n", np.stack([w[n0], d1, d2]), np.stack([dF[0], I1, I2]))
 
 
 def caputo_residual(

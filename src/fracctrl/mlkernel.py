@@ -198,10 +198,13 @@ def ml_matrix_batch(
     return _ml_series(A, alpha, beta, np.asarray(s, float), np.eye(A.shape[0]), policy)
 
 
-def _ml_series(A: np.ndarray, alpha: float, beta: float, s: np.ndarray,
+def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
                L: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
     """L E_{alpha,beta}(A s^alpha) = sum_k L A^k s^(k alpha) / Gamma(k alpha + beta)
     over lags s >= 0, for L of shape (p, n) or (n,); shape ``s.shape + L.shape``.
+    A list ``beta`` of q numbers or functions k -> c_k sums q series (c_k =
+    1/Gamma(k alpha + beta) for a number) in one pass sharing L A^k and
+    s^(k alpha), each stopped by its own rule; shape ``(q,) + s.shape + L.shape``.
 
     The package's only matrix kernel series, truncated by ``policy`` over all
     lags at once and exact when L A^k vanishes.  A right factor R goes
@@ -209,33 +212,40 @@ def _ml_series(A: np.ndarray, alpha: float, beta: float, s: np.ndarray,
     """
     if (s < 0).any():
         raise DomainError("Mittag-Leffler kernels need lags s >= 0")
-    # Lags last: each term is L A^k broadcast against c = s^(k alpha) / Gamma(k
-    # alpha + beta).  Rounding is monotone, so the term's max-norm is exactly
-    # max|L A^k| max|c|, with max|c| at the largest lag.  max|out| is computed
-    # only once the term falls below rel_tol times 2 (last max|out| + term norms
-    # since), a bound on it, so each stop decision is that of a per-term max|out|.
-    out = np.zeros(L.shape + (s.size,))
-    term = np.empty_like(out)
+    betas = beta if isinstance(beta, list) else [beta]
+    # Lags last: each term is L A^k broadcast against c = s^(k alpha) c_k.
+    # Rounding is monotone, so the term's max-norm is exactly max|L A^k|
+    # max|c|, with max|c| at the largest lag.  max|out| is computed only once
+    # the term falls below rel_tol times 2 (last max|out| + term norms since),
+    # a bound on it, so each stop decision is that of a per-term max|out|.
+    outs = [np.zeros(L.shape + (s.size,)) for _ in betas]
+    term = np.empty(L.shape + (s.size,))
     P = L
     spow = np.ones(s.size)
     sa = s.ravel() ** alpha
     sa_max = float(sa.max())
     spow_max = 1.0
     pmax = float(np.abs(P).max())
-    bound = 0.0
+    bound = [0.0] * len(betas)
+    live = list(range(len(betas)))
     for k in range(policy.max_terms + 1):
-        rg = float(_rgamma(k * alpha + beta))
-        tnorm = spow_max * abs(rg) * pmax
-        if not math.isfinite(tnorm):
-            raise NonConvergence("Mittag-Leffler matrix series terms overflow")
-        if tnorm < policy.rel_tol * bound:
-            ref = max(out.max(), -out.min())
-            if ref > 0.0 and tnorm < policy.rel_tol * ref:
-                break
-            bound = 2.0 * ref
-        np.multiply(P[..., None], spow * rg, out=term)
-        out += term
-        bound += 2.0 * tnorm
+        for i in live:
+            b = betas[i]
+            rg = b(k) if callable(b) else float(_rgamma(k * alpha + b))
+            tnorm = spow_max * abs(rg) * pmax
+            if not math.isfinite(tnorm):
+                raise NonConvergence("Mittag-Leffler matrix series terms overflow")
+            if tnorm < policy.rel_tol * bound[i]:
+                ref = max(outs[i].max(), -outs[i].min())
+                if ref > 0.0 and tnorm < policy.rel_tol * ref:
+                    live = [j for j in live if j != i]  # this k's loop goes on over the old list
+                    continue
+                bound[i] = 2.0 * ref
+            np.multiply(P[..., None], spow * rg, out=term)
+            outs[i] += term
+            bound[i] += 2.0 * tnorm
+        if not live:
+            break
         P = P @ A
         pmax = float(np.abs(P).max())
         if not pmax:
@@ -247,7 +257,10 @@ def _ml_series(A: np.ndarray, alpha: float, beta: float, s: np.ndarray,
             f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
         )
     del term  # peak memory: two arrays of the result's size, not three
-    return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(s.shape + L.shape)
+    if isinstance(beta, list):
+        stacked = np.stack([np.moveaxis(o, -1, 0) for o in outs])
+        return stacked.reshape((len(betas),) + s.shape + L.shape)
+    return np.ascontiguousarray(np.moveaxis(outs[0], -1, 0)).reshape(s.shape + L.shape)
 
 
 def alpha_exp(

@@ -134,10 +134,22 @@ class TestSimulate:
         for content in ({}, [], {"control": {"type": "min-energy"}},
                         {**good, "alpha": 5}, {**good, "T": float("nan")},
                         {**good, "control": {"type": "min-energy", "coeff": [float("nan"), 1]}},
-                        {**good, "control": sampled}, {**good, "control": unbounded}):
+                        {**good, "control": sampled}, {**good, "control": unbounded},
+                        {**good, "control": {"type": "min-energy", "coeff": [1, 2, 3]}}):
             docp.write_text(json.dumps(content))
             assert main(["simulate", pf]) == 2
-            assert capsys.readouterr().err.startswith("input error:")
+            err = capsys.readouterr().err
+            # refused by the document's own checks, not by numpy on the way
+            assert err.startswith("input error:")
+            assert "malformed synthesis document" in err or "must span" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cmd", ["simulate", "gramian"])
+    def test_overflow_is_numeric_failure(self, tmp_path, capsys, cmd):
+        pf = write_problem(tmp_path / "p.json", steering={**STEERING, "T": 1e308},
+                           numerics={"grid_steps": 64})
+        assert main([cmd, pf]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure:")
 
     @pytest.mark.parametrize("start, end, rc", [
         (0.0, 5.0, 2), (0.5, 10.0, 2), (0.0, 10.0 - 1e-9, 2), (1e-9, 10.0, 2),

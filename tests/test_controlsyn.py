@@ -209,6 +209,17 @@ class TestPinv:
         traj = simulate(sys, np.zeros(1), res.control, prob.grid)
         assert abs(traj.states[-1, 0] - 1.0) <= 1e-4
 
+    def test_terminal_error_full_rank_b(self):
+        # a smooth w in y = s^alpha: 5e-9 at most, against 2e-7 to 2e-6 with
+        # the earlier 8x refinement and exact terminal panel
+        A, B = np.array([[-0.4, 0.9], [-0.7, 0.2]]), np.array([[1.0, 0.5], [-0.3, 0.8]])
+        for alpha in (0.3, 0.5, 0.7, 0.9):
+            for T in (1.0, 5.0):
+                prob = problem(FracSystem(A, B, alpha=alpha), [1.0, -0.5], [0.2, 0.4],
+                               T, steps=2048)
+                rep = verify_steering(prob, synthesize_pinv(prob))
+                assert rep.terminal_error_rel <= 5e-8
+
     def test_matched_target_zero_control(self, example2_system):
         sys = FracSystem(example2_system.A, np.eye(2), alpha=0.5)
         T = 1.0
@@ -308,6 +319,16 @@ class TestVerifySteering:
         assert rep.terminal_error_abs <= 1e-14
         assert rep.energy_quadrature == 0.0
         assert rep.caputo_residual <= 1e-12
+
+    def test_battery_terminal_error(self, battery):
+        # criterion 5's battery at N = 2048: 2.25e-5 worst, against 3.6e-4
+        # with the earlier 8x refinement
+        worst = 0.0
+        for sys, a, b, T in battery:
+            prob = problem(sys, a, b, T, steps=2048)
+            rep = verify_steering(prob, synthesize_min_energy(prob))
+            worst = max(worst, rep.terminal_error_rel)
+        assert worst <= 5e-5
 
     def test_rotation_system_certificate(self, example2_system):
         T = 10.0

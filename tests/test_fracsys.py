@@ -6,12 +6,16 @@ import io
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import gamma
 
 from fracctrl import (
+    DEFAULT_POLICY,
+    CuspControl,
     DomainError,
     FracSystem,
     GridFunction,
     InvalidParams,
+    MinEnergyControl,
     SampledControl,
     TimeGrid,
     caputo_residual,
@@ -174,6 +178,46 @@ class TestSimulate:
         traj = simulate(sys, np.array([1.0, 0.0]), constant_control(grid, 1.0), grid)
         assert traj.outputs.shape == (129, 1)
         assert np.abs(traj.outputs[:, 0] - traj.states[:, 0]).max() == 0.0
+
+
+class QuadraticInY(CuspControl):
+    """u(T-s) = s^(1-alpha) w(s) with w = c0 + c1 y + c2 y^2, y = s^alpha."""
+
+    def __init__(self, alpha, T, c):
+        super().__init__(np.zeros((1, 1)), alpha, T, DEFAULT_POLICY)
+        self.c = c
+        self.m = 1
+
+    def kernel_weight(self, s):
+        y = np.asarray(s, float) ** self.alpha
+        return (self.c[0] + self.c[1] * y + self.c[2] * y * y)[:, None]
+
+
+class TestCuspTerminal:
+    @pytest.mark.parametrize("steps", [2048, 2047])
+    def test_exact_for_quadratic_in_y(self, steps):
+        # with A = 0 the terminal state is (1/Gamma(alpha)) integral of w;
+        # refinement 8 misses it by up to 2.3e-5, the y-quadratic rule by
+        # rounding (about 1e-14 at 2048 and at 8192 steps)
+        c = (0.7, -1.3, 0.45)
+        for alpha in (0.3, 0.5, 0.9, 1.0):
+            sys = FracSystem(np.zeros((1, 1)), np.ones((1, 1)), alpha=alpha)
+            for T in (1.0, 5.0):
+                x = simulate(sys, np.zeros(1), QuadraticInY(alpha, T, c),
+                             TimeGrid(0.0, T, steps)).states[-1, 0]
+                want = (c[0] * T + c[1] * T ** (alpha + 1.0) / (alpha + 1.0)
+                        + c[2] * T ** (2.0 * alpha + 1.0) / (2.0 * alpha + 1.0)) / gamma(alpha)
+                assert abs(x / want - 1.0) <= 1e-12
+
+    def test_control_horizon_beyond_grid(self):
+        # a cusp control run up to half its horizon has no cusp at the grid's end
+        A, B = np.array([[-0.4, 0.9], [-0.7, 0.2]]), np.array([[1.0], [0.5]])
+        sys = FracSystem(A, B, alpha=0.5)
+        u = MinEnergyControl(A, B, 0.5, 2.0, np.array([0.3, -0.2]))
+        a = np.array([1.0, 0.0])
+        half = simulate(sys, a, u, TimeGrid(0.0, 1.0, 512)).states[-1]
+        full = simulate(sys, a, u, TimeGrid(0.0, 2.0, 1024), refine=8).states[512]
+        assert np.abs(half - full).max() <= 1e-6 * np.abs(full).max()
 
 
 class TestResidual:

@@ -239,6 +239,21 @@ class TestSeriesPrimitive:
             assert got.flags.c_contiguous and got.shape == want.shape
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_stacked_sequences_equal_single_calls(self, alpha):
+        # one pass over a stack shares L A^k and s^(k alpha); each sequence
+        # stops by its own rule, so it equals its own call
+        rng = np.random.default_rng(int(alpha * 10) + 7)
+        moment = lambda k: _rgamma(k * alpha + alpha) / (k * alpha + 2.0 * alpha + 1.0)
+        betas = [alpha + 2.0, alpha + 1.0, moment, 1.0]
+        for s in (np.linspace(0.0, 5.0, 2049), np.array([0.8]), rng.uniform(0.0, 3.0, (40, 7))):
+            for A in (rng.uniform(-1.0, 1.0, (3, 3)), np.triu(rng.uniform(-1.0, 1.0, (3, 3)), 1)):
+                L = rng.uniform(-1.0, 1.0, (2, 3))
+                got = _ml_series(A, alpha, betas, s, L, DEFAULT_POLICY)
+                assert got.shape == (4,) + s.shape + L.shape
+                for g, beta in zip(got, betas):
+                    assert np.array_equal(g, _ml_series(A, alpha, beta, s, L, DEFAULT_POLICY))
+
     def test_nilpotent_early_exit_bitwise(self):
         A = np.triu(np.random.default_rng(5).uniform(-1.0, 1.0, (4, 4)), 1)
         s = np.linspace(0.0, 10.0, 1025)
