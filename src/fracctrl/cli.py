@@ -17,7 +17,7 @@ types built from it refuse (FracSystem, SteeringProblem, TimeGrid, ...):
     "steering": {"a": [1,0], "b": [0,0], "T": 10.0},
     "numerics": {"grid_steps": 1024, "series_rel_tol": 1e-14,
                  "series_max_terms": 500, "quad_rel_tol": 1e-11,
-                 "quad_levels": 12, "quad_order": 16, "refine": null},
+                 "quad_levels": 12, "quad_order": 16, "refine": 1},
     "control":  {"type": "constant", "value": [1.0]},
     "method":   "min-energy"
   }
@@ -102,7 +102,7 @@ _FIELDS = {
                      "B": (_LIST, _REQUIRED), "C": (_LIST, None)},
     "steering block": {"a": (_LIST, _REQUIRED), "b": (_LIST, _REQUIRED), "T": (_NUM, _REQUIRED)},
     "numerics block": {
-        "grid_steps": (_INT, 1024), "refine": (_INT, None),
+        "grid_steps": (_INT, 1024), "refine": (_INT, 1),
         "series_rel_tol": (_NUM, SeriesPolicy.rel_tol),
         "series_max_terms": (_INT, SeriesPolicy.max_terms),
         "quad_rel_tol": (_NUM, QuadSettings.rel_tol),
@@ -146,7 +146,7 @@ class Problem:
         doc = _read(doc, "problem file")
         system, steering, numerics = doc["system"], doc["steering"], doc["numerics"]
         # simulate refuses it too; checked here so that every command does
-        if numerics["refine"] is not None and numerics["refine"] < 1:
+        if numerics["refine"] < 1:
             raise InputError("refine must be >= 1")
         try:
             self.system = FracSystem(**system)

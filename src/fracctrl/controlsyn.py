@@ -175,7 +175,7 @@ class SynthesisResult:
 
 @dataclass
 class SteeringReport:
-    """verify_steering output; failures are reported, never raised."""
+    """verify_steering output; inaccuracy is reported, not raised."""
 
     terminal_error_abs: float
     terminal_error_rel: float
@@ -510,12 +510,13 @@ def verify_steering(
     result: SynthesisResult,
     quad: QuadSettings = DEFAULT_QUAD,
     policy: SeriesPolicy = DEFAULT_POLICY,
-    refine: Optional[int] = None,
+    refine: int = 1,
 ) -> SteeringReport:
     """End-to-end certificate: simulate the synthesized control, measure the
     terminal miss, recompute the energy by quadrature, and attach the Caputo
-    residual of the computed trajectory.  Failures show up as large numbers
-    in the report; nothing is raised."""
+    residual of the computed trajectory.  Inaccuracy shows up as large
+    numbers in the report; simulated states that overflow raise
+    ``NonConvergence``."""
     sys = prob.sys
     traj = simulate(sys, prob.a, result.control, prob.grid, refine=refine, policy=policy)
     term_abs = float(np.abs(traj.states[-1] - prob.b).max())

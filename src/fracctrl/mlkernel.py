@@ -17,8 +17,9 @@ Matrix series are summed in ordinary doubles, which is adequate at desk scale
 (series argument max-norms up to roughly 20), by one primitive that keeps the
 lags on the last, contiguous axis and returns ``s.shape + L.shape`` arrays.
 
-All functions are pure.  The only shared state is an ``lru_cache`` of
-reciprocal-gamma values, which is safe for concurrent callers.
+All functions are pure.  The only shared state is two ``lru_cache``s of
+reciprocal-gamma values (as Decimals and as floats), which are safe for
+concurrent callers.
 """
 
 from __future__ import annotations
@@ -141,6 +142,12 @@ def _rgamma_chunk(alpha: float, beta: float, j: int) -> tuple:
     return tuple(_rgamma_dec(_CTX.fma(k, a, b)) for k in range(16 * j, 16 * j + 16))
 
 
+@functools.lru_cache(maxsize=4096)
+def _rgamma_floats(alpha: float, beta: float, j: int) -> tuple:
+    """1 / Gamma(k alpha + beta) for k = 16 j, ..., 16 j + 15, as floats."""
+    return tuple(_rgamma(np.arange(16 * j, 16 * j + 16) * alpha + beta).tolist())
+
+
 def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
     """Evaluate E_{alpha,beta}(z) by direct series summation.
 
@@ -202,9 +209,11 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
                L: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
     """L E_{alpha,beta}(A s^alpha) = sum_k L A^k s^(k alpha) / Gamma(k alpha + beta)
     over lags s >= 0, for L of shape (p, n) or (n,); shape ``s.shape + L.shape``.
-    A list ``beta`` of q numbers or functions k -> c_k sums q series (c_k =
-    1/Gamma(k alpha + beta) for a number) in one pass sharing L A^k and
-    s^(k alpha), each stopped by its own rule; shape ``(q,) + s.shape + L.shape``.
+    A list ``beta`` of q numbers or coefficient functions, which map an
+    integer array k to the c_k elementwise (a number stands for c_k =
+    1/Gamma(k alpha + beta)), sums q series in one pass that shares L A^k
+    and s^(k alpha), each stopped by its own rule; shape
+    ``(q,) + s.shape + L.shape``.
 
     The package's only matrix kernel series, truncated by ``policy`` over all
     lags at once and exact when L A^k vanishes.  A right factor R goes
@@ -212,13 +221,18 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     """
     if (s < 0).any():
         raise DomainError("Mittag-Leffler kernels need lags s >= 0")
-    betas = beta if isinstance(beta, list) else [beta]
+    # each sequence as j -> its c_k for k = 16 j, ..., 16 j + 15; for a
+    # number these rows are cached, so the loop makes no gamma call per term
+    coef = [(lambda j, b=b: b(np.arange(16 * j, 16 * j + 16)).tolist()) if callable(b)
+            else functools.partial(_rgamma_floats, float(alpha), float(b))
+            for b in (beta if isinstance(beta, list) else [beta])]
     # Lags last: each term is L A^k broadcast against c = s^(k alpha) c_k.
     # Rounding is monotone, so the term's max-norm is exactly max|L A^k|
     # max|c|, with max|c| at the largest lag.  max|out| is computed only once
     # the term falls below rel_tol times 2 (last max|out| + term norms since),
     # a bound on it, so each stop decision is that of a per-term max|out|.
-    outs = [np.zeros(L.shape + (s.size,)) for _ in betas]
+    out = np.zeros((len(coef),) + L.shape + (s.size,))
+    rows = [out[i] for i in range(len(coef))]
     term = np.empty(L.shape + (s.size,))
     P = L
     spow = np.ones(s.size)
@@ -226,23 +240,24 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     sa_max = float(sa.max())
     spow_max = 1.0
     pmax = float(np.abs(P).max())
-    bound = [0.0] * len(betas)
-    live = list(range(len(betas)))
+    bound = [0.0] * len(coef)
+    live = list(range(len(coef)))
     for k in range(policy.max_terms + 1):
+        if not k % 16:
+            cs = [c(k // 16) for c in coef]
         for i in live:
-            b = betas[i]
-            rg = b(k) if callable(b) else float(_rgamma(k * alpha + b))
+            rg = cs[i][k % 16]
             tnorm = spow_max * abs(rg) * pmax
             if not math.isfinite(tnorm):
                 raise NonConvergence("Mittag-Leffler matrix series terms overflow")
             if tnorm < policy.rel_tol * bound[i]:
-                ref = max(outs[i].max(), -outs[i].min())
+                ref = max(rows[i].max(), -rows[i].min())
                 if ref > 0.0 and tnorm < policy.rel_tol * ref:
-                    live = [j for j in live if j != i]  # this k's loop goes on over the old list
+                    live = [j for j in live if j != i]  # the loop goes on over the old list
                     continue
                 bound[i] = 2.0 * ref
             np.multiply(P[..., None], spow * rg, out=term)
-            outs[i] += term
+            rows[i] += term
             bound[i] += 2.0 * tnorm
         if not live:
             break
@@ -256,11 +271,10 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
         raise NonConvergence(
             f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
         )
-    del term  # peak memory: two arrays of the result's size, not three
-    if isinstance(beta, list):
-        stacked = np.stack([np.moveaxis(o, -1, 0) for o in outs])
-        return stacked.reshape((len(betas),) + s.shape + L.shape)
-    return np.ascontiguousarray(np.moveaxis(outs[0], -1, 0)).reshape(s.shape + L.shape)
+    del term  # peak memory: the sums and their lag-first copy, no term besides
+    out = out.transpose(0, -1, *range(1, out.ndim - 1))  # np.moveaxis(out, -1, 1), cheaper
+    out = np.ascontiguousarray(out).reshape((len(coef),) + s.shape + L.shape)
+    return out if isinstance(beta, list) else out[0]
 
 
 def alpha_exp(

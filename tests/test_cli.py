@@ -96,6 +96,7 @@ class TestSimulate:
         {"grid_steps": 2.7}, {"grid_steps": 512.0}, {"refine": 1.5},
         {"quad_order": 0}, {"series_max_terms": True}, {"grid_steps": None},
         {"series_rel_tol": [1]}, {"quad_rel_tol": None}, {"series_rel_tol": True},
+        {"refine": None},
     ])
     def test_malformed_numerics_rejected(self, tmp_path, capsys, numerics):
         pf = write_problem(tmp_path / "p.json", numerics={"grid_steps": 512, **numerics})

@@ -210,8 +210,7 @@ class TestPinv:
         assert abs(traj.states[-1, 0] - 1.0) <= 1e-4
 
     def test_terminal_error_full_rank_b(self):
-        # a smooth w in y = s^alpha: 5e-9 at most, against 2e-7 to 2e-6 with
-        # the earlier 8x refinement and exact terminal panel
+        # w is smooth in y = s^alpha, so the terminal rule reaches 5e-9 at most
         A, B = np.array([[-0.4, 0.9], [-0.7, 0.2]]), np.array([[1.0, 0.5], [-0.3, 0.8]])
         for alpha in (0.3, 0.5, 0.7, 0.9):
             for T in (1.0, 5.0):
@@ -321,8 +320,7 @@ class TestVerifySteering:
         assert rep.caputo_residual <= 1e-12
 
     def test_battery_terminal_error(self, battery):
-        # criterion 5's battery at N = 2048: 2.25e-5 worst, against 3.6e-4
-        # with the earlier 8x refinement
+        # criterion 5's battery at N = 2048: 2.25e-5 worst
         worst = 0.0
         for sys, a, b, T in battery:
             prob = problem(sys, a, b, T, steps=2048)

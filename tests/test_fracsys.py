@@ -91,6 +91,13 @@ class TestSimulate:
             simulate(example1_system, np.array([1.0, 0.0]),
                      constant_control(grid, 1.0), grid, refine=refine)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_state_refused(self, example1_system, bad):
+        # bad input, not reported as overflowing states
+        grid = TimeGrid(0.0, 1.0, 64)
+        with pytest.raises(InvalidParams, match="entries must be finite"):
+            simulate(example1_system, np.array([bad, 0.0]), constant_control(grid, 1.0), grid)
+
     def test_sampled_control_must_span_horizon(self, example1_system):
         # samples on [0, 0.5] would be held constant over (0.5, 1]
         grid = TimeGrid(0.0, 1.0, 64)
@@ -196,9 +203,9 @@ class QuadraticInY(CuspControl):
 class TestCuspTerminal:
     @pytest.mark.parametrize("steps", [2048, 2047])
     def test_exact_for_quadratic_in_y(self, steps):
-        # with A = 0 the terminal state is (1/Gamma(alpha)) integral of w;
-        # refinement 8 misses it by up to 2.3e-5, the y-quadratic rule by
-        # rounding (about 1e-14 at 2048 and at 8192 steps)
+        # with A = 0 the terminal state is (1/Gamma(alpha)) integral of w,
+        # which the y-quadratic rule integrates to rounding (about 1e-14 at
+        # 2048 and at 8192 steps)
         c = (0.7, -1.3, 0.45)
         for alpha in (0.3, 0.5, 0.9, 1.0):
             sys = FracSystem(np.zeros((1, 1)), np.ones((1, 1)), alpha=alpha)
