@@ -17,7 +17,7 @@ types built from it refuse (FracSystem, SteeringProblem, TimeGrid, ...):
     "steering": {"a": [1,0], "b": [0,0], "T": 10.0},
     "numerics": {"grid_steps": 1024, "series_rel_tol": 1e-14,
                  "series_max_terms": 500, "quad_rel_tol": 1e-11,
-                 "quad_levels": 12, "quad_order": 16, "refine": 1},
+                 "quad_levels": 12, "quad_order": 16},
     "control":  {"type": "constant", "value": [1.0]},
     "method":   "min-energy"
   }
@@ -58,6 +58,7 @@ from .mlkernel import (
     frac_cos,
     frac_sin,
     ml_matrix,
+    ml_matrix_batch,
     ml_scalar,
     state_transition,
 )
@@ -102,7 +103,7 @@ _FIELDS = {
                      "B": (_LIST, _REQUIRED), "C": (_LIST, None)},
     "steering block": {"a": (_LIST, _REQUIRED), "b": (_LIST, _REQUIRED), "T": (_NUM, _REQUIRED)},
     "numerics block": {
-        "grid_steps": (_INT, 1024), "refine": (_INT, 1),
+        "grid_steps": (_INT, 1024),
         "series_rel_tol": (_NUM, SeriesPolicy.rel_tol),
         "series_max_terms": (_INT, SeriesPolicy.max_terms),
         "quad_rel_tol": (_NUM, QuadSettings.rel_tol),
@@ -145,9 +146,6 @@ class Problem:
     def __init__(self, doc):
         doc = _read(doc, "problem file")
         system, steering, numerics = doc["system"], doc["steering"], doc["numerics"]
-        # simulate refuses it too; checked here so that every command does
-        if numerics["refine"] < 1:
-            raise InputError("refine must be >= 1")
         try:
             self.system = FracSystem(**system)
             grid = TimeGrid(0.0, steering["T"], numerics["grid_steps"])
@@ -157,7 +155,6 @@ class Problem:
                                      numerics["quad_order"])
         except (FracctrlError, TypeError, ValueError) as exc:
             raise InputError(f"invalid problem data: {exc}") from exc
-        self.refine = numerics["refine"]
         self.control_spec, self.method = doc["control"], doc["method"]
 
     def control(self) -> SampledControl:
@@ -245,8 +242,7 @@ def cmd_ml(args) -> int:
 def cmd_simulate(args) -> int:
     prob = _load_problem(args.problem)
     control = prob.control()
-    traj = simulate(prob.system, prob.steering.a, control, prob.steering.grid,
-                    refine=prob.refine, policy=prob.policy)
+    traj = simulate(prob.system, prob.steering.a, control, prob.steering.grid, policy=prob.policy)
     if args.out:
         trajectory_to_csv(traj, args.out)
     res = caputo_residual(prob.system, traj, control)
@@ -300,7 +296,7 @@ def cmd_synthesize(args) -> int:
         raise InputError(f"unknown method {method!r}")
     sp = prob.steering
     result = _SYNTHESES[method](sp, quad=prob.quad, policy=prob.policy)
-    report = verify_steering(sp, result, prob.quad, prob.policy, refine=prob.refine)
+    report = verify_steering(sp, result, prob.quad, prob.policy)
     print(f"method: {result.method}")
     print(f"modified energy: {_fmt17(result.energy)}")
     print(f"terminal error: abs {_fmt(report.terminal_error_abs)} "
@@ -376,16 +372,15 @@ def _example2_energy(L: int | None = None) -> float:
     alphav = 0.5
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     s, w = graded_gauss_rule(T, 24, 20, both_ends=True)
-    sin_v = np.array([frac_sin(alphav, sv) for sv in s])
+    # E_{1/2,1/2}(A s^(1/2)) = s^(1/2) [[cos, sin], [-sin, cos]] in the
+    # fractional sine and cosine, so the neutralizer s^(1/2) is already in
+    E = ml_matrix_batch(A, alphav, alphav, s)
     if L is None:
-        cos_v = np.array([frac_cos(alphav, sv) for sv in s])
+        cos_v = E[:, 0, 0]
     else:
-        cos_v = np.array([cl_truncation(L, sv) for sv in s])
-    wt = s ** (2.0 * (1.0 - alphav))
-    q00 = float(w @ (wt * sin_v * sin_v))
-    q01 = float(w @ (wt * sin_v * cos_v))
-    q11 = float(w @ (wt * cos_v * cos_v))
-    Q = np.array([[q00, q01], [q01, q11]])
+        cos_v = s ** (1.0 - alphav) * np.array([cl_truncation(L, sv) for sv in s])
+    G = np.stack([E[:, 0, 1], cos_v])
+    Q = np.einsum("s,is,js->ij", w, G, G)
     S0T = ml_matrix(MLParams(alphav, 1.0), A * T**alphav)
     f = S0T @ np.array([0.0, 1.0])  # b = 0
     return float(f @ np.linalg.solve(Q, f))

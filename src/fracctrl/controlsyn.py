@@ -98,7 +98,7 @@ class QuadSettings:
     """Composite Gauss-Legendre quadrature with geometric panel grading.
 
     ``levels`` panels shrink by ratio 1/2 toward each non-smooth endpoint;
-    adaptivity adds levels until two successive refinements agree to
+    adaptivity adds levels until two successive gradings agree to
     ``rel_tol`` (relative, max-norm), else ``NonConvergence``.
     """
 
@@ -510,7 +510,6 @@ def verify_steering(
     result: SynthesisResult,
     quad: QuadSettings = DEFAULT_QUAD,
     policy: SeriesPolicy = DEFAULT_POLICY,
-    refine: int = 1,
 ) -> SteeringReport:
     """End-to-end certificate: simulate the synthesized control, measure the
     terminal miss, recompute the energy by quadrature, and attach the Caputo
@@ -518,7 +517,7 @@ def verify_steering(
     numbers in the report; simulated states that overflow raise
     ``NonConvergence``."""
     sys = prob.sys
-    traj = simulate(sys, prob.a, result.control, prob.grid, refine=refine, policy=policy)
+    traj = simulate(sys, prob.a, result.control, prob.grid, policy=policy)
     term_abs = float(np.abs(traj.states[-1] - prob.b).max())
     term_rel = term_abs / max(1.0, float(np.abs(prob.b).max()))
     e_quad = modified_energy(result.control, sys.alpha, prob.T, quad)

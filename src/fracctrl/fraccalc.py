@@ -62,9 +62,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps + 1)
 
-    def refined(self, factor: int) -> "TimeGrid":
-        return TimeGrid(self.t0, self.t1, self.steps * factor)
-
 
 class GridFunction:
     """Samples of a scalar- or vector-valued function on a TimeGrid.
@@ -214,7 +211,7 @@ def rl_compose(f: GridFunction, alpha: float, j: int) -> GridFunction:
 
 
 def singular_convolution(
-    kernel_smooth: Callable[[float], np.ndarray],
+    kernel_smooth: Callable[[np.ndarray], np.ndarray],
     alpha: float,
     u: GridFunction,
     t_eval: float,
@@ -223,9 +220,11 @@ def singular_convolution(
     integral of (t_eval - tau)^(alpha-1) K(t_eval - tau) u(tau)
     from the grid start to t_eval.
 
-    ``kernel_smooth`` maps a lag s >= 0 to the bounded kernel factor (matrix
-    or scalar).  The product P(tau) = K(t_eval-tau) u(tau) is interpolated
-    piecewise-linearly on the grid subintervals while the power weight is
+    ``kernel_smooth`` is called once, on the array of the K lags t_eval - tau
+    at the grid nodes below t_eval and at t_eval itself, and returns the
+    bounded kernel factor there: a (K, p, d) stack of matrices, K scalars, or
+    one constant.  The product P(tau) = K(t_eval-tau) u(tau) is interpolated
+    piecewise-linearly between those nodes while the power weight is
     integrated in closed form, so the result is deterministic for a fixed
     grid.
     """
@@ -237,16 +236,11 @@ def singular_convolution(
         raise DomainError(f"t_eval={t_eval} outside ({g.t0}, {g.t1}]")
     t_eval = min(t_eval, g.t1)
     nodes = g.nodes
-    taus = nodes[nodes <= t_eval + eps]
-    if taus[-1] < t_eval - eps:
-        taus = np.append(taus, t_eval)
-    else:
-        taus = taus.copy()
-        taus[-1] = t_eval
-    P = np.stack(
-        [np.atleast_2d(np.asarray(kernel_smooth(t_eval - tv), float)) @ np.atleast_1d(u(tv))
-         for tv in taus]
-    )
+    k = int((nodes < t_eval - eps).sum())
+    taus = np.append(nodes[:k], t_eval)
+    U = np.vstack([u.values[:k].reshape(k, -1), np.reshape(u(t_eval), (1, -1))])
+    kern = np.asarray(kernel_smooth(t_eval - taus), float)
+    P = (kern @ U[:, :, None])[..., 0] if kern.ndim == 3 else kern.reshape(-1, 1) * U
     sp = t_eval - taus[:-1]
     sq = t_eval - taus[1:]
     m0 = (sp**alpha - sq**alpha) / alpha

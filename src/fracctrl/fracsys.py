@@ -125,11 +125,14 @@ class CuspControl(ControlSignal):
 
     Subclasses implement ``kernel_weight``.  ``simulate`` integrates the
     terminal state as a smooth function of y = s^alpha through it, and
-    ``modified_energy`` integrates the neutralized integrand |w(s)|^2.
+    ``modified_energy`` integrates the neutralized integrand |w(s)|^2.  A
+    that is not a finite square matrix, alpha outside (0, 1] and a horizon
+    that is not positive and finite raise ``InvalidParams``.
     """
 
     def __init__(self, A, alpha: float, T: float, policy: SeriesPolicy):
-        self.A = np.atleast_2d(np.asarray(A, float))
+        self.A = _as_square(A)
+        _check_order(alpha)
         self.alpha = float(alpha)
         self.T = float(T)
         self.policy = policy
@@ -179,7 +182,8 @@ class PinvControl(CuspControl):
     Sampling, simulation and the energy raise ``SingularKernel`` where the
     Mittag-Leffler matrix is ill-conditioned (singular-value ratio below
     ``rcond_threshold``); the singular values are computed only where the
-    cheaper Frobenius-norm certificate of that bound does not hold.
+    cheaper Frobenius-norm certificate of that bound does not hold.  ``v``
+    must have shape (n,) and ``B_pinv`` n columns.
     """
 
     def __init__(self, A, B_pinv: np.ndarray, alpha: float, T: float, v: np.ndarray,
@@ -188,6 +192,12 @@ class PinvControl(CuspControl):
         super().__init__(A, alpha, T, policy)
         self.B_pinv = _finite(B_pinv, "B_pinv")
         self.v = _finite(v, "v")
+        n = self.A.shape[0]
+        if self.v.shape != (n,):
+            raise InvalidParams(f"v must have shape ({n},), got {self.v.shape}")
+        if self.B_pinv.ndim != 2 or self.B_pinv.shape[1] != n:
+            raise InvalidParams(f"B_pinv must be a 2-D matrix with {n} columns, "
+                                f"got shape {self.B_pinv.shape}")
         self.rcond_threshold = rcond_threshold
         self.m = self.B_pinv.shape[0]
 
@@ -212,19 +222,16 @@ def simulate(
     a: np.ndarray,
     u: ControlSignal,
     grid: TimeGrid,
-    refine: int = 1,
     policy: SeriesPolicy = DEFAULT_POLICY,
 ) -> Trajectory:
     """Forward trajectory of the system from x(0) = a under the control u.
 
-    The convolution integrates the control, sampled on a ``refine``-times
-    finer grid and read as piecewise linear, exactly against the
-    full kernel; states[0] equals a exactly.  The terminal state under a cusp
-    control ending at T is integrated in y = s^alpha instead, exactly when w
-    is quadratic in y.  Interior states are second order in the step, so
-    about refine^2 times less accurate than with refinement (midpoint
-    relative error up to 1.5e-5 at 2048 steps, 2.2e-7 at refine 8).
-    ``NonConvergence`` is raised when the states overflow.
+    The convolution integrates the control, sampled on ``grid`` and read as
+    piecewise linear, exactly against the full kernel; states[0] equals a
+    exactly and interior states are second order in the step.  The terminal
+    state under a cusp control ending at T is integrated in y = s^alpha
+    instead, exactly when w is quadratic in y.  ``NonConvergence`` is raised
+    when the states overflow.
     """
     a = _finite(a, "a")
     if a.shape != (sys.n,):
@@ -237,14 +244,11 @@ def simulate(
         if g.t0 > 1e-12 * T or g.t1 < T - 1e-12 * T:
             raise DomainError(f"sampled control must span [0, T] = [0, {T:g}], "
                               f"got [{g.t0:g}, {g.t1:g}]")
-    if refine < 1:
-        raise InvalidParams(f"refine must be >= 1, got {refine}")
-    fine = grid.refined(refine) if refine > 1 else grid
-    uf = u.sample(fine.nodes)
-    if uf.shape != (fine.steps + 1, sys.m):
+    uf = u.sample(grid.nodes)
+    if uf.shape != (grid.steps + 1, sys.m):
         raise InvalidParams(f"control sample shape {uf.shape} does not match m={sys.m}")
     At, Bt, alpha = sys.A.T, sys.B.T, sys.alpha
-    N, h = fine.steps, fine.h
+    N, h = grid.steps, grid.h
     lags = np.arange(N + 1) * h
     cusp = isinstance(u, CuspControl) and abs(u.T - grid.t1) <= 1e-12 * grid.t1
 
@@ -265,18 +269,18 @@ def simulate(
         S = _ml_series(At, alpha, betas, lags, Bt, policy)
         D = np.diff(S[0] * (lags ** (alpha + 1.0))[:, None, None], axis=0)
         D /= h
-        first = S[1, refine::refine] * (lags[refine::refine] ** alpha)[:, None, None]
-        first -= D[refine - 1::refine]
+        first = S[1, 1:] * (lags[1:] ** alpha)[:, None, None]
+        first -= D
         W = np.diff(D, axis=0, prepend=0.0)
         del D
         conv = np.zeros((N + 1, sys.n))
-        conv[refine::refine] = uf[0] @ first
+        conv[1:] = uf[0] @ first
         for c in range(sys.m):
             conv[1:] += _fft_convolve(W[:, c], uf[1:, c, None])[:N]
         x = _ml_series(At, alpha, 1.0, grid.nodes, a, policy)
-        states = x + conv[::refine]
+        states = x + conv
         if cusp:
-            states[-1] = x[-1] + _cusp_terminal(u, uf, fine.nodes, lags, S[-3:])
+            states[-1] = x[-1] + _cusp_terminal(u, uf, grid.nodes, lags, S[-3:])
     if not np.isfinite(states).all():
         raise NonConvergence("simulated states overflow")
     states[0] = a

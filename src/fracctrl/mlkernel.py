@@ -364,26 +364,18 @@ def inverse_kernel(
     """The unique g(t) = t^(1-alpha) E_{alpha,alpha}(A t^alpha)^(-1) with
     alpha_exp(A, alpha, t) @ g(t) = I for t > 0.
 
-    Raises ``SingularKernel`` when the Mittag-Leffler matrix is numerically
-    singular at t (its one-norm reciprocal condition estimate falls below
-    ``rcond_threshold``); existence pointwise does not guarantee good
+    The one-lag case of the batched inverse of the pinv and rank-based
+    controls, under the same rule: ``SingularKernel`` when the
+    Mittag-Leffler matrix's singular-value ratio at t falls below
+    ``rcond_threshold``; existence pointwise does not guarantee good
     conditioning at every t.
     """
     A = _as_square(A)
     _check_order(alpha)
     if t <= 0.0:
         raise DomainError(f"inverse_kernel requires t > 0, got {t}")
-    E = ml_matrix(MLParams(alpha, alpha), A * t**alpha, policy)
-    try:
-        Einv = np.linalg.inv(E)
-    except np.linalg.LinAlgError as exc:
-        raise SingularKernel(f"Mittag-Leffler matrix singular at t={t}") from exc
-    rcond = 1.0 / (np.linalg.norm(E, 1) * np.linalg.norm(Einv, 1))
-    if rcond < rcond_threshold:
-        raise SingularKernel(
-            f"Mittag-Leffler matrix ill-conditioned at t={t} (rcond~{rcond:.2e})"
-        )
-    return t ** (1.0 - alpha) * Einv
+    return t ** (1.0 - alpha) * _kernel_inverse_batch(A, alpha, np.array([t]), policy,
+                                                      rcond_threshold)[0]
 
 
 def _kernel_inverse_batch(A: np.ndarray, alpha: float, s: np.ndarray,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracctrl.cli import main
+from fracctrl.cli import _example2_energy, main
 
 
 CHAIN = {"alpha": 0.5, "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]}
@@ -103,6 +103,8 @@ class TestSimulate:
         assert main(["simulate", pf]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
+        if "refine" in numerics:  # simulate samples the control on the grid itself
+            assert "unknown keys in numerics block: ['refine']" in err
 
     @pytest.mark.parametrize("block, value", [
         ("numerics", []), ("numerics", None), ("steering", None), ("system", None),
@@ -136,7 +138,9 @@ class TestSimulate:
                         {**good, "alpha": 5}, {**good, "T": float("nan")},
                         {**good, "control": {"type": "min-energy", "coeff": [float("nan"), 1]}},
                         {**good, "control": sampled}, {**good, "control": unbounded},
-                        {**good, "control": {"type": "min-energy", "coeff": [1, 2, 3]}}):
+                        {**good, "control": {"type": "min-energy", "coeff": [1, 2, 3]}},
+                        {**good, "control": {"type": "pinv", "B_pinv": [[0.0, 1.0]], "v": [1.0]}},
+                        {**good, "control": {"type": "pinv", "B_pinv": [[1.0]], "v": [1.0, 0.0]}}):
             docp.write_text(json.dumps(content))
             assert main(["simulate", pf]) == 2
             err = capsys.readouterr().err
@@ -329,6 +333,14 @@ class TestReproduce:
         assert main(["reproduce", "--example", "3"]) == 0
         assert "ALL PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("L, want", [
+        (None, 0.143264167448282), (1, 0.14485070406006),
+        (11, 0.143264185797809), (12, 0.143264180706487),
+    ])
+    def test_example_2_energies(self, L, want):
+        # 50-digit values printed by `python tests/oracles.py`
+        assert _example2_energy(L) == pytest.approx(want, rel=1e-10)
+
 
 # Replacement values for one field of docs/example1.json: a fixed, bounded
 # pool with no large integer, so that no mutation can ask for a huge grid.
@@ -340,7 +352,7 @@ FUZZ_FIELDS = (
     + [("system", key) for key in ("alpha", "A", "B", "C")]
     + [("steering", key) for key in ("a", "b", "T")]
     + [("numerics", key) for key in ("grid_steps", "series_rel_tol", "series_max_terms",
-                                     "quad_rel_tol", "quad_levels", "quad_order", "refine")]
+                                     "quad_rel_tol", "quad_levels", "quad_order")]
     + [("control", key) for key in ("type", "value", "path")]
 )
 EXAMPLE1 = json.loads((Path(__file__).parents[1] / "docs" / "example1.json").read_text())

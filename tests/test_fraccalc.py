@@ -222,6 +222,53 @@ class TestSingularConvolution:
         with pytest.raises(DomainError):
             singular_convolution(lambda s: 1.0, 0.5, u, 1.5)
 
+    def test_kernel_called_once_on_all_lags(self):
+        u = grid_fn(lambda t: np.ones_like(t), steps=64)
+        calls = []
+
+        def kern(s):
+            calls.append(np.array(s))
+            return np.ones_like(s)
+
+        singular_convolution(kern, 0.5, u, 0.61)
+        assert len(calls) == 1
+        # the nodes below t_eval, then t_eval itself
+        taus = np.append(u.grid.nodes[u.grid.nodes < 0.61], 0.61)
+        assert np.array_equal(calls[0], 0.61 - taus)
+
+    @pytest.mark.parametrize("t_eval", [1.0, 0.61])
+    def test_kernel_forms_match_per_node_loop(self, t_eval):
+        A = np.array([[-0.4, 0.9], [-0.7, 0.2]])
+        alpha, g = 0.6, TimeGrid(0.0, 1.0, 64)
+        u = GridFunction(g, np.stack([np.cos(g.nodes), g.nodes**2], axis=1))
+
+        def per_node(kernel):
+            # the product integration written out one node at a time
+            taus = np.append(g.nodes[g.nodes < t_eval - 1e-12], t_eval)
+            P = [np.atleast_2d(kernel(t_eval - tv)) @ u(tv) for tv in taus]
+            total = 0.0
+            for j in range(len(taus) - 1):
+                sp, sq = t_eval - taus[j], t_eval - taus[j + 1]
+                m0 = (sp**alpha - sq**alpha) / alpha
+                m1 = t_eval * m0 - (sp ** (alpha + 1.0) - sq ** (alpha + 1.0)) / (alpha + 1.0)
+                slope = (P[j + 1] - P[j]) / (taus[j + 1] - taus[j])
+                total = total + P[j] * m0 + slope * (m1 - taus[j] * m0)
+            return total
+
+        def matrix(s):
+            return ml_matrix_batch(A, alpha, alpha, np.asarray(s, float))
+
+        forms = [  # (batched kernel, the same kernel at one lag)
+            (matrix, lambda s: matrix(np.array([s]))[0]),
+            (lambda s: np.exp(-s), lambda s: np.exp(-s) * np.eye(2)),
+            (lambda s: 2.5, lambda s: 2.5 * np.eye(2)),
+        ]
+        for batched, one in forms:
+            want = per_node(one)
+            got = singular_convolution(batched, alpha, u, t_eval)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestIdentities:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])

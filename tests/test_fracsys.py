@@ -16,6 +16,7 @@ from fracctrl import (
     GridFunction,
     InvalidParams,
     MinEnergyControl,
+    PinvControl,
     SampledControl,
     TimeGrid,
     caputo_residual,
@@ -82,14 +83,6 @@ class TestSimulate:
         t = grid.nodes
         want = np.stack([t**2 / 2.0, t], axis=1)
         assert np.abs(traj.states - want).max() <= 1e-12
-
-    @pytest.mark.parametrize("refine", [-1, 0])
-    def test_refine_below_one_refused(self, example1_system, refine):
-        # a negative refine would run the convolution backwards, 0 has no grid
-        grid = TimeGrid(0.0, 1.0, 64)
-        with pytest.raises(InvalidParams):
-            simulate(example1_system, np.array([1.0, 0.0]),
-                     constant_control(grid, 1.0), grid, refine=refine)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_initial_state_refused(self, example1_system, bad):
@@ -200,6 +193,28 @@ class QuadraticInY(CuspControl):
         return (self.c[0] + self.c[1] * y + self.c[2] * y * y)[:, None]
 
 
+class TestClosedFormControlInputs:
+    def test_order_checked(self):
+        # unchecked, alpha = 1.5 gave an inf sample at t = T
+        with pytest.raises(InvalidParams):
+            PinvControl(np.zeros((2, 2)), np.eye(2), 1.5, 1.0, np.ones(2))
+        with pytest.raises(InvalidParams):
+            QuadraticInY(0.0, 1.0, (1.0, 0.0, 0.0))
+
+    def test_a_must_be_square_and_finite(self):
+        for A in (np.zeros((2, 3)), np.array([[np.nan]])):
+            with pytest.raises(InvalidParams):
+                PinvControl(A, np.eye(2), 0.5, 1.0, np.ones(2))
+
+    def test_pinv_shapes_checked(self):
+        A = np.zeros((2, 2))
+        for B_pinv, v in ((np.eye(2), np.ones(3)), (np.eye(2), np.ones((2, 1))),
+                          (np.ones((2, 3)), np.ones(2)), (np.ones(2), np.ones(2))):
+            with pytest.raises(InvalidParams):
+                PinvControl(A, B_pinv, 0.5, 1.0, v)
+        assert PinvControl(A, np.ones((3, 2)), 0.5, 1.0, np.ones(2)).m == 3
+
+
 class TestCuspTerminal:
     @pytest.mark.parametrize("steps", [2048, 2047])
     def test_exact_for_quadratic_in_y(self, steps):
@@ -223,7 +238,7 @@ class TestCuspTerminal:
         u = MinEnergyControl(A, B, 0.5, 2.0, np.array([0.3, -0.2]))
         a = np.array([1.0, 0.0])
         half = simulate(sys, a, u, TimeGrid(0.0, 1.0, 512)).states[-1]
-        full = simulate(sys, a, u, TimeGrid(0.0, 2.0, 1024), refine=8).states[512]
+        full = simulate(sys, a, u, TimeGrid(0.0, 2.0, 8192)).states[4096]
         assert np.abs(half - full).max() <= 1e-6 * np.abs(full).max()
 
 

@@ -24,6 +24,7 @@ from fracctrl import (
     InvalidParams,
     MLParams,
     NonConvergence,
+    PinvControl,
     SeriesPolicy,
     SingularKernel,
     alpha_exp,
@@ -543,11 +544,19 @@ class TestInverseKernel:
                 assert err <= 1e-10
 
     def test_threshold_raises(self):
-        from fracctrl import SingularKernel
-
-        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        # the chain matrix's E_{1/2,1/2}(A) has singular-value ratio 0.2025
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(SingularKernel):
-            inverse_kernel(A, 0.5, 1.0, rcond_threshold=1.0)
+            inverse_kernel(A, 0.5, 1.0, rcond_threshold=0.5)
+        assert np.isfinite(inverse_kernel(A, 0.5, 1.0, rcond_threshold=0.1)).all()
+
+    def test_same_rule_as_pinv_control(self):
+        # the rotation's kernel is a scaled rotation, ratio 1: the one-lag
+        # inverse and the pinv control both accept it at threshold 0.9
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        g = inverse_kernel(A, 0.5, 1.0, rcond_threshold=0.9)
+        u = PinvControl(A, np.eye(2), 0.5, 1.0, np.array([1.0, 0.0]), rcond_threshold=0.9)
+        assert np.allclose(u.sample(np.array([0.0]))[0], g[:, 0], rtol=1e-14)
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
