@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import betaln, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     DomainError,
@@ -189,13 +188,15 @@ def graded_gauss_rule(T: float, levels: int, order: int, both_ends: bool):
     """Composite Gauss-Legendre rule over [0, T]: ``order`` nodes on each of
     ``levels`` panels that halve toward s = 0 (and, with ``both_ends``, as
     many more toward s = T).  Returns (nodes, weights), nodes ascending."""
+    if not 0.0 < T < math.inf:
+        raise InvalidParams(f"horizon must be positive and finite, got {T}")
     if levels < 1 or order < 1:
         raise InvalidParams(f"need levels, order >= 1, got {levels}, {order}")
     edges = np.append(0.0, (T / 2.0 if both_ends else T) * 0.5 ** np.arange(levels)[::-1])
     if both_ends:
         edges = np.append(edges, T - edges[-2::-1])
     lo, hi = edges[:-1], edges[1:]
-    xg, wg = _gauss(roots_legendre, order)
+    xg, wg = _gauss(leggauss, order)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return (mid[:, None] + rad[:, None] * xg).ravel(), (rad[:, None] * wg).ravel()
 
@@ -278,10 +279,12 @@ def _steering_defect(sys: FracSystem, a: np.ndarray, b: np.ndarray, T: float,
 
 
 def _solve_spd(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Solve Q c = f for symmetric nonnegative Q: Cholesky with a symmetric
-    eigenvalue pseudo-solve fallback."""
+    """Solve Q c = f for symmetric nonnegative Q: Cholesky Q = U^T U, then
+    U^T y = f and U c = y, with a symmetric eigenvalue pseudo-solve
+    fallback."""
     try:
-        return cho_solve(cho_factor(Q), f)
+        U = np.linalg.cholesky(Q, upper=True)
+        return np.linalg.solve(U, np.linalg.solve(U.T, f))
     except np.linalg.LinAlgError:
         pass
     ev, V = np.linalg.eigh(Q)
@@ -357,7 +360,8 @@ def default_shaping_density(grid: TimeGrid, alpha: float) -> GridFunction:
     T = grid.t1
     g = alpha + 1.0
     t = grid.nodes
-    c = 1.0 / (T ** (2.0 * g + 1.0) * math.exp(betaln(g + 1.0, g + 1.0)))
+    log_beta = 2.0 * math.lgamma(g + 1.0) - math.lgamma(2.0 * g + 2.0)  # log B(g+1, g+1)
+    c = 1.0 / (T ** (2.0 * g + 1.0) * math.exp(log_beta))
     return GridFunction(grid, c * t**g * (T - t) ** g)
 
 

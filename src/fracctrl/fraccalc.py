@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import rgamma as _rgamma
 
 from .errors import DomainError, InvalidOrder
+from .mlkernel import _rgamma
 
 __all__ = [
     "TimeGrid",
@@ -93,20 +92,33 @@ class GridFunction:
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2,3,5-smooth integer >= n, a fast real FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a and b along axis 0, other axes broadcast;
-    bitwise equal to ``scipy.signal.fftconvolve(a, b, axes=0)``."""
+    """Full linear convolution of a and b along axis 0, other axes broadcast,
+    by ``numpy.fft`` real transforms of a 2,3,5-smooth length."""
     if a.shape[0] == 1 or b.shape[0] == 1:
         return a * b
     n = a.shape[0] + b.shape[0] - 1
-    nf = next_fast_len(n, real=True)
-    return irfft(rfft(a, nf, axis=0) * rfft(b, nf, axis=0), nf, axis=0)[:n]
+    nf = _next_fast_len(n)
+    return np.fft.irfft(np.fft.rfft(a, nf, axis=0) * np.fft.rfft(b, nf, axis=0), nf, axis=0)[:n]
 
 
 @functools.lru_cache(maxsize=64)
 def _gauss(rule: Callable, *args):
-    """Nodes and weights of the Gauss rule ``rule(*args)`` (a scipy.special
-    ``roots_*`` function), computed once per arguments and read-only."""
+    """Nodes and weights of the Gauss rule ``rule(*args)`` (such as numpy's
+    ``polynomial.legendre.leggauss``), computed once per arguments and
+    read-only."""
     x, w = rule(*args)
     x.flags.writeable = w.flags.writeable = False
     return x, w

@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import rgamma as _rgamma
 
 from .errors import DomainError, InvalidParams, NonConvergence
 from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, caputo_derivative
 from .mlkernel import (DEFAULT_POLICY, SeriesPolicy, _as_square, _check_order, _finite,
-                       _kernel_inverse_batch, _ml_series)
+                       _kernel_inverse_batch, _ml_series, _rgamma)
 
 __all__ = [
     "FracSystem",
@@ -325,19 +324,24 @@ def caputo_residual(
     skip*T <= t <= (1-skip)*T: the L1 scheme is formally O(h^(2-alpha)) but
     degrades inside the initial layer, where fractional trajectories carry
     t^alpha behaviour, and inside the terminal layer when the control has
-    the (T-t)^(1-alpha) cusp of the minimum-energy law.
+    the (T-t)^(1-alpha) cusp of the minimum-energy law.  ``skip_fraction``
+    must lie in [0, 0.5) and leave at least one node.
     """
+    if not 0.0 <= skip_fraction < 0.5:
+        raise InvalidParams(f"skip_fraction must lie in [0, 0.5), got {skip_fraction}")
     X = traj.states
     grid = traj.grid
     N = grid.steps
+    lo = max(1, int(np.ceil(skip_fraction * N)))
+    hi = min(N, int(np.floor((1.0 - skip_fraction) * N)))
+    if lo > hi:
+        raise InvalidParams(f"skip_fraction {skip_fraction} leaves no node of {N} steps")
     if sys.alpha < 1.0:
         D = caputo_derivative(GridFunction(grid, X), sys.alpha).values
     else:
         D = _centered_diff(X, grid.h)
     rhs = X @ sys.A.T + u.sample(grid.nodes) @ sys.B.T
     res = np.abs(D - rhs).max(axis=1)
-    lo = max(1, int(np.ceil(skip_fraction * N)))
-    hi = min(N, int(np.floor((1.0 - skip_fraction) * N)))
     return float(res[lo : hi + 1].max())
 
 

@@ -31,7 +31,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma as _rgamma
 
 from .errors import DomainError, InvalidParams, NonConvergence, SingularKernel
 
@@ -55,16 +54,17 @@ __all__ = [
 class MLParams:
     """Order pair (alpha, beta) of the two-parameter Mittag-Leffler function.
 
-    Both parameters must be positive for the defining series to make sense.
+    Both parameters must be positive and finite for the defining series to
+    make sense.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0) or not (self.beta > 0.0):
+        if not (0.0 < self.alpha < math.inf) or not (0.0 < self.beta < math.inf):
             raise InvalidParams(
-                f"Mittag-Leffler parameters must be positive, got "
+                f"Mittag-Leffler parameters must be positive and finite, got "
                 f"alpha={self.alpha}, beta={self.beta}"
             )
 
@@ -142,6 +142,13 @@ def _rgamma_chunk(alpha: float, beta: float, j: int) -> tuple:
     return tuple(_rgamma_dec(_CTX.fma(k, a, b)) for k in range(16 * j, 16 * j + 16))
 
 
+@functools.partial(np.vectorize, otypes=[float])
+def _rgamma(x: float) -> float:
+    """1 / Gamma(x) for x > 0, elementwise over arrays; 0.0 from x =
+    171.6243769563027 on, where Gamma overflows a double."""
+    return 0.0 if x >= 171.6243769563027 else 1.0 / math.gamma(x)
+
+
 @functools.lru_cache(maxsize=4096)
 def _rgamma_floats(alpha: float, beta: float, j: int) -> tuple:
     """1 / Gamma(k alpha + beta) for k = 16 j, ..., 16 j + 15, as floats."""
@@ -199,9 +206,11 @@ def ml_matrix_batch(
 
     Returns an array of shape ``s.shape + A.shape``.  Shared truncation: the
     series stops when the next term is negligible across every s, which keeps
-    the result a smooth function of s.
+    the result a smooth function of s.  The orders are checked as in
+    ``MLParams``.
     """
     A = _as_square(A)
+    MLParams(alpha, beta)
     return _ml_series(A, alpha, beta, np.asarray(s, float), np.eye(A.shape[0]), policy)
 
 
@@ -237,11 +246,11 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     P = L
     spow = np.ones(s.size)
     sa = s.ravel() ** alpha
-    sa_max = float(sa.max())
+    sa_max = float(sa.max(initial=0.0))
     spow_max = 1.0
     pmax = float(np.abs(P).max())
     bound = [0.0] * len(coef)
-    live = list(range(len(coef)))
+    live = list(range(len(coef))) if s.size else []
     for k in range(policy.max_terms + 1):
         if not k % 16:
             cs = [c(k // 16) for c in coef]

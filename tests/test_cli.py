@@ -64,6 +64,11 @@ class TestMl:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: NonConvergence:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("orders", [["--alpha", "inf"], ["--alpha", "0.5", "--beta", "inf"]])
+    def test_non_finite_order_is_input_error(self, capsys, orders):
+        assert main(["ml", *orders, "--z", "1"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
 
 class TestSimulate:
     def test_constant_control_terminal_state(self, tmp_path, capsys):

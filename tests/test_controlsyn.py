@@ -3,7 +3,9 @@ laws, energy identities, minimality, and export round trips."""
 
 import numpy as np
 import pytest
-from scipy.special import gamma, roots_legendre
+from numpy.polynomial.legendre import leggauss
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import gamma
 
 from fracctrl import (
     FracSystem,
@@ -31,6 +33,7 @@ from fracctrl import (
     synthesize_rank_based,
     verify_steering,
 )
+from fracctrl.controlsyn import _solve_spd
 
 
 def problem(sys, a, b, T, steps=1024):
@@ -55,7 +58,7 @@ def panel_loop_rule(T, levels, order, both_ends):
         edges = [T * 0.5**j for j in range(levels)] + [0.0]
         return [(edges[j + 1], edges[j]) for j in range(levels)][::-1]
 
-    xg, wg = roots_legendre(order)
+    xg, wg = leggauss(order)
     nodes, weights = [], []
     for lo, hi in graded_panels(T, levels, both_ends):
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -79,6 +82,37 @@ class TestGradedRule:
     def test_empty_rule_refused(self, levels, order):
         with pytest.raises(InvalidParams):
             graded_gauss_rule(1.0, levels, order, False)
+
+    @pytest.mark.parametrize("T", [-1.0, 0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("both_ends", [False, True])
+    def test_bad_horizon_refused(self, T, both_ends):
+        with pytest.raises(InvalidParams):
+            graded_gauss_rule(T, 12, 16, both_ends)
+
+    def test_legendre_rule_exact_to_degree(self):
+        for order in range(1, 65):
+            x, w = leggauss(order)
+            k = np.arange(2 * order)[:, None]
+            want = np.where(k[:, 0] % 2, 0.0, 2.0 / (k[:, 0] + 1.0))
+            assert np.abs((x**k) @ w - want).max() <= 1e-13
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    def test_matches_scipy_cholesky(self, cond):
+        rng = np.random.default_rng(int(np.log10(cond)))
+        for n in range(1, 13):
+            for _ in range(10):
+                V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                Q = (V * np.geomspace(1.0, 1.0 / cond, n) * 10.0 ** rng.uniform(-3, 3)) @ V.T
+                Q = 0.5 * (Q + Q.T)
+                f = rng.standard_normal(n)
+                want = cho_solve(cho_factor(Q), f)
+                assert np.abs(_solve_spd(Q, f) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_singular_falls_back_to_pseudo_solve(self):
+        Q = np.diag([2.0, 0.0])
+        assert np.array_equal(_solve_spd(Q, np.array([4.0, 1.0])), np.array([2.0, 0.0]))
 
 
 class TestSteeringProblem:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 from scipy.special import gamma, roots_jacobi, roots_legendre
 
@@ -27,7 +28,7 @@ from fracctrl import (
     singular_convolution,
 )
 import fracctrl
-from fracctrl.fraccalc import _fft_convolve, _gauss
+from fracctrl.fraccalc import _fft_convolve, _gauss, _next_fast_len
 
 
 def grid_fn(fn, t0=0.0, t1=1.0, steps=512):
@@ -340,7 +341,7 @@ class TestIdentities:
 
 
 class TestFftConvolve:
-    @pytest.mark.parametrize("N", [2, 3, 17, 512, 2049, 16385])
+    @pytest.mark.parametrize("N", [2, 3, 17, 512, 2049, 4097, 16385])
     @pytest.mark.parametrize("d", [1, 3, 4])
     def test_bitwise_equal_to_scipy_signal(self, N, d):
         rng = np.random.default_rng(N * 10 + d)
@@ -356,6 +357,20 @@ class TestFftConvolve:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120, env=env)
         assert out.stdout.strip() == "False"
+
+    def test_cli_synthesize_imports_no_scipy(self):
+        root = Path(fracctrl.__file__).parents[2]
+        code = ("import sys, fracctrl.cli; "
+                f"code = fracctrl.cli.main(['synthesize', {str(root / 'docs' / 'example1.json')!r}]); "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(fracctrl.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120, env=env)
+        assert out.stdout.splitlines()[-1] == "0 []"
+
+    def test_fast_length_matches_scipy(self):
+        assert [_next_fast_len(n) for n in range(1, 20001)] == [
+            next_fast_len(n, real=True) for n in range(1, 20001)]
 
 
 class TestGaussRules:

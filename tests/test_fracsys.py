@@ -263,6 +263,22 @@ class TestResidual:
         traj = simulate(sys, np.zeros(2), u, grid)
         assert caputo_residual(sys, traj, u) <= 1e-6
 
+    @pytest.mark.parametrize("skip", [-1.0, -1e-3, 0.5, 0.6, np.nan, np.inf])
+    def test_skip_fraction_out_of_range_refused(self, example1_system, skip):
+        grid = TimeGrid(0.0, 1.0, 64)
+        u = constant_control(grid, 1.0)
+        traj = simulate(example1_system, np.zeros(2), u, grid)
+        with pytest.raises(InvalidParams):
+            caputo_residual(example1_system, traj, u, skip_fraction=skip)
+
+    def test_skip_fraction_that_leaves_no_node_refused(self, example1_system):
+        grid = TimeGrid(0.0, 1.0, 3)
+        u = constant_control(grid, 1.0)
+        traj = simulate(example1_system, np.zeros(2), u, grid)
+        assert caputo_residual(example1_system, traj, u, skip_fraction=0.0) >= 0.0
+        with pytest.raises(InvalidParams):
+            caputo_residual(example1_system, traj, u, skip_fraction=0.4)
+
 
 class TestCsv:
     def test_roundtrip_and_determinism(self, example1_system, tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import erfcx, gamma
-from scipy.special import rgamma as _rgamma
+from scipy.special import rgamma as scipy_rgamma
 
 from fracctrl import (
     DEFAULT_POLICY,
@@ -33,11 +33,12 @@ from fracctrl import (
     frac_sin,
     inverse_kernel,
     ml_matrix,
+    ml_matrix_batch,
     ml_scalar,
     state_transition,
 )
 from fracctrl import mlkernel
-from fracctrl.mlkernel import _checked_inverse, _kernel_inverse_batch, _ml_series
+from fracctrl.mlkernel import _checked_inverse, _kernel_inverse_batch, _ml_series, _rgamma
 
 # frozen 50-digit oracle values (independent fixed-precision summation of the
 # defining series; see tests/oracles.py to regenerate)
@@ -121,6 +122,17 @@ class TestParams:
             MLParams(0.0, 1.0)
         with pytest.raises(InvalidParams):
             MLParams(0.5, -0.1)
+
+    @pytest.mark.parametrize("alpha, beta", [(np.inf, 1.0), (0.5, np.inf), (np.nan, 1.0)])
+    def test_rejects_non_finite(self, alpha, beta):
+        with pytest.raises(InvalidParams):
+            MLParams(alpha, beta)
+
+    @pytest.mark.parametrize("alpha, beta", [(-1.0, 1.0), (0.0, 1.0), (0.5, -1.0),
+                                             (0.5, 0.0), (np.inf, 1.0), (0.5, np.nan)])
+    def test_batch_rejects_bad_orders(self, alpha, beta):
+        with pytest.raises(InvalidParams):
+            ml_matrix_batch(np.eye(1), alpha, beta, [1.0])
 
     def test_policy_validation(self):
         with pytest.raises(InvalidParams):
@@ -216,6 +228,11 @@ class TestMatrix:
         got = ml_matrix(MLParams(0.4, 1.0), np.zeros((3, 3)))
         assert np.array_equal(got, np.eye(3))
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0)])
+    def test_batch_over_no_lags(self, shape):
+        got = ml_matrix_batch(np.eye(2), 0.5, 1.0, np.zeros(shape))
+        assert got.shape == shape + (2, 2)
+
     def test_diagonal_consistency_with_scalar(self):
         d = np.array([0.8, -1.3, 2.0])
         for params in (MLParams(0.5, 0.5), MLParams(0.7, 1.0)):
@@ -274,6 +291,17 @@ class TestSeriesPrimitive:
             with pytest.raises(NonConvergence) as got:
                 _ml_series(A, 0.5, 1.0, s, np.eye(2), policy)
         assert str(got.value) == str(want.value)
+
+
+class TestRgammaFloat:
+    def test_matches_scipy(self):
+        x = np.concatenate([np.geomspace(1e-300, 1.0, 2001), np.linspace(1e-3, 171.6, 20001)])
+        got, want = _rgamma(x), scipy_rgamma(x)
+        assert (np.abs(got - want) <= 2e-15 * np.abs(want)).all()
+
+    def test_zero_where_gamma_overflows(self):
+        x = np.array([171.62, 171.624, 171.6243769563027, 171.625, 180.0, 1e300, np.inf])
+        assert np.array_equal(_rgamma(x) == 0.0, scipy_rgamma(x) == 0.0)
 
 
 class TestRgammaTable:
