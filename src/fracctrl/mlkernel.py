@@ -145,7 +145,7 @@ def _rgamma_chunk(alpha: float, beta: float, j: int) -> tuple:
 @functools.partial(np.vectorize, otypes=[float])
 def _rgamma(x: float) -> float:
     """1 / Gamma(x) for x > 0, elementwise over arrays; 0.0 from x =
-    171.6243769563027 on, where Gamma overflows a double."""
+    171.6243769563027 on, where Gamma reaches the largest double."""
     return 0.0 if x >= 171.6243769563027 else 1.0 / math.gamma(x)
 
 
