@@ -49,7 +49,7 @@ from .controlsyn import (
 )
 from .errors import FracctrlError
 from .fraccalc import GridFunction, TimeGrid
-from .fracsys import FracSystem, SampledControl, caputo_residual, simulate, trajectory_to_csv
+from .fracsys import FracSystem, SampledControl, _caputo_residual, simulate, trajectory_to_csv
 from .mlkernel import (
     MLParams,
     SeriesPolicy,
@@ -245,7 +245,7 @@ def cmd_simulate(args) -> int:
     traj = simulate(prob.system, prob.steering.a, control, prob.steering.grid, policy=prob.policy)
     if args.out:
         trajectory_to_csv(traj, args.out)
-    res = caputo_residual(prob.system, traj, control)
+    res = _caputo_residual(prob.system, traj, traj.controls)
     print("terminal state: " + " ".join(_fmt17(v) for v in traj.states[-1]))
     print(f"caputo residual (interior): {_fmt(res)}")
     if args.out:

@@ -53,7 +53,7 @@ from .fracsys import (
     MinEnergyControl,
     PinvControl,
     SampledControl,
-    caputo_residual,
+    _caputo_residual,
     simulate,
 )
 from .mlkernel import (
@@ -96,9 +96,9 @@ SINGULAR_GRAMIAN_RCOND = 1e-10
 class QuadSettings:
     """Composite Gauss-Legendre quadrature with geometric panel grading.
 
-    ``levels`` panels shrink by ratio 1/2 toward each non-smooth endpoint;
-    adaptivity adds levels until two successive gradings agree to
-    ``rel_tol`` (relative, max-norm), else ``NonConvergence``.
+    ``levels`` panels shrink by ratio 1/2 toward s = 0 (toward both ends for
+    non-cusp energies); nested adaptivity adds levels until two successive
+    gradings agree to ``rel_tol`` (relative, max-norm), else ``NonConvergence``.
     """
 
     rel_tol: float = 1e-11
@@ -201,17 +201,24 @@ def graded_gauss_rule(T: float, levels: int, order: int, both_ends: bool):
     return (mid[:, None] + rad[:, None] * xg).ravel(), (rad[:, None] * wg).ravel()
 
 
-def _adaptive_graded(integral, T: float, quad: QuadSettings, both_ends: bool,
-                     what: str):
+def _adaptive_graded(f, T: float, quad: QuadSettings, both_ends: bool, what: str):
     """Graded Gauss-Legendre quadrature over [0, T], deepened by 4 levels at a
     time until two successive gradings agree to ``quad.rel_tol`` relative in
-    max norm; returns (value, that relative change).  ``integral(s, w)`` is
-    the quadrature sum for nodes s and weights w."""
-    lv = quad.levels
-    v0 = integral(*graded_gauss_rule(T, lv, quad.order, both_ends))
+    max norm; returns (value, that relative change).  ``f(s)`` is the
+    integrand at the nodes s, stacked on the first axis.  A deepening splits
+    the innermost panel at each graded end into 5; the other panels keep
+    their nodes bitwise (edges T 2^-j), so f sees each node once."""
+    lv, k = quad.levels, quad.order
+    s, w = graded_gauss_rule(T, lv, k, both_ends)
+    F = f(s)
+    v0 = np.einsum("s,s...->...", w, F)
     while lv <= quad.max_levels:
         lv += 4
-        v1 = integral(*graded_gauss_rule(T, lv, quad.order, both_ends))
+        s, w = graded_gauss_rule(T, lv, k, both_ends)
+        c = 5 * k
+        new = f(np.concatenate([s[:c], s[-c:]]) if both_ends else s[:c])
+        F = np.concatenate([new[:c], F[k:len(F) - k * both_ends], new[c:]])
+        v1 = np.einsum("s,s...->...", w, F)
         if not np.isfinite(v1).all():
             raise NonConvergence(f"{what} quadrature overflows")
         err = float(np.abs(v1 - v0).max() / max(np.abs(v1).max(), 1e-300))
@@ -240,12 +247,12 @@ def gramian(
     if not T > 0.0:
         raise InvalidParams(f"horizon must be positive, got {T}")
 
-    def integral(s, w):
+    def integrand(s):
         G = ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s, policy) @ sys.B
-        Q = np.einsum("s,sij,skj->ik", w, G, G)
-        return 0.5 * (Q + Q.T)
+        return np.einsum("sij,skj->sik", G, G)
 
-    Q, err = _adaptive_graded(integral, T, quad, False, "gramian")
+    Q, err = _adaptive_graded(integrand, T, quad, False, "gramian")
+    Q = 0.5 * (Q + Q.T)
     ev = np.linalg.eigvalsh(Q)
     rcond = float(max(ev.min(), 0.0) / ev.max()) if ev.max() > 0.0 else 0.0
     return GramianResult(Q=Q, rcond=rcond, quad_err=err)
@@ -332,8 +339,9 @@ def synthesize_pinv(
     """Right-inverse steering control for systems with rank B = n.
 
     The control (1/T) B^+ g(T-t)(b - S0(T) a) cancels the kernel pointwise;
-    its modified energy is computed by quadrature (for a full-rank square B
-    it reproduces the minimum energy).
+    its modified energy is computed by quadrature.  That energy is never
+    below the minimum energy, and equals it for A = 0 but not in general
+    (even for a full-rank square B it can be many times the minimum).
     """
     sys = prob.sys
     rankB = _numerical_rank(sys.B)
@@ -418,13 +426,14 @@ def synthesize_rank_based(
 
 def _energy_bounded(u: CuspControl, alpha: float, T: float, quad: QuadSettings) -> float:
     """Energy via the algebraically neutralized integrand |w(s)|^2 exposed by
-    cusp controls (u(T-s) = s^(1-alpha) w(s))."""
+    cusp controls (u(T-s) = s^(1-alpha) w(s)), graded toward s = 0 only: w is
+    analytic in y = s^alpha, so nothing is singular at s = T."""
 
-    def integral(s, w):
+    def integrand(s):
         W = u.kernel_weight(s)
-        return float(w @ np.einsum("sj,sj->s", W, W))
+        return np.einsum("sj,sj->s", W, W)
 
-    return _adaptive_graded(integral, T, quad, True, "energy")[0]
+    return float(_adaptive_graded(integrand, T, quad, False, "energy")[0])
 
 
 def _power_moment(e: float, s0: float, s1: float) -> float:
@@ -485,12 +494,11 @@ def _energy_pointwise(u: ControlSignal, alpha: float, T: float, quad: QuadSettin
     """Fallback for other controls: graded Gauss-Legendre on the raw weighted
     integrand."""
 
-    def integral(s, w):
+    def integrand(s):
         vals = u.sample(T - s)
-        integ = (s ** (2.0 * (alpha - 1.0))) * np.einsum("sj,sj->s", vals, vals)
-        return float(w @ integ)
+        return (s ** (2.0 * (alpha - 1.0))) * np.einsum("sj,sj->s", vals, vals)
 
-    return _adaptive_graded(integral, T, quad, True, "energy")[0]
+    return float(_adaptive_graded(integrand, T, quad, True, "energy")[0])
 
 
 def modified_energy(
@@ -498,9 +506,9 @@ def modified_energy(
 ) -> float:
     """The weighted energy functional  integral_0^T |(T-t)^(alpha-1) u(t)|^2 dt.
 
-    Cusp controls expose a bounded neutralized integrand, integrated on
-    graded panels; sampled controls are product-integrated exactly per
-    panel; anything else falls back to pointwise graded quadrature.
+    Cusp controls expose a bounded neutralized integrand, graded toward
+    T - t = 0 only; sampled controls are product-integrated exactly per panel;
+    anything else falls back to pointwise quadrature graded toward both ends.
     """
     if isinstance(u, CuspControl):
         return _energy_bounded(u, alpha, T, quad)
@@ -517,16 +525,16 @@ def verify_steering(
 ) -> SteeringReport:
     """End-to-end certificate: simulate the synthesized control, measure the
     terminal miss, recompute the energy by quadrature, and attach the Caputo
-    residual of the computed trajectory.  Inaccuracy shows up as large
-    numbers in the report; simulated states that overflow raise
-    ``NonConvergence``."""
+    residual of the computed trajectory from the control samples simulate
+    recorded.  Inaccuracy shows up as large numbers in the report; simulated
+    states that overflow raise ``NonConvergence``."""
     sys = prob.sys
     traj = simulate(sys, prob.a, result.control, prob.grid, policy=policy)
     term_abs = float(np.abs(traj.states[-1] - prob.b).max())
     term_rel = term_abs / max(1.0, float(np.abs(prob.b).max()))
     e_quad = modified_energy(result.control, sys.alpha, prob.T, quad)
     mismatch = abs(e_quad - result.energy) / (1.0 + abs(result.energy))
-    residual = caputo_residual(sys, traj, result.control)
+    residual = _caputo_residual(sys, traj, traj.controls)
     return SteeringReport(
         terminal_error_abs=term_abs,
         terminal_error_rel=term_rel,

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DomainError, InvalidParams, NonConvergence
 from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, caputo_derivative
 from .mlkernel import (DEFAULT_POLICY, SeriesPolicy, _as_square, _check_order, _finite,
-                       _kernel_inverse_batch, _ml_series, _rgamma)
+                       _kernel_inverse_batch, _ml_series, _rgamma_floats)
 
 __all__ = [
     "FracSystem",
@@ -209,11 +209,12 @@ class PinvControl(CuspControl):
 
 @dataclass
 class Trajectory:
-    """States (and outputs, when C is present) on a uniform grid."""
+    """States, outputs (when C is present) and simulate's control samples on a uniform grid."""
 
     grid: TimeGrid
     states: np.ndarray
     outputs: Optional[np.ndarray] = None
+    controls: Optional[np.ndarray] = None
 
 
 def simulate(
@@ -249,29 +250,22 @@ def simulate(
     At, Bt, alpha = sys.A.T, sys.B.T, sys.alpha
     N, h = grid.steps, grid.h
     lags = np.arange(N + 1) * h
-    cusp = isinstance(u, CuspControl) and abs(u.T - grid.t1) <= 1e-12 * grid.t1
+    cusp = isinstance(u, CuspControl) and u.alpha == alpha and abs(u.T - grid.t1) <= 1e-12 * grid.t1
 
     # The kernel s^(alpha-1) E_{alpha,alpha}(A s^alpha) B has the
     # antiderivatives G1(s) = s^alpha E_{alpha,alpha+1}(A s^alpha) B and
     # G2(s) = s^(alpha+1) E_{alpha,alpha+2}(A s^alpha) B, kept transposed
     # (lag, channel, state).  With D the first differences of G2 over h, the
     # hat function at lag d*h integrates to D[d] - D[d-1] (D[-1] = 0), and
-    # the half hat at t = 0 to G1 - D, needed at the output lags only.  The
-    # same pass sums the cusp moments F_p(x) = integral over [0, x] of
-    # E_{alpha,alpha}(A s^alpha) B s^(p alpha) ds, p = 0, 1, 2, after their
-    # factor x^(p alpha + 1): sum_k A^k B x^(k alpha) / (Gamma(k alpha + alpha)
-    # (k alpha + p alpha + 1)).
-    betas = [alpha + 2.0, alpha + 1.0] + [
-        lambda k, p=p: _rgamma(k * alpha + alpha) / (k * alpha + p * alpha + 1.0)
-        for p in range(3)] * cusp
+    # the half hat at t = 0 to G1 - D, needed at the output lags only.
     with np.errstate(all="ignore"):
-        S = _ml_series(At, alpha, betas, lags, Bt, policy)
+        S = _ml_series(At, alpha, [alpha + 2.0, alpha + 1.0], lags, Bt, policy)
         D = np.diff(S[0] * (lags ** (alpha + 1.0))[:, None, None], axis=0)
         D /= h
         first = S[1, 1:] * (lags[1:] ** alpha)[:, None, None]
         first -= D
         W = np.diff(D, axis=0, prepend=0.0)
-        del D
+        del D, S
         conv = np.zeros((N + 1, sys.n))
         conv[1:] = uf[0] @ first
         for c in range(sys.m):
@@ -279,32 +273,40 @@ def simulate(
         x = _ml_series(At, alpha, 1.0, grid.nodes, a, policy)
         states = x + conv
         if cusp:
-            states[-1] = x[-1] + _cusp_terminal(u, uf, grid.nodes, lags, S[-3:])
+            states[-1] = x[-1] + _cusp_terminal(u, uf, grid.nodes, lags, At, Bt, policy)
     if not np.isfinite(states).all():
         raise NonConvergence("simulated states overflow")
     states[0] = a
     outputs = states @ sys.C.T if sys.C is not None else None
-    return Trajectory(grid=grid, states=states, outputs=outputs)
+    return Trajectory(grid=grid, states=states, outputs=outputs, controls=uf)
+
+
+def _moment_coefs(alpha: float) -> list:
+    """c_k = 1/(Gamma(k alpha + alpha) (k alpha + p alpha + 1)) from cached rows: the
+    series of x^-(p alpha + 1) int_0^x E_{alpha,alpha}(A s^alpha) B s^(p alpha) ds."""
+    return [lambda k, p=p: np.divide(_rgamma_floats(alpha, alpha, int(k[0]) // 16),
+                                     k * alpha + p * alpha + 1.0) for p in range(3)]
 
 
 def _cusp_terminal(u: CuspControl, uf: np.ndarray, nodes: np.ndarray, lags: np.ndarray,
-                   S: np.ndarray) -> np.ndarray:
+                   At: np.ndarray, Bt: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
     """integral over [0, T] of B^T E_{alpha,alpha}(A^T s^alpha) w(s) ds from u
-    sampled as ``uf`` at ``nodes`` and the moment series S at ``lags``, with
-    w quadratic in y on each panel pair in Newton form (for odd N, the last
-    panel's through its last three nodes)."""
+    sampled as ``uf`` at ``nodes``, with w quadratic in y on each panel pair
+    in Newton form (for odd N, the last panel's through its last three
+    nodes), against the exact moments, summed at the panel-pair ends only."""
     # in lag order, divided by the same s as u.sample multiplied; w(0) directly
     s = np.maximum(u.T - nodes[::-1], 0.0)
     w = uf[::-1] / (s ** (1.0 - u.alpha))[:, None]
     w[0] = u.kernel_weight(np.zeros(1))[0]
-    F = S * (lags ** (np.arange(3)[:, None] * u.alpha + 1.0))[:, :, None, None]
     y, N = lags ** u.alpha, lags.size - 1
-    lo = np.arange(0, N, 2)
-    hi, n0 = np.minimum(lo + 2, N), np.minimum(lo, N - 2)
+    ends = np.append(np.arange(0, N, 2), N)
+    F = _ml_series(At, u.alpha, _moment_coefs(u.alpha), lags[ends], Bt, policy)
+    F *= (lags[ends] ** (np.arange(3)[:, None] * u.alpha + 1.0))[:, :, None, None]
+    n0 = np.minimum(ends[:-1], N - 2)
     y0, y1, y2 = y[n0, None], y[n0 + 1, None], y[n0 + 2, None]
     d1 = (w[n0 + 1] - w[n0]) / (y1 - y0)
     d2 = ((w[n0 + 2] - w[n0 + 1]) / (y2 - y1) - d1) / (y2 - y0)
-    dF = F[:, hi] - F[:, lo]
+    dF = F[:, 1:] - F[:, :-1]
     I1 = dF[1] - y0[..., None] * dF[0]
     I2 = dF[2] - (y0 + y1)[..., None] * dF[1] + (y0 * y1)[..., None] * dF[0]
     return np.einsum("qpm,qpmn->n", np.stack([w[n0], d1, d2]), np.stack([dF[0], I1, I2]))
@@ -327,6 +329,11 @@ def caputo_residual(
     the (T-t)^(1-alpha) cusp of the minimum-energy law.  ``skip_fraction``
     must lie in [0, 0.5) and leave at least one node.
     """
+    return _caputo_residual(sys, traj, u.sample(traj.grid.nodes), skip_fraction)
+
+
+def _caputo_residual(sys: FracSystem, traj: Trajectory, uf: np.ndarray, skip_fraction=0.05):
+    """``caputo_residual`` from control samples at the nodes, e.g. ``traj.controls``."""
     if not 0.0 <= skip_fraction < 0.5:
         raise InvalidParams(f"skip_fraction must lie in [0, 0.5), got {skip_fraction}")
     X = traj.states
@@ -340,7 +347,7 @@ def caputo_residual(
         D = caputo_derivative(GridFunction(grid, X), sys.alpha).values
     else:
         D = _centered_diff(X, grid.h)
-    rhs = X @ sys.A.T + u.sample(grid.nodes) @ sys.B.T
+    rhs = X @ sys.A.T + uf @ sys.B.T
     res = np.abs(D - rhs).max(axis=1)
     return float(res[lo : hi + 1].max())
 

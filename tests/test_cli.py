@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracctrl import (FracSystem, MinEnergyControl, TimeGrid, caputo_residual,
+                      control_from_dict, simulate)
 from fracctrl.cli import _example2_energy, main
 
 
@@ -313,6 +315,28 @@ class TestSynthesize:
                 capsys.readouterr().out.splitlines()[0].split(":")[1].split()]
         terminal_err = max(abs(v) for v in vals)  # b = 0
         assert abs(terminal_err - reported) <= 1e-10
+
+    def test_simulate_samples_the_control_once(self, tmp_path, capsys, monkeypatch):
+        # the residual reads the samples simulate recorded, and equals the
+        # one caputo_residual takes from a fresh sample
+        pf = write_problem(tmp_path / "p.json", numerics={"grid_steps": 256})
+        ctrl = tmp_path / "ctrl.json"
+        assert main(["synthesize", pf, "--out", str(ctrl)]) == 0
+        pf2 = write_problem(tmp_path / "p2.json", numerics={"grid_steps": 256},
+                            control={"type": "synthesized", "path": str(ctrl)})
+        capsys.readouterr()
+        calls = []
+        sample = MinEnergyControl.sample
+        monkeypatch.setattr(MinEnergyControl, "sample",
+                            lambda self, t: calls.append(len(t)) or sample(self, t))
+        assert main(["simulate", pf2]) == 0
+        assert calls == [257]
+        monkeypatch.undo()
+        u = control_from_dict(json.loads(ctrl.read_text()))
+        sys = FracSystem(CHAIN["A"], CHAIN["B"], alpha=CHAIN["alpha"])
+        traj = simulate(sys, np.array(STEERING["a"]), u, TimeGrid(0.0, STEERING["T"], 256))
+        want = f"caputo residual (interior): {caputo_residual(sys, traj, u):.15g}"
+        assert capsys.readouterr().out.splitlines()[1] == want
 
     def test_control_csv_reingestion(self, tmp_path, capsys):
         # a sampled control exported as CSV feeds back through simulate

@@ -8,6 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gamma
 
 from fracctrl import (
+    DEFAULT_QUAD,
     FracSystem,
     GridFunction,
     InvalidParams,
@@ -33,7 +34,8 @@ from fracctrl import (
     synthesize_rank_based,
     verify_steering,
 )
-from fracctrl.controlsyn import _solve_spd
+import fracctrl.controlsyn as controlsyn
+from fracctrl.controlsyn import _adaptive_graded, _solve_spd
 
 
 def problem(sys, a, b, T, steps=1024):
@@ -95,6 +97,67 @@ class TestGradedRule:
             k = np.arange(2 * order)[:, None]
             want = np.where(k[:, 0] % 2, 0.0, 2.0 / (k[:, 0] + 1.0))
             assert np.abs((x**k) @ w - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("both_ends", [False, True])
+    def test_deepening_keeps_outer_panels_bitwise(self, both_ends):
+        # 4 more levels split only the innermost panel at each graded end
+        # into 5; every other panel's nodes and weights stay bitwise the same
+        for T in (0.3, 1.0, 2.0, 5.0, 7.77, 10.0):
+            for levels in range(1, 45):
+                for order in (1, 16, 20):
+                    s0, w0 = graded_gauss_rule(T, levels, order, both_ends)
+                    s1, w1 = graded_gauss_rule(T, levels + 4, order, both_ends)
+                    kept = slice(order, s0.size - order * both_ends)
+                    outer = slice(5 * order, s1.size - 5 * order * both_ends)
+                    assert np.array_equal(s1[outer], s0[kept])
+                    assert np.array_equal(w1[outer], w0[kept])
+
+
+def counting(fn, sizes, nodes=None, at=0):
+    """``fn`` with the size (and, given ``nodes``, a copy) of the lag array
+    in its positional argument ``at`` recorded at each call."""
+    def wrapped(*args):
+        sizes.append(np.size(args[at]))
+        if nodes is not None:
+            nodes.append(np.array(args[at], copy=True))
+        return fn(*args)
+    return wrapped
+
+
+class TestAdaptiveGraded:
+    @pytest.mark.parametrize("both_ends", [False, True])
+    def test_each_node_evaluated_once(self, both_ends):
+        T, quad = 3.0, QuadSettings()
+        f = (lambda s: np.sqrt(s * (T - s))) if both_ends else np.sqrt
+        sizes, nodes = [], []
+        value, _ = _adaptive_graded(counting(f, sizes, nodes), T, quad, both_ends, "test")
+        ends, k = 1 + both_ends, quad.order
+        assert len(sizes) >= 2
+        assert sizes == [quad.levels * k * ends] + [5 * k * ends] * (len(sizes) - 1)
+        seen = np.concatenate(nodes)
+        assert np.unique(seen).size == seen.size
+        final = graded_gauss_rule(T, quad.levels + 4 * (len(sizes) - 1), k, both_ends)[0]
+        assert np.isin(final, seen).all()
+        want = 9.0 * np.pi / 8.0 if both_ends else 2.0 * T**1.5 / 3.0
+        assert value == pytest.approx(want, rel=1e-10)
+
+    def test_gramian_and_cusp_energy_grade_one_end(self, monkeypatch, example2_system):
+        # one graded end: levels * order nodes, then 5 * order per deepening
+        def one_end(sizes):
+            k = DEFAULT_QUAD.order
+            return len(sizes) >= 2 and sizes == [DEFAULT_QUAD.levels * k] + [5 * k] * (len(sizes) - 1)
+
+        sizes = []
+        monkeypatch.setattr(controlsyn, "ml_matrix_batch",
+                            counting(controlsyn.ml_matrix_batch, sizes, at=3))
+        controlsyn.gramian(example2_system, 10.0)
+        assert one_end(sizes)
+        monkeypatch.undo()
+        res = synthesize_min_energy(problem(example2_system, [0.0, 1.0], [0.0, 0.0], 10.0))
+        sizes = []
+        res.control.kernel_weight = counting(res.control.kernel_weight, sizes)
+        assert modified_energy(res.control, 0.5, 10.0) == pytest.approx(res.energy, rel=1e-9)
+        assert one_end(sizes)
 
 
 class TestSolveSpd:
@@ -275,6 +338,27 @@ class TestPinv:
             u.sample(np.array([0.0]))
         with pytest.raises(SingularKernel):
             modified_energy(u, 0.5, 1.0)
+
+    def test_energy_not_below_min_energy(self, battery):
+        # the pinv control steers too, so its energy is never below the
+        # minimum; with A != 0 it is in general strictly above
+        square = [case for case in battery if case[0].m == case[0].n]
+        assert square
+        ratios = []
+        for sys, a, b, T in square:
+            prob = problem(sys, a, b, T, steps=64)
+            e_min = synthesize_min_energy(prob).energy
+            e_pinv = synthesize_pinv(prob).energy
+            assert e_pinv >= e_min * (1.0 - 1e-9)
+            ratios.append(e_pinv / e_min)
+        assert max(ratios) > 1.1
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("T", [1.0, 5.0])
+    def test_energy_equals_min_energy_for_zero_a(self, scalar_system, alpha, T):
+        prob = problem(scalar_system(alpha), [0.0], [1.0], T, steps=64)
+        e_min = synthesize_min_energy(prob).energy
+        assert synthesize_pinv(prob).energy == pytest.approx(e_min, rel=1e-9)
 
 
 class TestRankBased:

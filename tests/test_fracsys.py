@@ -18,14 +18,20 @@ from fracctrl import (
     MinEnergyControl,
     PinvControl,
     SampledControl,
+    SteeringProblem,
     TimeGrid,
     caputo_residual,
     frac_integral_left,
     simulate,
     state_transition,
+    synthesize_min_energy,
+    synthesize_pinv,
     trajectory_from_csv,
     trajectory_to_csv,
+    verify_steering,
 )
+from fracctrl.fracsys import _moment_coefs
+from fracctrl.mlkernel import _ml_series, _rgamma
 
 
 def constant_control(grid, value):
@@ -240,6 +246,68 @@ class TestCuspTerminal:
         half = simulate(sys, a, u, TimeGrid(0.0, 1.0, 512)).states[-1]
         full = simulate(sys, a, u, TimeGrid(0.0, 2.0, 8192)).states[4096]
         assert np.abs(half - full).max() <= 1e-6 * np.abs(full).max()
+
+
+    @pytest.mark.parametrize("steps", [2047, 2048])
+    def test_non_normal_system(self, steps):
+        # A = 0 keeps every moment a single term; a non-normal A mixes them
+        A, B = np.array([[-0.6, 2.5], [0.0, 0.4]]), np.array([[0.3, 0.0], [1.0, -0.8]])
+        sys = FracSystem(A, B, alpha=0.6)
+        a, b, T = np.array([1.0, -0.5]), np.array([-0.2, 0.4]), 2.0
+        fine = SteeringProblem(sys, a, b, T, TimeGrid(0.0, T, 16384))
+        prob = SteeringProblem(sys, a, b, T, TimeGrid(0.0, T, steps))
+        for synth in (synthesize_min_energy, synthesize_pinv):
+            u = synth(fine).control
+            ref = simulate(sys, a, u, fine.grid).states[-1]
+            traj = simulate(sys, a, u, prob.grid)
+            assert np.abs(traj.states[-1] - ref).max() <= 1e-3 * max(1.0, np.abs(ref).max())
+            assert np.array_equal(traj.controls, u.sample(prob.grid.nodes))
+            res = synth(prob)
+            traj = simulate(sys, a, res.control, prob.grid)
+            want = caputo_residual(sys, traj, res.control)
+            assert verify_steering(prob, res).caputo_residual == want
+
+    def test_verify_samples_the_control_once(self, monkeypatch):
+        A, B = np.array([[-0.6, 2.5], [0.0, 0.4]]), np.array([[0.3], [1.0]])
+        sys = FracSystem(A, B, alpha=0.6)
+        prob = SteeringProblem(sys, np.array([1.0, -0.5]), np.zeros(2), 2.0,
+                               TimeGrid(0.0, 2.0, 512))
+        res = synthesize_min_energy(prob)
+        calls = []
+        sample = MinEnergyControl.sample
+        monkeypatch.setattr(MinEnergyControl, "sample",
+                            lambda self, t: calls.append(len(t)) or sample(self, t))
+        verify_steering(prob, res)
+        assert calls == [513]
+
+    def test_control_of_another_order_is_sampled(self):
+        # the y = s^alpha rule holds only when the control's alpha is the
+        # system's; any other cusp control goes through the sampled path
+        A, B = np.array([[0.0, 1.0], [-0.5, -0.2]]), np.array([[0.0], [1.0]])
+        sys = FracSystem(A, B, alpha=0.5)
+        u = MinEnergyControl(A, B, 0.7, 1.0, np.array([1.0, -0.5]))
+        grid = TimeGrid(0.0, 1.0, 2048)
+        x = simulate(sys, np.zeros(2), u, grid).states[-1]
+        sampled = SampledControl(GridFunction(grid, u.sample(grid.nodes)))
+        want = simulate(sys, np.zeros(2), sampled, grid).states[-1]
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_moment_coefficients_bitwise(self):
+        # cached reciprocal-gamma rows over (k alpha + p alpha + 1) equal the
+        # elementwise reciprocal gamma they replaced, and so do the series
+        A, B = np.array([[-0.6, 2.5], [0.0, 0.4]]), np.array([[0.3], [1.0]])
+        for alpha in (0.3, 0.5, 0.7, 0.9, 1.0):
+            old = [lambda k, p=p: _rgamma(k * alpha + alpha) / (k * alpha + p * alpha + 1.0)
+                   for p in range(3)]
+            new = _moment_coefs(alpha)
+            for j in range(32):
+                k = np.arange(16 * j, 16 * j + 16)
+                for c_new, c_old in zip(new, old):
+                    assert np.array_equal(c_new(k), c_old(k))
+            lags = np.arange(2049) * (5.0 / 2048)
+            got = _ml_series(A.T, alpha, new, lags, B.T, DEFAULT_POLICY)
+            want = _ml_series(A.T, alpha, old, lags, B.T, DEFAULT_POLICY)
+            assert np.array_equal(got, want)
 
 
 class TestResidual:
