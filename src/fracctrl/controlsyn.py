@@ -163,18 +163,21 @@ class RankData:
 
 @dataclass
 class SynthesisResult:
-    """A steering control plus its defect vector and modified energy."""
+    """A steering control plus its defect vector and modified energy, and the
+    quadrature that computed it (None for a closed form or a zero defect)."""
 
     control: ControlSignal
     f_T: np.ndarray
     energy: float
     method: str
     gramian: Optional[GramianResult] = None
+    energy_quad: Optional[QuadSettings] = None
 
 
 @dataclass
 class SteeringReport:
-    """verify_steering output; inaccuracy is reported, not raised."""
+    """verify_steering output; inaccuracy is reported, not raised.  For pinv and
+    rank-based synthesis ``energy_mismatch_rel`` is 0.0 (NaN if inf): no check."""
 
     terminal_error_abs: float
     terminal_error_rel: float
@@ -280,11 +283,6 @@ def kalman_rank(sys: FracSystem) -> RankData:
     return RankData(kalman=kal, rank=rank, K_blocks=K_blocks)
 
 
-def _steering_defect(sys: FracSystem, a: np.ndarray, b: np.ndarray, T: float,
-                     policy: SeriesPolicy) -> np.ndarray:
-    return state_transition(sys.A, sys.alpha, T, policy) @ a - b
-
-
 def _solve_spd(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Solve Q c = f for symmetric nonnegative Q: Cholesky Q = U^T U, then
     U^T y = f and U c = y, with a symmetric eigenvalue pseudo-solve
@@ -315,7 +313,7 @@ def synthesize_min_energy(
     """
     sys = prob.sys
     gram = gramian(sys, prob.T, quad, policy)
-    f = _steering_defect(sys, prob.a, prob.b, prob.T, policy)
+    f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
     if np.abs(f).max() == 0.0:
         control = MinEnergyControl(sys.A, sys.B, sys.alpha, prob.T,
                                    np.zeros(sys.n), policy)
@@ -348,13 +346,13 @@ def synthesize_pinv(
     if rankB < sys.n:
         raise RankDeficientB(f"rank B = {rankB} < n = {sys.n}; no right inverse")
     B_pinv = np.linalg.pinv(sys.B)
-    f = _steering_defect(sys, prob.a, prob.b, prob.T, policy)
+    f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
     v = -f
     control = PinvControl(sys.A, B_pinv, sys.alpha, prob.T, v, policy)
     if np.abs(f).max() == 0.0:
         return SynthesisResult(control, f, 0.0, "pinv", None)
     energy = modified_energy(control, sys.alpha, prob.T, quad)
-    return SynthesisResult(control, f, energy, "pinv", None)
+    return SynthesisResult(control, f, energy, "pinv", None, quad)
 
 
 def default_shaping_density(grid: TimeGrid, alpha: float) -> GridFunction:
@@ -404,7 +402,7 @@ def synthesize_rank_based(
         if abs(mass) < 1e-300:
             raise InvalidParams("phi must have nonzero integral")
         phi = GridFunction(grid, phi.values / mass)
-    f = _steering_defect(sys, prob.a, prob.b, prob.T, policy)
+    f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
     v = -f
     t = grid.nodes
     if np.abs(f).max() == 0.0:
@@ -421,7 +419,7 @@ def synthesize_rank_based(
         u_vals = u_vals + cur.values @ rd.K_blocks[j].T
     control = SampledControl(GridFunction(grid, u_vals))
     energy = modified_energy(control, sys.alpha, prob.T, quad)
-    return SynthesisResult(control, f, energy, "rank-based", None)
+    return SynthesisResult(control, f, energy, "rank-based", None, quad)
 
 
 def _energy_bounded(u: CuspControl, alpha: float, T: float, quad: QuadSettings) -> float:
@@ -524,7 +522,8 @@ def verify_steering(
     policy: SeriesPolicy = DEFAULT_POLICY,
 ) -> SteeringReport:
     """End-to-end certificate: simulate the synthesized control, measure the
-    terminal miss, recompute the energy by quadrature, and attach the Caputo
+    terminal miss, take the energy by quadrature (``result.energy``, synthesized
+    for ``prob``, when ``result.energy_quad == quad``), and attach the Caputo
     residual of the computed trajectory from the control samples simulate
     recorded.  Inaccuracy shows up as large numbers in the report; simulated
     states that overflow raise ``NonConvergence``."""
@@ -532,7 +531,8 @@ def verify_steering(
     traj = simulate(sys, prob.a, result.control, prob.grid, policy=policy)
     term_abs = float(np.abs(traj.states[-1] - prob.b).max())
     term_rel = term_abs / max(1.0, float(np.abs(prob.b).max()))
-    e_quad = modified_energy(result.control, sys.alpha, prob.T, quad)
+    e_quad = (result.energy if result.energy_quad == quad
+              else modified_energy(result.control, sys.alpha, prob.T, quad))
     mismatch = abs(e_quad - result.energy) / (1.0 + abs(result.energy))
     residual = _caputo_residual(sys, traj, traj.controls)
     return SteeringReport(

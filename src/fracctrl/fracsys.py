@@ -25,6 +25,7 @@ Equations*).
 
 from __future__ import annotations
 
+import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
@@ -231,7 +232,8 @@ def simulate(
     exactly and interior states are second order in the step.  The terminal
     state under a cusp control ending at T is integrated in y = s^alpha
     instead, exactly when w is quadratic in y.  ``NonConvergence`` is raised
-    when the states overflow.
+    when the states overflow.  Kernel work that u does not enter is kept for
+    the last (sys, grid, a, policy); ``states`` is always a new array.
     """
     a = _finite(a, "a")
     if a.shape != (sys.n,):
@@ -247,38 +249,67 @@ def simulate(
     uf = u.sample(grid.nodes)
     if uf.shape != (grid.steps + 1, sys.m):
         raise InvalidParams(f"control sample shape {uf.shape} does not match m={sys.m}")
-    At, Bt, alpha = sys.A.T, sys.B.T, sys.alpha
-    N, h = grid.steps, grid.h
-    lags = np.arange(N + 1) * h
-    cusp = isinstance(u, CuspControl) and u.alpha == alpha and abs(u.T - grid.t1) <= 1e-12 * grid.t1
-
-    # The kernel s^(alpha-1) E_{alpha,alpha}(A s^alpha) B has the
-    # antiderivatives G1(s) = s^alpha E_{alpha,alpha+1}(A s^alpha) B and
-    # G2(s) = s^(alpha+1) E_{alpha,alpha+2}(A s^alpha) B, kept transposed
-    # (lag, channel, state).  With D the first differences of G2 over h, the
-    # hat function at lag d*h integrates to D[d] - D[d-1] (D[-1] = 0), and
-    # the half hat at t = 0 to G1 - D, needed at the output lags only.
+    cusp = (isinstance(u, CuspControl) and u.alpha == sys.alpha
+            and abs(u.T - grid.t1) <= 1e-12 * grid.t1)
+    tab = _kernel_table(sys, grid, a, policy, cusp)
     with np.errstate(all="ignore"):
-        S = _ml_series(At, alpha, [alpha + 2.0, alpha + 1.0], lags, Bt, policy)
-        D = np.diff(S[0] * (lags ** (alpha + 1.0))[:, None, None], axis=0)
-        D /= h
-        first = S[1, 1:] * (lags[1:] ** alpha)[:, None, None]
-        first -= D
-        W = np.diff(D, axis=0, prepend=0.0)
-        del D, S
-        conv = np.zeros((N + 1, sys.n))
-        conv[1:] = uf[0] @ first
+        conv = np.zeros((grid.steps + 1, sys.n))
+        conv[1:] = uf[0] @ tab["first"]
         for c in range(sys.m):
-            conv[1:] += _fft_convolve(W[:, c], uf[1:, c, None])[:N]
-        x = _ml_series(At, alpha, 1.0, grid.nodes, a, policy)
-        states = x + conv
+            conv[1:] += _fft_convolve(tab["W"][:, c], uf[1:, c, None])[:grid.steps]
+        states = tab["x"] + conv
         if cusp:
-            states[-1] = x[-1] + _cusp_terminal(u, uf, grid.nodes, lags, At, Bt, policy)
+            states[-1] = tab["x"][-1] + _cusp_terminal(u, uf, grid, tab["F"])
     if not np.isfinite(states).all():
         raise NonConvergence("simulated states overflow")
     states[0] = a
     outputs = states @ sys.C.T if sys.C is not None else None
     return Trajectory(grid=grid, states=states, outputs=outputs, controls=uf)
+
+
+_TABLES: dict = {}  # simulate's most recent kernel table, {key: table}, under the lock
+_TABLES_LOCK = threading.Lock()
+
+
+def _kernel_table(sys: FracSystem, grid: TimeGrid, a: np.ndarray, policy: SeriesPolicy,
+                  moments: bool) -> dict:
+    """simulate's control-free work, read-only: hat weights ``W``, the half hat
+    ``first`` at t = 0, the free response ``x`` and, once a cusp control needs
+    them, the moments ``F``.  Keyed by value: arrays mutated in place miss."""
+    key = (sys.A.tobytes(), sys.A.shape, sys.B.tobytes(), sys.B.shape, sys.alpha, grid,
+           a.tobytes(), policy)
+    with _TABLES_LOCK:  # a miss: clear() (which returns None) drops the old table first
+        tab = _TABLES.get(key) or _TABLES.clear()
+    if tab is not None and ("F" in tab or not moments):
+        return tab
+    tab, At, Bt, alpha, N = dict(tab or {}), sys.A.T, sys.B.T, sys.alpha, grid.steps
+    lags = np.arange(N + 1) * grid.h
+    with np.errstate(all="ignore"):
+        if "x" not in tab:
+            # The kernel s^(alpha-1) E_{alpha,alpha}(A s^alpha) B has the
+            # antiderivatives G1(s) = s^alpha E_{alpha,alpha+1}(A s^alpha) B and
+            # G2(s) = s^(alpha+1) E_{alpha,alpha+2}(A s^alpha) B, kept transposed
+            # (lag, channel, state).  With D the first differences of G2 over h, the
+            # hat function at lag d*h integrates to D[d] - D[d-1] (D[-1] = 0), and
+            # the half hat at t = 0 to G1 - D, needed at the output lags only.
+            S = _ml_series(At, alpha, [alpha + 2.0, alpha + 1.0], lags, Bt, policy)
+            D = np.diff(S[0] * (lags ** (alpha + 1.0))[:, None, None], axis=0)
+            D /= grid.h
+            tab["first"] = S[1, 1:] * (lags[1:] ** alpha)[:, None, None]
+            tab["first"] -= D
+            tab["W"] = np.diff(D, axis=0, prepend=0.0)
+            del D, S
+            tab["x"] = _ml_series(At, alpha, 1.0, grid.nodes, a, policy)
+        if moments:
+            ends = np.append(np.arange(0, N, 2), N)
+            tab["F"] = _ml_series(At, alpha, _moment_coefs(alpha), lags[ends], Bt, policy)
+            tab["F"] *= (lags[ends] ** (np.arange(3)[:, None] * alpha + 1.0))[..., None, None]
+    for v in tab.values():
+        v.setflags(write=False)
+    with _TABLES_LOCK:
+        _TABLES.clear()
+        _TABLES[key] = tab  # a new dict: a table handed out never changes
+    return tab
 
 
 def _moment_coefs(alpha: float) -> list:
@@ -288,20 +319,17 @@ def _moment_coefs(alpha: float) -> list:
                                      k * alpha + p * alpha + 1.0) for p in range(3)]
 
 
-def _cusp_terminal(u: CuspControl, uf: np.ndarray, nodes: np.ndarray, lags: np.ndarray,
-                   At: np.ndarray, Bt: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
+def _cusp_terminal(u: CuspControl, uf: np.ndarray, grid: TimeGrid, F: np.ndarray) -> np.ndarray:
     """integral over [0, T] of B^T E_{alpha,alpha}(A^T s^alpha) w(s) ds from u
-    sampled as ``uf`` at ``nodes``, with w quadratic in y on each panel pair
+    sampled as ``uf`` on ``grid``, with w quadratic in y on each panel pair
     in Newton form (for odd N, the last panel's through its last three
-    nodes), against the exact moments, summed at the panel-pair ends only."""
+    nodes), against the exact moments ``F`` at the panel-pair ends."""
     # in lag order, divided by the same s as u.sample multiplied; w(0) directly
-    s = np.maximum(u.T - nodes[::-1], 0.0)
+    s = np.maximum(u.T - grid.nodes[::-1], 0.0)
     w = uf[::-1] / (s ** (1.0 - u.alpha))[:, None]
     w[0] = u.kernel_weight(np.zeros(1))[0]
-    y, N = lags ** u.alpha, lags.size - 1
+    y, N = (np.arange(grid.steps + 1) * grid.h) ** u.alpha, grid.steps
     ends = np.append(np.arange(0, N, 2), N)
-    F = _ml_series(At, u.alpha, _moment_coefs(u.alpha), lags[ends], Bt, policy)
-    F *= (lags[ends] ** (np.arange(3)[:, None] * u.alpha + 1.0))[:, :, None, None]
     n0 = np.minimum(ends[:-1], N - 2)
     y0, y1, y2 = y[n0, None], y[n0 + 1, None], y[n0 + 2, None]
     d1 = (w[n0 + 1] - w[n0]) / (y1 - y0)

@@ -17,9 +17,12 @@ Matrix series are summed in ordinary doubles, which is adequate at desk scale
 (series argument max-norms up to roughly 20), by one primitive that keeps the
 lags on the last, contiguous axis and returns ``s.shape + L.shape`` arrays.
 
-All functions are pure.  The only shared state is two ``lru_cache``s of
-reciprocal-gamma values (as Decimals and as floats), which are safe for
-concurrent callers.
+All functions are pure.  Shared state is immutable once built or swapped whole,
+so safe for concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and
+``_rgamma_floats`` (a race builds a row twice, bitwise the same) and
+``fraccalc._gauss`` (read-only Gauss rules); ``fracsys._TABLES`` (simulate's
+last kernel table of read-only arrays, swapped under a lock); ``_CTX``, whose
+settings never change (its status flags are set but never read).
 """
 
 from __future__ import annotations
@@ -247,6 +250,7 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     spow = np.ones(s.size)
     sa = s.ravel() ** alpha
     sa_max = float(sa.max(initial=0.0))
+    acol = float(np.abs(A).sum(axis=0).max())  # max|P A| <= max|P| acol
     spow_max = 1.0
     pmax = float(np.abs(P).max())
     bound = [0.0] * len(coef)
@@ -270,11 +274,14 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
             bound[i] += 2.0 * tnorm
         if not live:
             break
-        P = P @ A
+        if pmax * acol > 1e300 or spow_max * sa_max > 1e300:  # the next tnorm refuses an overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                P, spow = P @ A, np.multiply(spow, sa, out=spow)
+        else:
+            P, spow = P @ A, np.multiply(spow, sa, out=spow)
         pmax = float(np.abs(P).max())
         if not pmax:
             break
-        spow *= sa
         spow_max = spow_max * sa_max
     else:
         raise NonConvergence(

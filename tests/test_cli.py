@@ -4,6 +4,9 @@ deterministic artifacts, and the synthesize/simulate round trip."""
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,6 +18,15 @@ from hypothesis import strategies as st
 from fracctrl import (FracSystem, MinEnergyControl, TimeGrid, caputo_residual,
                       control_from_dict, simulate)
 from fracctrl.cli import _example2_energy, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(args, **kw):
+    """``python`` with ``args`` in a fresh process that imports this checkout."""
+    env = {**os.environ, "PYTHONPATH": SRC, **kw.pop("env", {})}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=env, **kw)
 
 
 CHAIN = {"alpha": 0.5, "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]}
@@ -53,6 +65,12 @@ class TestMl:
         got = np.array([[float(v) for v in row.split()] for row in rows])
         assert np.allclose(got, [[1.0, 2.0 / np.sqrt(np.pi)], [0.0, 1.0]], rtol=1e-12)
 
+    def test_matrix_overflow_prints_only_the_failure(self):
+        # numpy's overflow warning from the series step never reaches stderr
+        out = run_cli(["-m", "fracctrl.cli", "ml", "--alpha", "0.5", "--A", "[[-10]]", "--t", "1"])
+        assert out.returncode == 3 and out.stdout == ""
+        assert out.stderr == "numeric failure: NonConvergence: Mittag-Leffler matrix series terms overflow\n"
+
     def test_usage_error(self, capsys):
         assert main(["ml", "--alpha", "1"]) == 2
 
@@ -70,6 +88,17 @@ class TestMl:
     def test_non_finite_order_is_input_error(self, capsys, orders):
         assert main(["ml", *orders, "--z", "1"]) == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+
+class TestImport:
+    def test_import_is_silent_and_writes_nothing(self, tmp_path):
+        # importing the CLI does no work that could warn, print or leave a file
+        before = sorted(Path(SRC).rglob("*"))
+        out = run_cli(["-W", "error", "-c", "import fracctrl.cli"], cwd=tmp_path,
+                      env={"HOME": str(tmp_path), "TMPDIR": str(tmp_path),
+                           "PYTHONDONTWRITEBYTECODE": "1"})
+        assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+        assert list(tmp_path.iterdir()) == [] and sorted(Path(SRC).rglob("*")) == before
 
 
 class TestSimulate:

@@ -1,6 +1,8 @@
 """Synthesis tests: Gramian closed forms, rank analysis, the three steering
 laws, energy identities, minimality, and export round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -452,6 +454,68 @@ class TestVerifySteering:
         res = synthesize_min_energy(prob)
         rep = verify_steering(prob, res)
         assert rep.terminal_error_abs <= 1e-3
+
+
+class TestEnergyReuse:
+    """verify_steering reuses a synthesized energy only when the same
+    quadrature computed it; the report is bitwise that of recomputing."""
+
+    @staticmethod
+    def count_energy(monkeypatch):
+        calls = []
+        energy = controlsyn.modified_energy
+        monkeypatch.setattr(controlsyn, "modified_energy",
+                            lambda *args: calls.append(args) or energy(*args))
+        return calls
+
+    @staticmethod
+    def same(r1, r2):
+        return all(x == y or (x != x and y != y)  # NaN equals NaN here
+                   for x, y in zip(dataclasses.astuple(r1), dataclasses.astuple(r2)))
+
+    @pytest.mark.parametrize("synth, alpha", [(synthesize_pinv, 0.6), (synthesize_rank_based, 0.6),
+                                              (synthesize_rank_based, 0.5)])
+    def test_report_equals_recomputing_path(self, monkeypatch, synth, alpha):
+        # alpha = 1/2: the rank-based control does not vanish at T, so its
+        # energy is inf and the mismatch NaN on both paths
+        sys = FracSystem([[-0.6, 2.5], [0.0, 0.4]], [[0.3, 0.0], [1.0, -0.8]], alpha=alpha)
+        prob = problem(sys, [1.0, -0.5], [-0.2, 0.4], 2.0, steps=512)
+        res = synth(prob)
+        assert res.energy_quad == DEFAULT_QUAD
+        calls = self.count_energy(monkeypatch)
+        got = verify_steering(prob, res)
+        assert calls == []
+        want = verify_steering(prob, dataclasses.replace(res, energy_quad=None))
+        assert len(calls) == 1 and self.same(got, want)
+        if alpha == 0.5:
+            assert np.isinf(got.energy_reported) and np.isnan(got.energy_mismatch_rel)
+        else:
+            assert got.energy_mismatch_rel == 0.0
+
+    def test_other_quadrature_recomputes(self, monkeypatch, scalar_system):
+        prob = problem(scalar_system(0.5), [0.0], [1.0], 1.0, steps=256)
+        res = synthesize_pinv(prob)
+        calls = self.count_energy(monkeypatch)
+        quad = QuadSettings(rel_tol=1e-10)
+        rep = verify_steering(prob, res, quad)
+        assert len(calls) == 1 and calls[0][3] == quad
+        assert rep.energy_quadrature == modified_energy(res.control, 0.5, 1.0, quad)
+
+    def test_min_energy_recomputes(self, monkeypatch, example1_system):
+        prob = problem(example1_system, [1.0, 0.0], [0.0, 0.0], 2.0, steps=512)
+        res = synthesize_min_energy(prob)
+        assert res.energy_quad is None
+        calls = self.count_energy(monkeypatch)
+        verify_steering(prob, res)
+        assert len(calls) == 1
+
+    def test_zero_defect_recomputes(self, monkeypatch, scalar_system):
+        prob = problem(scalar_system(0.5), [0.5], [0.5], 1.0, steps=64)
+        res = synthesize_pinv(prob)
+        assert res.energy == 0.0 and res.energy_quad is None
+        calls = self.count_energy(monkeypatch)
+        assert verify_steering(prob, res).energy_quadrature == 0.0
+        assert len(calls) == 1
 
 
 class TestMinimality:

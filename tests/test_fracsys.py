@@ -2,6 +2,8 @@
 the residual certificate, and CSV round trips."""
 
 import io
+from concurrent.futures import ThreadPoolExecutor
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from fracctrl import (
     GridFunction,
     InvalidParams,
     MinEnergyControl,
+    NonConvergence,
     PinvControl,
     SampledControl,
     SteeringProblem,
@@ -30,6 +33,7 @@ from fracctrl import (
     trajectory_to_csv,
     verify_steering,
 )
+from fracctrl import fracsys
 from fracctrl.fracsys import _moment_coefs
 from fracctrl.mlkernel import _ml_series, _rgamma
 
@@ -308,6 +312,128 @@ class TestCuspTerminal:
             got = _ml_series(A.T, alpha, new, lags, B.T, DEFAULT_POLICY)
             want = _ml_series(A.T, alpha, old, lags, B.T, DEFAULT_POLICY)
             assert np.array_equal(got, want)
+
+
+def _steering_case(alpha=0.6, steps=512):
+    """A rank-B = n problem with its min-energy, pinv and sampled controls."""
+    A, B = np.array([[-0.6, 2.5], [0.0, 0.4]]), np.array([[0.3, 0.0], [1.0, -0.8]])
+    sys = FracSystem(A, B, C=np.array([[1.0, -1.0]]), alpha=alpha)
+    grid = TimeGrid(0.0, 2.0, steps)
+    prob = SteeringProblem(sys, np.array([1.0, -0.5]), np.array([-0.2, 0.4]), 2.0, grid)
+    me, pi = synthesize_min_energy(prob), synthesize_pinv(prob)
+    sampled = SampledControl(GridFunction(grid, me.control.sample(grid.nodes) * 0.5))
+    return prob, {"min-energy": me.control, "pinv": pi.control, "sampled": sampled}
+
+
+def _same_trajectory(t1, t2):
+    return all(np.array_equal(getattr(t1, f), getattr(t2, f))
+               for f in ("states", "outputs", "controls"))
+
+
+class TestKernelTable:
+    def cold(self, prob, u, sys=None, a=None):
+        fracsys._TABLES.clear()
+        return simulate(sys or prob.sys, prob.a if a is None else a, u, prob.grid)
+
+    @pytest.mark.parametrize("order", [("min-energy", "pinv", "sampled"),
+                                       ("sampled", "pinv", "min-energy"),
+                                       ("sampled", "min-energy", "sampled", "pinv")])
+    def test_warm_equals_cold(self, order):
+        prob, controls = _steering_case()
+        want = {name: self.cold(prob, u) for name, u in controls.items()}
+        fracsys._TABLES.clear()
+        for name in order:
+            got = simulate(prob.sys, prob.a, controls[name], prob.grid)
+            assert _same_trajectory(got, want[name])
+
+    def test_warm_verify_equals_cold(self):
+        prob, _ = _steering_case()
+        results = [synthesize_min_energy(prob), synthesize_pinv(prob)]
+        want = []
+        for res in results:
+            fracsys._TABLES.clear()
+            want.append(verify_steering(prob, res))
+        fracsys._TABLES.clear()
+        assert [verify_steering(prob, res) for res in results] == want
+        assert [verify_steering(prob, res) for res in results[::-1]] == want[::-1]
+
+    def test_moments_added_once_and_kernel_reused(self, monkeypatch):
+        prob, controls = _steering_case()
+        fracsys._TABLES.clear()
+        simulate(prob.sys, prob.a, controls["sampled"], prob.grid)
+        kinds = []
+        series = fracsys._ml_series
+
+        def counted(A, alpha, beta, *args):
+            kinds.append("moments" if isinstance(beta, list) and callable(beta[0])
+                         else "kernel" if isinstance(beta, list) else "single")
+            return series(A, alpha, beta, *args)
+
+        monkeypatch.setattr(fracsys, "_ml_series", counted)
+        simulate(prob.sys, prob.a, controls["min-energy"], prob.grid)
+        # the control's samples and w(0); the moments once; no D/G1 kernel
+        assert sorted(kinds) == ["moments", "single", "single"]
+        kinds.clear()
+        simulate(prob.sys, prob.a, controls["pinv"], prob.grid)
+        simulate(prob.sys, prob.a, controls["sampled"], prob.grid)
+        assert kinds == []
+
+    def test_in_place_mutation_misses(self):
+        # the key holds the values, not the arrays: a caller mutating a or A
+        # in place between calls gets a fresh table, never a stale one
+        prob, controls = _steering_case()
+        u = controls["sampled"]
+        sys = FracSystem(prob.sys.A.copy(), prob.sys.B, alpha=prob.sys.alpha)
+        a = prob.a.copy()
+        before = simulate(sys, a, u, prob.grid)
+        a[0] += 0.25
+        got = simulate(sys, a, u, prob.grid)
+        assert not np.array_equal(got.states, before.states)
+        assert _same_trajectory(got, self.cold(prob, u, sys, a))
+        sys.A[0, 1] -= 0.5
+        prev, got = got, simulate(sys, a, u, prob.grid)
+        assert not np.array_equal(got.states[1:], prev.states[1:])
+        assert _same_trajectory(got, self.cold(prob, u, sys, a))
+
+    def test_states_are_not_the_table(self):
+        prob, controls = _steering_case()
+        for u in controls.values():
+            want = self.cold(prob, u)
+            simulate(prob.sys, prob.a, u, prob.grid).states[:] = 7.0
+            assert _same_trajectory(simulate(prob.sys, prob.a, u, prob.grid), want)
+        for arr in next(iter(fracsys._TABLES.values())).values():
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_table_is_not_kept(self):
+        sys = FracSystem(50.0 * np.eye(2), np.eye(2), alpha=0.5)
+        grid = TimeGrid(0.0, 1.0, 64)
+        u = constant_control(grid, [1.0, 0.0])
+        for _ in range(2):
+            with pytest.raises(NonConvergence):
+                simulate(sys, np.ones(2), u, grid)
+            assert fracsys._TABLES == {}
+
+    def test_threads_match_serial(self):
+        cases = [_steering_case(alpha, steps) for alpha, steps in
+                 ((0.6, 512), (0.6, 256), (0.35, 512), (0.9, 384))]
+
+        def run(case):
+            prob, controls = case
+            return [simulate(prob.sys, prob.a, controls[name], prob.grid)
+                    for _ in range(4) for name in ("sampled", "min-energy", "pinv")]
+
+        want = [run(case) for case in cases]
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)  # switch threads between lookup, build and store
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = [f.result(timeout=120) for f in [pool.submit(run, c) for c in cases]]
+        finally:
+            setswitchinterval(interval)
+        for g, w in zip(got, want):
+            assert all(_same_trajectory(x, y) for x, y in zip(g, w))
 
 
 class TestResidual:

@@ -292,6 +292,15 @@ class TestSeriesPrimitive:
                 _ml_series(A, 0.5, 1.0, s, np.eye(2), policy)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A, s", [([[-10.0]], [1.0]), ([[1.0]], [1e200])])
+    def test_overflowing_step_refused_without_warning(self, A, s):
+        # the step ahead (L A^k, then s^(k alpha)) overflows before the terms
+        # fall; the next term's norm refuses it, and numpy stays silent
+        with pytest.raises(NonConvergence) as got:
+            _ml_series(np.array(A), 0.5, 1.0, np.array(s), np.eye(1), DEFAULT_POLICY)
+        assert str(got.value) == "Mittag-Leffler matrix series terms overflow"
+
 
 class TestRgammaFloat:
     def test_matches_scipy(self):
