@@ -91,30 +91,31 @@ __all__ = [
 # i.e. the system as practically uncontrollable
 SINGULAR_GRAMIAN_RCOND = 1e-10
 
+# the most levels a graded quadrature starts with, and the most it deepens from
+_MAX_LEVELS = 44
+
 
 @dataclass(frozen=True)
 class QuadSettings:
     """Composite Gauss-Legendre quadrature with geometric panel grading.
 
-    ``levels`` panels shrink by ratio 1/2 toward s = 0 (toward both ends for
-    non-cusp energies); nested adaptivity adds levels until two successive
-    gradings agree to ``rel_tol`` (relative, max-norm), else ``NonConvergence``.
+    ``levels`` panels (1 to 44) shrink by ratio 1/2 toward s = 0; nested
+    adaptivity adds 4 levels at a time, as long as the grading has at most
+    44, until two successive gradings agree to ``rel_tol`` (relative,
+    max-norm), else ``NonConvergence``.
     """
 
     rel_tol: float = 1e-11
     levels: int = 12
     order: int = 16
-    max_levels: int = 44
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise InvalidParams(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.order < 1:
             raise InvalidParams(f"order must be >= 1, got {self.order}")
-        if not (1 <= self.levels <= self.max_levels):
-            raise InvalidParams(
-                f"levels must lie in [1, max_levels={self.max_levels}], got {self.levels}"
-            )
+        if not (1 <= self.levels <= _MAX_LEVELS):
+            raise InvalidParams(f"levels must lie in [1, {_MAX_LEVELS}], got {self.levels}")
 
 
 DEFAULT_QUAD = QuadSettings()
@@ -204,23 +205,21 @@ def graded_gauss_rule(T: float, levels: int, order: int, both_ends: bool):
     return (mid[:, None] + rad[:, None] * xg).ravel(), (rad[:, None] * wg).ravel()
 
 
-def _adaptive_graded(f, T: float, quad: QuadSettings, both_ends: bool, what: str):
-    """Graded Gauss-Legendre quadrature over [0, T], deepened by 4 levels at a
-    time until two successive gradings agree to ``quad.rel_tol`` relative in
-    max norm; returns (value, that relative change).  ``f(s)`` is the
-    integrand at the nodes s, stacked on the first axis.  A deepening splits
-    the innermost panel at each graded end into 5; the other panels keep
-    their nodes bitwise (edges T 2^-j), so f sees each node once."""
+def _adaptive_graded(f, T: float, quad: QuadSettings, what: str):
+    """Gauss-Legendre quadrature over [0, T] graded toward s = 0, deepened by
+    4 levels at a time until two successive gradings agree to
+    ``quad.rel_tol`` relative in max norm; returns (value, that relative
+    change).  ``f(s)`` is the integrand at the nodes s, stacked on the first
+    axis.  A deepening splits the innermost panel into 5; the other panels
+    keep their nodes bitwise (edges T 2^-j), so f sees each node once."""
     lv, k = quad.levels, quad.order
-    s, w = graded_gauss_rule(T, lv, k, both_ends)
+    s, w = graded_gauss_rule(T, lv, k, False)
     F = f(s)
     v0 = np.einsum("s,s...->...", w, F)
-    while lv <= quad.max_levels:
+    while lv <= _MAX_LEVELS:
         lv += 4
-        s, w = graded_gauss_rule(T, lv, k, both_ends)
-        c = 5 * k
-        new = f(np.concatenate([s[:c], s[-c:]]) if both_ends else s[:c])
-        F = np.concatenate([new[:c], F[k:len(F) - k * both_ends], new[c:]])
+        s, w = graded_gauss_rule(T, lv, k, False)
+        F = np.concatenate([f(s[:5 * k]), F[k:]])
         v1 = np.einsum("s,s...->...", w, F)
         if not np.isfinite(v1).all():
             raise NonConvergence(f"{what} quadrature overflows")
@@ -230,7 +229,7 @@ def _adaptive_graded(f, T: float, quad: QuadSettings, both_ends: bool, what: str
         v0 = v1
     raise NonConvergence(
         f"{what} quadrature did not reach rel_tol={quad.rel_tol} within "
-        f"{quad.max_levels} grading levels"
+        f"{_MAX_LEVELS} grading levels"
     )
 
 
@@ -244,8 +243,9 @@ def gramian(
 
     The neutralizer is cancelled analytically, so the integrand evaluated is
     the bounded E B B* E* product; ``quad_err`` is the change under the last
-    panel-deepening step.  Raises ``NonConvergence`` if grading to
-    ``quad.max_levels`` never meets ``quad.rel_tol``.
+    panel-deepening step.  Raises ``NonConvergence`` if no grading deepened
+    from at most 44 levels meets ``quad.rel_tol``, and ``InvalidParams``
+    unless T > 0.
     """
     if not T > 0.0:
         raise InvalidParams(f"horizon must be positive, got {T}")
@@ -254,7 +254,7 @@ def gramian(
         G = ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s, policy) @ sys.B
         return np.einsum("sij,skj->sik", G, G)
 
-    Q, err = _adaptive_graded(integrand, T, quad, False, "gramian")
+    Q, err = _adaptive_graded(integrand, T, quad, "gramian")
     Q = 0.5 * (Q + Q.T)
     ev = np.linalg.eigvalsh(Q)
     rcond = float(max(ev.min(), 0.0) / ev.max()) if ev.max() > 0.0 else 0.0
@@ -431,17 +431,13 @@ def _energy_bounded(u: CuspControl, alpha: float, T: float, quad: QuadSettings) 
         W = u.kernel_weight(s)
         return np.einsum("sj,sj->s", W, W)
 
-    return float(_adaptive_graded(integrand, T, quad, False, "energy")[0])
+    return float(_adaptive_graded(integrand, T, quad, "energy")[0])
 
 
-def _power_moment(e: float, s0: float, s1: float) -> float:
-    """integral of s^e over [s0, s1] with the log and divergent cases."""
-    if e == -1.0:
-        return math.inf if s0 == 0.0 else math.log(s1 / s0)
+def _power_moment(e: float, s1: float) -> float:
+    """integral of s^e over [0, s1]; ``inf`` where it diverges (e <= -1)."""
     p = e + 1.0
-    if s0 == 0.0:
-        return s1**p / p if p > 0.0 else math.inf
-    return (s1**p - s0**p) / p
+    return s1**p / p if p > 0.0 else math.inf
 
 
 def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
@@ -463,10 +459,10 @@ def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
     s1 = snodes[1]
     u0, u1 = vals[0], vals[1]
     a1 = (u1 - u0) / s1
-    total = float(a1 @ a1) * _power_moment(e + 2.0, 0.0, s1)
+    total = float(a1 @ a1) * _power_moment(e + 2.0, s1)
     if np.abs(u0).max() != 0.0:
-        total += (float(u0 @ u0) * _power_moment(e, 0.0, s1)
-                  + 2.0 * float(u0 @ a1) * _power_moment(e + 1.0, 0.0, s1))
+        total += (float(u0 @ u0) * _power_moment(e, s1)
+                  + 2.0 * float(u0 @ a1) * _power_moment(e + 1.0, s1))
     if not np.isfinite(total):
         return math.inf
 
@@ -488,31 +484,20 @@ def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
     return total
 
 
-def _energy_pointwise(u: ControlSignal, alpha: float, T: float, quad: QuadSettings) -> float:
-    """Fallback for other controls: graded Gauss-Legendre on the raw weighted
-    integrand."""
-
-    def integrand(s):
-        vals = u.sample(T - s)
-        return (s ** (2.0 * (alpha - 1.0))) * np.einsum("sj,sj->s", vals, vals)
-
-    return float(_adaptive_graded(integrand, T, quad, True, "energy")[0])
-
-
 def modified_energy(
     u: ControlSignal, alpha: float, T: float, quad: QuadSettings = DEFAULT_QUAD
 ) -> float:
     """The weighted energy functional  integral_0^T |(T-t)^(alpha-1) u(t)|^2 dt.
 
     Cusp controls expose a bounded neutralized integrand, graded toward
-    T - t = 0 only; sampled controls are product-integrated exactly per panel;
-    anything else falls back to pointwise quadrature graded toward both ends.
+    T - t = 0; sampled controls are product-integrated exactly per panel.  Any
+    other control raises ``InvalidParams``.
     """
     if isinstance(u, CuspControl):
         return _energy_bounded(u, alpha, T, quad)
     if isinstance(u, SampledControl):
         return _energy_sampled(u, alpha, T)
-    return _energy_pointwise(u, alpha, T, quad)
+    raise InvalidParams(f"no energy rule for control of type {type(u).__name__}")
 
 
 def verify_steering(
@@ -545,12 +530,11 @@ def verify_steering(
     )
 
 
-def synthesis_to_dict(result: SynthesisResult, sys: FracSystem, T: float,
-                      n_samples: int = 200) -> dict:
+def synthesis_to_dict(result: SynthesisResult, sys: FracSystem, T: float) -> dict:
     """JSON-ready document for a synthesis result: method, defect, energy,
-    Gramian data when present, a sampled control table, and the parameters
-    needed to reconstruct the control exactly."""
-    ts = np.linspace(0.0, T, n_samples + 1)
+    Gramian data when present, the control sampled at 201 equispaced times,
+    and the parameters needed to reconstruct the control exactly."""
+    ts = np.linspace(0.0, T, 201)
     table = result.control.sample(ts)
     doc = {
         "method": result.method,

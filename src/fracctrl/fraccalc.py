@@ -31,10 +31,8 @@ __all__ = [
     "TimeGrid",
     "GridFunction",
     "frac_integral_left",
-    "frac_integral_right",
     "rl_derivative_left",
     "caputo_derivative",
-    "rl_compose",
     "singular_convolution",
 ]
 
@@ -157,13 +155,6 @@ def frac_integral_left(f: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(f.grid, _frac_integral_values(f.values, alpha, f.grid.h))
 
 
-def frac_integral_right(f: GridFunction, alpha: float) -> GridFunction:
-    """Right-sided fractional integral: mirror image of the left one, zero at
-    the grid end."""
-    rev = frac_integral_left(GridFunction(f.grid, f.values[::-1]), alpha)
-    return GridFunction(f.grid, rev.values[::-1].copy())
-
-
 def rl_derivative_left(f: GridFunction, alpha: float) -> GridFunction:
     """Riemann-Liouville derivative of order alpha in (0, 1):
     d/dt of the (1-alpha)-integral, differentiated by centered differences
@@ -204,22 +195,6 @@ def caputo_derivative(f: GridFunction, alpha: float) -> GridFunction:
     out = np.zeros((N + 1, df.shape[1]))
     out[1:] = _fft_convolve(b[:, None], df)[:N] * (_rgamma(2.0 - alpha) / h**alpha)
     return GridFunction(f.grid, out.reshape(vals.shape))
-
-
-def rl_compose(f: GridFunction, alpha: float, j: int) -> GridFunction:
-    """j-fold composition of the Riemann-Liouville derivative of order alpha.
-
-    j = 0 returns f unchanged; each step stays on the same grid without
-    re-smoothing, so accuracy drops with every application.
-    """
-    if j < 0:
-        raise InvalidOrder(f"composition count must be >= 0, got {j}")
-    if j > 0:
-        _check_unit_order(alpha)
-    out = GridFunction(f.grid, f.values.copy())
-    for _ in range(j):
-        out = rl_derivative_left(out, alpha)
-    return out
 
 
 def singular_convolution(

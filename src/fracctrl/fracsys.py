@@ -48,7 +48,6 @@ __all__ = [
     "simulate",
     "caputo_residual",
     "trajectory_to_csv",
-    "trajectory_from_csv",
 ]
 
 @dataclass(frozen=True)
@@ -392,12 +391,3 @@ def trajectory_to_csv(traj: Trajectory, out) -> None:
         fh.write(",".join(header) + "\n")
         for row in np.hstack(cols):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def trajectory_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back a trajectory CSV; returns (t, x) arrays (outputs ignored)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    ncols = sum(1 for name in header if name.startswith("x"))
-    return data[:, 0], data[:, 1 : 1 + ncols]

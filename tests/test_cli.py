@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracctrl import (FracSystem, MinEnergyControl, TimeGrid, caputo_residual,
-                      control_from_dict, simulate)
-from fracctrl.cli import _example2_energy, main
+from fracctrl import (FracSystem, MLParams, MinEnergyControl, TimeGrid, caputo_residual,
+                      control_from_dict, ml_matrix, simulate)
+from fracctrl.cli import _ML_PRINT_POLICY, _example2_energy, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+EXAMPLE1_PATH = str(Path(__file__).resolve().parents[1] / "docs" / "example1.json")
 
 
 def run_cli(args, **kw):
@@ -31,6 +32,11 @@ def run_cli(args, **kw):
 
 CHAIN = {"alpha": 0.5, "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]}
 STEERING = {"a": [1.0, 0.0], "b": [0.0, 0.0], "T": 10.0}
+
+
+def one_line_input_error(err):
+    """True for a single ``input error:`` line on stderr, with no traceback."""
+    return err.startswith("input error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def write_problem(path, **overrides):
@@ -78,6 +84,26 @@ class TestMl:
         assert main(["ml", "--alpha", "0.5", "--A", "{}", "--t", "1"]) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("args, message", [
+        (["--sin"], "--sin/--cos need --t"),
+        (["--A", "not json", "--t", "1"], "--A must be a JSON matrix"),
+        (["--A", "[[1]]"], "matrix evaluation needs --t"),
+    ])
+    def test_incomplete_mode_is_input_error(self, capsys, args, message):
+        assert main(["ml", "--alpha", "0.5", *args]) == 2
+        err = capsys.readouterr().err
+        assert one_line_input_error(err) and message in err
+
+    def test_general_matrix_mode(self, capsys):
+        # E_{alpha,beta}(A t^alpha) with the --beta given, row by row
+        rc = main(["ml", "--alpha", "0.6", "--beta", "1.2", "--A", "[[0.1,0.2],[-0.3,0.4]]",
+                   "--t", "2"])
+        assert rc == 0
+        A = np.array([[0.1, 0.2], [-0.3, 0.4]])
+        want = ml_matrix(MLParams(0.6, 1.2), A * 2.0**0.6, _ML_PRINT_POLICY)
+        assert capsys.readouterr().out == "".join(
+            " ".join(f"{v:.15g}" for v in row) + "\n" for row in want)
+
     @pytest.mark.parametrize("z", ["nan", "inf"])
     def test_non_finite_argument_is_numeric_failure(self, capsys, z):
         assert main(["ml", "--alpha", "0.5", "--z", z]) == 3
@@ -99,6 +125,18 @@ class TestImport:
                            "PYTHONDONTWRITEBYTECODE": "1"})
         assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
         assert list(tmp_path.iterdir()) == [] and sorted(Path(SRC).rglob("*")) == before
+
+    @pytest.mark.parametrize("cmd", ["ml", "simulate", "synthesize", "reproduce"])
+    def test_commands_run_clean_under_warnings_as_errors(self, tmp_path, cmd):
+        # the package and its star-imported names load and run in a fresh process
+        args = {
+            "ml": ["--alpha", "0.6", "--beta", "1.2", "--A", "[[0.1,0.2],[-0.3,0.4]]", "--t", "1"],
+            "simulate": [write_problem(tmp_path / "p.json")],  # a constant control
+            "synthesize": [EXAMPLE1_PATH, "--method", "rank"],
+            "reproduce": ["--example", "2"],
+        }[cmd]
+        out = run_cli(["-W", "error", "-m", "fracctrl.cli", cmd, *args])
+        assert (out.returncode, out.stderr) == (0, "") and out.stdout
 
 
 class TestSimulate:
@@ -153,12 +191,44 @@ class TestSimulate:
         # B and C are 2-D matrices
         ("system", {**CHAIN, "B": 1}), ("system", {**CHAIN, "B": [[[0.0]], [[1.0]]]}),
         ("system", {**CHAIN, "C": [[[0.0], [1.0]]]}),
+        # no control, an unknown type, a constant that is not numeric or not m long
+        ("control", None), ("control", {"type": "ramp"}),
+        ("control", {"type": "constant", "value": [{}]}),
+        ("control", {"type": "constant", "value": ["a"]}),
+        ("control", {"type": "constant", "value": [1.0, 2.0]}),
     ])
     def test_malformed_blocks_rejected(self, tmp_path, capsys, block, value):
         pf = write_problem(tmp_path / "p.json", **{block: value})
         assert main(["simulate", pf]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("content, message", [
+        ("{not json", "problem file is not valid JSON"),
+        ("", "problem file is not valid JSON"),
+        ("[1, 2]", "problem file must be a JSON object"),
+        ("5", "problem file must be a JSON object"),
+    ])
+    def test_problem_file_not_a_json_object(self, tmp_path, capsys, content, message):
+        pf = tmp_path / "p.json"
+        pf.write_text(content)
+        assert main(["simulate", str(pf)]) == 2
+        err = capsys.readouterr().err
+        assert one_line_input_error(err) and message in err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("t,u1,u2\n" + "".join(f"{t},1,2\n" for t in (0.0, 5.0, 10.0)), "1+1 columns"),
+        ("t,u1\n" + "".join(f"{t},1\n" for t in (0.0, 2.0, 5.0, 10.0)), "uniform grid"),
+        ("t,u1\n0.0,1\n10.0,1\n", "uniform grid"),
+    ])
+    def test_malformed_control_csv_rejected(self, tmp_path, capsys, rows, message):
+        csvp = tmp_path / "ctrl.csv"
+        csvp.write_text(rows)
+        pf = write_problem(tmp_path / "p.json", control={"type": "csv", "path": str(csvp)})
+        assert main(["simulate", pf]) == 2
+        err = capsys.readouterr().err
+        assert one_line_input_error(err) and message in err
 
     @pytest.mark.filterwarnings("error")
     def test_malformed_synthesis_document_rejected(self, tmp_path, capsys):
@@ -312,6 +382,31 @@ class TestSynthesize:
                             if l.startswith("modified energy")).split(":")[1])
         assert energy == 0.0
 
+    def test_unknown_method_rejected(self, tmp_path, capsys):
+        pf = write_problem(tmp_path / "p.json", method="bang-bang")
+        assert main(["synthesize", pf]) == 2
+        err = capsys.readouterr().err
+        assert one_line_input_error(err) and "unknown method 'bang-bang'" in err
+
+    def test_pinv_document_feeds_simulate(self, tmp_path, capsys):
+        # rank B = n: the exported pinv control, read back, ends bit for bit
+        # at the terminal state that verification measured
+        square = {"system": {"alpha": 0.6, "A": [[-0.6, 2.5], [0.0, 0.4]],
+                             "B": [[0.3, 0.0], [1.0, -0.8]]},
+                  "steering": {"a": [1.0, -0.5], "b": [-0.2, 0.4], "T": 2.0}}
+        pf = write_problem(tmp_path / "p.json", **square)
+        ctrl = tmp_path / "ctrl.json"
+        assert main(["synthesize", pf, "--method", "pinv", "--out", str(ctrl)]) == 0
+        doc = json.loads(ctrl.read_text())
+        assert doc["control"]["type"] == "pinv"
+        pf2 = write_problem(tmp_path / "p2.json", **square,
+                            control={"type": "synthesized", "path": str(ctrl)})
+        capsys.readouterr()
+        assert main(["simulate", pf2]) == 0
+        x = [float(v) for v in capsys.readouterr().out.splitlines()[0].split(":")[1].split()]
+        miss = max(abs(xi - bi) for xi, bi in zip(x, [-0.2, 0.4]))
+        assert miss == doc["report"]["terminal_error_abs"]
+
     def test_singular_gramian_numeric_exit(self, tmp_path):
         pf = write_problem(
             tmp_path / "p.json",
@@ -390,6 +485,23 @@ class TestReproduce:
     def test_example_3(self, capsys):
         assert main(["reproduce", "--example", "3"]) == 0
         assert "ALL PASS" in capsys.readouterr().out
+
+    def test_example_2_printed(self, capsys):
+        # the energies themselves are pinned by test_example_2_energies
+        assert main(["reproduce", "--example", "2"]) == 0
+        m = _example2_energy()
+        assert capsys.readouterr().out.splitlines() == [
+            "worked example 2: rotation system, alpha = 1/2, T = 10, steer (0,1) -> 0",
+            f"  minimal energy (exact kernels): {m:.15g}",
+            "  published reference value:      0.0911",
+            f"  [FAIL] |m - 0.0911| = {abs(m - 0.0911):.4f} (tol 5e-3)",
+            "  note: the reference is a four-digit figure from the original",
+            "  truncation-sequence table, which is not reproducible from the",
+            "  published formulas; see README for the discrepancy analysis.",
+            "  cosine-truncation trend (reported without pass/fail; the printed",
+            "  truncation formula carries a suspected exponent typo):",
+            *(f"    L={L:2d}: m_L = {_example2_energy(L):.15g}" for L in (1, 11, 12)),
+        ]
 
     @pytest.mark.parametrize("L, want", [
         (None, 0.143264167448282), (1, 0.14485070406006),

@@ -2,6 +2,7 @@
 laws, energy identities, minimality, and export round trips."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,9 +12,13 @@ from scipy.special import gamma
 
 from fracctrl import (
     DEFAULT_QUAD,
+    ControlSignal,
+    DomainError,
     FracSystem,
     GridFunction,
+    InvalidOrder,
     InvalidParams,
+    NonConvergence,
     PinvControl,
     QuadSettings,
     RankDeficient,
@@ -50,6 +55,15 @@ def example1_gramian(T):
         [T**2 / 2.0, 2.0 * T**1.5 / (3.0 * np.sqrt(np.pi))],
         [2.0 * T**1.5 / (3.0 * np.sqrt(np.pi)), T / np.pi],
     ])
+
+
+class Ramp(ControlSignal):
+    """u(t) = t: a control that is neither a cusp nor a sampled one."""
+
+    m = 1
+
+    def sample(self, times):
+        return np.asarray(times, float)[:, None]
 
 
 def panel_loop_rule(T, levels, order, both_ends):
@@ -127,21 +141,26 @@ def counting(fn, sizes, nodes=None, at=0):
 
 
 class TestAdaptiveGraded:
-    @pytest.mark.parametrize("both_ends", [False, True])
-    def test_each_node_evaluated_once(self, both_ends):
+    def test_each_node_evaluated_once(self):
         T, quad = 3.0, QuadSettings()
-        f = (lambda s: np.sqrt(s * (T - s))) if both_ends else np.sqrt
         sizes, nodes = [], []
-        value, _ = _adaptive_graded(counting(f, sizes, nodes), T, quad, both_ends, "test")
-        ends, k = 1 + both_ends, quad.order
+        value, _ = _adaptive_graded(counting(np.sqrt, sizes, nodes), T, quad, "test")
+        k = quad.order
         assert len(sizes) >= 2
-        assert sizes == [quad.levels * k * ends] + [5 * k * ends] * (len(sizes) - 1)
+        assert sizes == [quad.levels * k] + [5 * k] * (len(sizes) - 1)
         seen = np.concatenate(nodes)
         assert np.unique(seen).size == seen.size
-        final = graded_gauss_rule(T, quad.levels + 4 * (len(sizes) - 1), k, both_ends)[0]
+        final = graded_gauss_rule(T, quad.levels + 4 * (len(sizes) - 1), k, False)[0]
         assert np.isin(final, seen).all()
-        want = 9.0 * np.pi / 8.0 if both_ends else 2.0 * T**1.5 / 3.0
-        assert value == pytest.approx(want, rel=1e-10)
+        assert value == pytest.approx(2.0 * T**1.5 / 3.0, rel=1e-10)
+
+    def test_nonconvergence_past_44_levels(self):
+        # the integral of 1/s diverges: each deepening adds about 4 log 2
+        quad, sizes = QuadSettings(), []
+        with pytest.raises(NonConvergence, match="within 44 grading levels"):
+            _adaptive_graded(counting(lambda s: 1.0 / s, sizes), 1.0, quad, "test")
+        k = quad.order
+        assert sizes == [quad.levels * k] + [5 * k] * ((44 - quad.levels) // 4 + 1)
 
     def test_gramian_and_cusp_energy_grade_one_end(self, monkeypatch, example2_system):
         # one graded end: levels * order nodes, then 5 * order per deepening
@@ -189,6 +208,11 @@ class TestSteeringProblem:
         with pytest.raises(InvalidParams):
             SteeringProblem(example1_system, a, b, T, TimeGrid(0.0, 1.0, 64))
 
+    @pytest.mark.parametrize("t0, t1", [(0.0, 0.5), (0.1, 1.0), (0.0, 1.0 + 1e-9)])
+    def test_grid_must_span_horizon(self, example1_system, t0, t1):
+        with pytest.raises(InvalidParams, match="span exactly"):
+            SteeringProblem(example1_system, np.zeros(2), np.zeros(2), 1.0, TimeGrid(t0, t1, 64))
+
 
 class TestGramian:
     @pytest.mark.parametrize("T", [1.0, 2.0, 10.0])
@@ -221,6 +245,15 @@ class TestGramian:
     def test_quad_settings_validated(self, field):
         with pytest.raises(InvalidParams):
             QuadSettings(**field)
+
+    def test_quad_settings_fields(self):
+        assert [f.name for f in dataclasses.fields(QuadSettings)] == ["rel_tol", "levels", "order"]
+        assert QuadSettings(levels=44).levels == 44
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
+    def test_nonpositive_horizon_refused(self, example1_system, T):
+        with pytest.raises(InvalidParams, match="horizon must be positive, got"):
+            gramian(example1_system, T)
 
 
 class TestKalmanRank:
@@ -397,6 +430,19 @@ class TestRankBased:
         with pytest.raises(RankDeficient):
             synthesize_rank_based(problem(sys, [1.0, 0.0], [0.0, 0.0], 1.0, steps=64))
 
+    def test_order_one_refused(self, scalar_system):
+        with pytest.raises(InvalidOrder, match="requires alpha in"):
+            synthesize_rank_based(problem(scalar_system(1.0), [0.0], [1.0], 1.0, steps=64))
+
+    @pytest.mark.parametrize("grid, values, match", [
+        (TimeGrid(0.0, 1.0, 32), np.ones(33), "problem grid"),
+        (TimeGrid(0.0, 1.0, 64), np.zeros(65), "nonzero integral"),
+    ])
+    def test_bad_density_refused(self, example1_system, grid, values, match):
+        prob = problem(example1_system, [1.0, 0.0], [0.0, 0.0], 1.0, steps=64)
+        with pytest.raises(InvalidParams, match=match):
+            synthesize_rank_based(prob, phi=GridFunction(grid, values))
+
 
 class TestModifiedEnergy:
     def test_chain_optimal_value(self, example1_system):
@@ -419,6 +465,16 @@ class TestModifiedEnergy:
         grid = TimeGrid(0.0, 1.0, 64)
         u = SampledControl(GridFunction(grid, np.ones((65, 1))))
         assert modified_energy(u, 0.5, 1.0) == np.inf
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, 0.5), (0.5, 1.0), (0.0, 2.0)])
+    def test_sampled_control_must_span_horizon(self, t0, t1):
+        u = SampledControl(GridFunction(TimeGrid(t0, t1, 64), np.zeros((65, 1))))
+        with pytest.raises(DomainError, match="must span"):
+            modified_energy(u, 0.5, 1.0)
+
+    def test_other_control_types_refused(self):
+        with pytest.raises(InvalidParams, match="Ramp"):
+            modified_energy(Ramp(), 0.5, 1.0)
 
 
 class TestVerifySteering:
@@ -571,3 +627,27 @@ class TestExport:
         rebuilt = control_from_dict(doc)
         ts = np.linspace(0.0, T, 33)
         assert np.array_equal(rebuilt.sample(ts), res.control.sample(ts))
+
+    def test_pinv_roundtrip_through_json(self):
+        sys = FracSystem([[-0.6, 2.5], [0.0, 0.4]], [[0.3, 0.0], [1.0, -0.8]], alpha=0.6)
+        T = 2.0
+        res = synthesize_pinv(problem(sys, [1.0, -0.5], [-0.2, 0.4], T, steps=256))
+        doc = json.loads(json.dumps(synthesis_to_dict(res, sys, T)))
+        assert doc["method"] == "pinv" and doc["control"]["type"] == "pinv"
+        assert len(doc["control_samples"]["t"]) == 201
+        rebuilt = control_from_dict(doc)
+        assert isinstance(rebuilt, PinvControl)
+        ts = np.linspace(0.0, T, 57)
+        assert np.array_equal(rebuilt.sample(ts), res.control.sample(ts))
+        assert np.array_equal(np.array(doc["control_samples"]["u"]),
+                              res.control.sample(np.linspace(0.0, T, 201)))
+
+    def test_unexportable_control_and_unknown_type_refused(self, example1_system):
+        T = 1.0
+        res = synthesize_min_energy(problem(example1_system, [1.0, 0.0], [0.0, 0.0], T, steps=64))
+        doc = synthesis_to_dict(res, example1_system, T)
+        doc["control"]["type"] = "bang-bang"
+        with pytest.raises(InvalidParams, match="unknown control type 'bang-bang'"):
+            control_from_dict(doc)
+        with pytest.raises(InvalidParams, match="cannot export control of type Ramp"):
+            synthesis_to_dict(dataclasses.replace(res, control=Ramp()), example1_system, T)

@@ -20,10 +20,8 @@ from fracctrl import (
     TimeGrid,
     caputo_derivative,
     frac_integral_left,
-    frac_integral_right,
     ml_matrix_batch,
     ml_scalar,
-    rl_compose,
     rl_derivative_left,
     singular_convolution,
 )
@@ -108,26 +106,6 @@ class TestFracIntegralLeft:
         assert np.abs(got[:, 1] - g.nodes).max() <= 1e-13
 
 
-class TestFracIntegralRight:
-    def test_constant_half_order(self):
-        f = grid_fn(lambda t: np.ones_like(t), steps=512)
-        got = frac_integral_right(f, 0.5).values
-        want = 2.0 * np.sqrt(1.0 - f.grid.nodes) / np.sqrt(np.pi)
-        assert np.abs(got - want).max() <= 1e-6
-
-    def test_reflected_power_rule_exact(self):
-        f = grid_fn(lambda t: 1.0 - t, steps=128)
-        got = frac_integral_right(f, 0.5).values
-        want = (1.0 - f.grid.nodes) ** 1.5 * gamma(2.0) / gamma(2.5)
-        assert np.abs(got - want).max() <= 1e-14
-
-    def test_order_one(self):
-        f = grid_fn(lambda t: t, steps=128)
-        got = frac_integral_right(f, 1.0).values
-        want = 0.5 * (1.0 - f.grid.nodes**2)
-        assert np.abs(got - want).max() <= 1e-13
-
-
 class TestRLDerivative:
     def test_sqrt_power_rule(self):
         f = grid_fn(lambda t: np.sqrt(t), steps=1024)
@@ -178,11 +156,15 @@ class TestCaputoDerivative:
         assert np.abs(got[interior] - lam * vals[interior]).max() <= 1e-3
 
 
-class TestRLCompose:
-    def test_identity_at_zero_count(self):
-        f = grid_fn(lambda t: np.sin(t), steps=64)
-        assert np.array_equal(rl_compose(f, 0.5, 0).values, f.values)
+def rl_compose(f: GridFunction, alpha: float, j: int) -> GridFunction:
+    """j-fold Riemann-Liouville derivative on the same grid, applied as the
+    rank-based synthesis applies it."""
+    for _ in range(j):
+        f = rl_derivative_left(f, alpha)
+    return f
 
+
+class TestRLCompose:
     def test_two_half_derivatives_of_t(self):
         f = grid_fn(lambda t: t, steps=1024)
         got = rl_compose(f, 0.5, 2).values
@@ -293,7 +275,9 @@ class TestIdentities:
         phi = GridFunction(g, np.sin(2.0 * np.pi * g.nodes) + g.nodes)
         psi = GridFunction(g, np.cos(np.pi * g.nodes))
         lhs = np.trapezoid(phi.values * frac_integral_left(psi, 0.5).values, g.nodes)
-        rhs = np.trapezoid(psi.values * frac_integral_right(phi, 0.5).values, g.nodes)
+        # the right-sided integral is the left one of the reflected samples
+        right = frac_integral_left(GridFunction(g, phi.values[::-1]), 0.5).values[::-1]
+        rhs = np.trapezoid(psi.values * right, g.nodes)
         assert abs(lhs - rhs) <= 1e-5
 
     def test_integration_by_parts_for_derivatives(self):

@@ -29,7 +29,6 @@ from fracctrl import (
     state_transition,
     synthesize_min_energy,
     synthesize_pinv,
-    trajectory_from_csv,
     trajectory_to_csv,
     verify_steering,
 )
@@ -107,6 +106,28 @@ class TestSimulate:
         with pytest.raises(DomainError, match="must span"):
             simulate(example1_system, np.zeros(2),
                      constant_control(TimeGrid(0.0, 0.5, 32), 1.0), grid)
+
+    @pytest.mark.parametrize("a, grid, width, exc", [
+        (np.zeros(3), TimeGrid(0.0, 1.0, 64), 1, InvalidParams),
+        (np.zeros(2), TimeGrid(0.5, 1.0, 64), 1, DomainError),
+        (np.zeros(2), TimeGrid(0.0, 1.0, 64), 2, InvalidParams),
+    ])
+    def test_malformed_inputs_refused(self, example1_system, a, grid, width, exc):
+        # an initial state of the wrong shape, a grid not starting at 0, a control of width != m
+        u = constant_control(TimeGrid(0.0, 1.0, 64), np.ones(width))
+        with pytest.raises(exc):
+            simulate(example1_system, a, u, grid)
+
+    def test_one_dimensional_samples_are_one_column(self, example1_system):
+        grid = TimeGrid(0.0, 1.0, 64)
+        vals = np.sin(grid.nodes)
+        flat = SampledControl(GridFunction(grid, vals))
+        column = SampledControl(GridFunction(grid, vals[:, None]))
+        assert flat.m == 1 and np.array_equal(flat.data.values, column.data.values)
+        a = np.array([1.0, 0.0])
+        got = simulate(example1_system, a, flat, grid)
+        want = simulate(example1_system, a, column, grid)
+        assert np.array_equal(got.states, want.states)
 
     def test_initial_state_exact(self, example2_system):
         grid = TimeGrid(0.0, 1.0, 64)
@@ -487,6 +508,7 @@ class TestCsv:
         assert buf1.getvalue().splitlines()[0] == "t,x1,x2,y1"
         path = tmp_path / "traj.csv"
         trajectory_to_csv(traj, str(path))
-        t, x = trajectory_from_csv(str(path))
-        assert np.array_equal(t, grid.nodes)
-        assert np.array_equal(x, traj.states)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(data[:, 0], grid.nodes)
+        assert np.array_equal(data[:, 1:3], traj.states)
+        assert np.array_equal(data[:, 3:], traj.outputs)

@@ -168,6 +168,11 @@ class TestScalar:
         with pytest.raises(NonConvergence):
             ml_scalar(MLParams(0.5, 0.5), -40.0, SeriesPolicy(max_terms=200))
 
+    def test_nonconvergence_within_max_terms(self):
+        # terms of E_{1/2,1}(-5) are still near 1e3 after 5 of them
+        with pytest.raises(NonConvergence, match="no convergence in 5 terms"):
+            ml_scalar(MLParams(0.5, 1.0), -5.0, SeriesPolicy(max_terms=5))
+
     def test_erfcx_at_strong_cancellation(self):
         # E_{1/2,1}(-x) = erfcx(x); at x = 6.5 the terms peak near 1e18
         got = ml_scalar(MLParams(0.5, 1.0), -6.5)
@@ -227,6 +232,11 @@ class TestMatrix:
     def test_zero_matrix_gives_identity(self):
         got = ml_matrix(MLParams(0.4, 1.0), np.zeros((3, 3)))
         assert np.array_equal(got, np.eye(3))
+
+    @pytest.mark.parametrize("s", [[-1e-300], [0.0, 1.0, -0.5]])
+    def test_batch_negative_lag_refused(self, s):
+        with pytest.raises(DomainError, match="lags s >= 0"):
+            ml_matrix_batch(np.eye(2), 0.5, 1.0, np.array(s))
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0)])
     def test_batch_over_no_lags(self, shape):
@@ -497,6 +507,10 @@ class TestStateTransition:
     def test_identity_at_zero(self):
         A = np.array([[0.3, -0.2], [0.4, 0.1]])
         assert np.array_equal(state_transition(A, 0.7, 0.0), np.eye(2))
+
+    def test_negative_time_refused(self):
+        with pytest.raises(DomainError, match="t >= 0"):
+            state_transition(np.eye(2), 0.7, -1e-3)
 
     def test_skew_matrix_frozen_oracle(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
