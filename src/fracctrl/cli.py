@@ -35,10 +35,11 @@ import sys as _sys
 import numpy as np
 
 from .controlsyn import (
+    DEFAULT_QUAD,
     QuadSettings,
     SteeringProblem,
+    _adaptive_graded,
     control_from_dict,
-    graded_gauss_rule,
     gramian,
     kalman_rank,
     synthesis_to_dict,
@@ -169,7 +170,7 @@ class Problem:
         if need == "value":
             try:
                 val = np.atleast_1d(np.asarray(spec["value"], dtype=float))
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise InputError(f"constant control value: {exc}") from None
             if val.shape != (self.system.m,):
                 raise InputError(f"constant control must have {self.system.m} entries")
@@ -179,7 +180,7 @@ class Problem:
         with open(spec["path"]) as fh:
             doc = json.load(fh)
         try:
-            return control_from_dict(doc)
+            return control_from_dict(doc, self.policy)
         except (KeyError, TypeError, FracctrlError) as exc:
             raise InputError(f"malformed synthesis document: {exc!r}") from None
 
@@ -371,16 +372,19 @@ def _example2_energy(L: int | None = None) -> float:
     T = 10.0
     alphav = 0.5
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    s, w = graded_gauss_rule(T, 24, 20, both_ends=True)
-    # E_{1/2,1/2}(A s^(1/2)) = s^(1/2) [[cos, sin], [-sin, cos]] in the
-    # fractional sine and cosine, so the neutralizer s^(1/2) is already in
-    E = ml_matrix_batch(A, alphav, alphav, s)
-    if L is None:
-        cos_v = E[:, 0, 0]
-    else:
-        cos_v = s ** (1.0 - alphav) * np.array([cl_truncation(L, sv) for sv in s])
-    G = np.stack([E[:, 0, 1], cos_v])
-    Q = np.einsum("s,is,js->ij", w, G, G)
+
+    def integrand(s):
+        # E_{1/2,1/2}(A s^(1/2)) = s^(1/2) [[cos, sin], [-sin, cos]] in the
+        # fractional sine and cosine, so the neutralizer s^(1/2) is already in
+        E = ml_matrix_batch(A, alphav, alphav, s)
+        if L is None:
+            cos_v = E[:, 0, 0]
+        else:
+            cos_v = s ** (1.0 - alphav) * np.array([cl_truncation(L, sv) for sv in s])
+        G = np.stack([E[:, 0, 1], cos_v], axis=1)
+        return G[:, :, None] * G[:, None, :]
+
+    Q = _adaptive_graded(integrand, T, DEFAULT_QUAD, "example 2 gramian")[0]
     S0T = ml_matrix(MLParams(alphav, 1.0), A * T**alphav)
     f = S0T @ np.array([0.0, 1.0])  # b = 0
     return float(f @ np.linalg.solve(Q, f))

@@ -188,17 +188,15 @@ class SteeringReport:
     caputo_residual: float
 
 
-def graded_gauss_rule(T: float, levels: int, order: int, both_ends: bool):
+def graded_gauss_rule(T: float, levels: int, order: int):
     """Composite Gauss-Legendre rule over [0, T]: ``order`` nodes on each of
-    ``levels`` panels that halve toward s = 0 (and, with ``both_ends``, as
-    many more toward s = T).  Returns (nodes, weights), nodes ascending."""
+    ``levels`` panels that halve toward s = 0.  Returns (nodes, weights),
+    nodes ascending."""
     if not 0.0 < T < math.inf:
         raise InvalidParams(f"horizon must be positive and finite, got {T}")
     if levels < 1 or order < 1:
         raise InvalidParams(f"need levels, order >= 1, got {levels}, {order}")
-    edges = np.append(0.0, (T / 2.0 if both_ends else T) * 0.5 ** np.arange(levels)[::-1])
-    if both_ends:
-        edges = np.append(edges, T - edges[-2::-1])
+    edges = np.append(0.0, T * 0.5 ** np.arange(levels)[::-1])
     lo, hi = edges[:-1], edges[1:]
     xg, wg = _gauss(leggauss, order)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -213,12 +211,12 @@ def _adaptive_graded(f, T: float, quad: QuadSettings, what: str):
     axis.  A deepening splits the innermost panel into 5; the other panels
     keep their nodes bitwise (edges T 2^-j), so f sees each node once."""
     lv, k = quad.levels, quad.order
-    s, w = graded_gauss_rule(T, lv, k, False)
+    s, w = graded_gauss_rule(T, lv, k)
     F = f(s)
     v0 = np.einsum("s,s...->...", w, F)
     while lv <= _MAX_LEVELS:
         lv += 4
-        s, w = graded_gauss_rule(T, lv, k, False)
+        s, w = graded_gauss_rule(T, lv, k)
         F = np.concatenate([f(s[:5 * k]), F[k:]])
         v1 = np.einsum("s,s...->...", w, F)
         if not np.isfinite(v1).all():
@@ -245,10 +243,8 @@ def gramian(
     the bounded E B B* E* product; ``quad_err`` is the change under the last
     panel-deepening step.  Raises ``NonConvergence`` if no grading deepened
     from at most 44 levels meets ``quad.rel_tol``, and ``InvalidParams``
-    unless T > 0.
+    unless T is positive and finite.
     """
-    if not T > 0.0:
-        raise InvalidParams(f"horizon must be positive, got {T}")
 
     def integrand(s):
         G = ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s, policy) @ sys.B
@@ -284,18 +280,13 @@ def kalman_rank(sys: FracSystem) -> RankData:
 
 
 def _solve_spd(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Solve Q c = f for symmetric nonnegative Q: Cholesky Q = U^T U, then
-    U^T y = f and U c = y, with a symmetric eigenvalue pseudo-solve
-    fallback."""
+    """Solve Q c = f for symmetric positive definite Q: Cholesky Q = U^T U,
+    then U^T y = f and U c = y; ``SingularGramian`` where Cholesky fails."""
     try:
         U = np.linalg.cholesky(Q, upper=True)
-        return np.linalg.solve(U, np.linalg.solve(U.T, f))
-    except np.linalg.LinAlgError:
-        pass
-    ev, V = np.linalg.eigh(Q)
-    cut = ev.max() * 1e-14
-    inv = np.where(ev > cut, 1.0 / np.where(ev > cut, ev, 1.0), 0.0)
-    return V @ (inv * (V.T @ f))
+    except np.linalg.LinAlgError as exc:
+        raise SingularGramian("Gramian is not numerically positive definite") from exc
+    return np.linalg.solve(U, np.linalg.solve(U.T, f))
 
 
 def synthesize_min_energy(
@@ -376,7 +367,6 @@ def synthesize_rank_based(
     phi: Optional[GridFunction] = None,
     quad: QuadSettings = DEFAULT_QUAD,
     policy: SeriesPolicy = DEFAULT_POLICY,
-    rcond_threshold: float = 1e-12,
 ) -> SynthesisResult:
     """Steering control from the Kalman right inverse and repeated
     Riemann-Liouville differentiation of psi(t) = g(T-t)(b - S0(T) a) phi(t).
@@ -409,7 +399,7 @@ def synthesize_rank_based(
         zero = SampledControl(GridFunction(grid, np.zeros((grid.steps + 1, sys.m))))
         return SynthesisResult(zero, f, 0.0, "rank-based", None)
     s = prob.T - t
-    Einv = _kernel_inverse_batch(sys.A, sys.alpha, s, policy, rcond_threshold)
+    Einv = _kernel_inverse_batch(sys.A, sys.alpha, s, policy)
     psi = (s ** (1.0 - sys.alpha))[:, None] * np.einsum("sij,j->si", Einv, v)
     psi = psi * phi.values[:, None]
     u_vals = psi @ rd.K_blocks[0].T
@@ -568,18 +558,19 @@ def synthesis_to_dict(result: SynthesisResult, sys: FracSystem, T: float) -> dic
     return doc
 
 
-def control_from_dict(doc: dict) -> ControlSignal:
-    """Rebuild the exact control exported by ``synthesis_to_dict``.  The
-    document's system is checked as a ``FracSystem`` and its control arrays
-    must be finite; a document missing a key raises ``KeyError``."""
+def control_from_dict(doc: dict, policy: SeriesPolicy = DEFAULT_POLICY) -> ControlSignal:
+    """Rebuild the exact control exported by ``synthesis_to_dict``, under the
+    series ``policy`` it was synthesized with.  The document's system is
+    checked as a ``FracSystem`` and its control arrays must be finite; a
+    document missing a key raises ``KeyError``."""
     spec = doc["control"]
     sys = FracSystem(doc["system"]["A"], doc["system"]["B"], alpha=doc["alpha"])
     T = float(doc["T"])
     kind = spec["type"]
     if kind == "min-energy":
-        return MinEnergyControl(sys.A, sys.B, sys.alpha, T, spec["coeff"])
+        return MinEnergyControl(sys.A, sys.B, sys.alpha, T, spec["coeff"], policy)
     if kind == "pinv":
-        return PinvControl(sys.A, spec["B_pinv"], sys.alpha, T, spec["v"])
+        return PinvControl(sys.A, spec["B_pinv"], sys.alpha, T, spec["v"], policy)
     if kind == "sampled":
         g = spec["grid"]
         grid = TimeGrid(float(g["t0"]), float(g["t1"]), int(g["steps"]))

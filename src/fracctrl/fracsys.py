@@ -180,14 +180,13 @@ class PinvControl(CuspControl):
 
     Sampling, simulation and the energy raise ``SingularKernel`` where the
     Mittag-Leffler matrix is ill-conditioned (singular-value ratio below
-    ``rcond_threshold``); the singular values are computed only where the
+    ``SINGULAR_KERNEL_RCOND``); the singular values are computed only where the
     cheaper Frobenius-norm certificate of that bound does not hold.  ``v``
     must have shape (n,) and ``B_pinv`` n columns.
     """
 
     def __init__(self, A, B_pinv: np.ndarray, alpha: float, T: float, v: np.ndarray,
-                 policy: SeriesPolicy = DEFAULT_POLICY,
-                 rcond_threshold: float = 1e-12):
+                 policy: SeriesPolicy = DEFAULT_POLICY):
         super().__init__(A, alpha, T, policy)
         self.B_pinv = _finite(B_pinv, "B_pinv")
         self.v = _finite(v, "v")
@@ -197,13 +196,11 @@ class PinvControl(CuspControl):
         if self.B_pinv.ndim != 2 or self.B_pinv.shape[1] != n:
             raise InvalidParams(f"B_pinv must be a 2-D matrix with {n} columns, "
                                 f"got shape {self.B_pinv.shape}")
-        self.rcond_threshold = rcond_threshold
         self.m = self.B_pinv.shape[0]
 
     def kernel_weight(self, s: np.ndarray) -> np.ndarray:
         """w(s) = (1/T) B^+ E_{alpha,alpha}(A s^alpha)^(-1) v."""
-        Einv = _kernel_inverse_batch(self.A, self.alpha, np.asarray(s, float),
-                                     self.policy, self.rcond_threshold)
+        Einv = _kernel_inverse_batch(self.A, self.alpha, np.asarray(s, float), self.policy)
         return np.einsum("sij,j->si", Einv, self.v) @ self.B_pinv.T / self.T
 
 
@@ -339,37 +336,26 @@ def _cusp_terminal(u: CuspControl, uf: np.ndarray, grid: TimeGrid, F: np.ndarray
     return np.einsum("qpm,qpmn->n", np.stack([w[n0], d1, d2]), np.stack([dF[0], I1, I2]))
 
 
-def caputo_residual(
-    sys: FracSystem,
-    traj: Trajectory,
-    u: ControlSignal,
-    skip_fraction: float = 0.05,
-) -> float:
+def caputo_residual(sys: FracSystem, traj: Trajectory, u: ControlSignal) -> float:
     """Certificate that a trajectory satisfies the Caputo dynamics.
 
     Returns max over interior nodes of || D^alpha x - (A x + B u) ||_inf,
     with the derivative taken by the L1 scheme (centered differences when
-    alpha = 1).  Interior means nodes with
-    skip*T <= t <= (1-skip)*T: the L1 scheme is formally O(h^(2-alpha)) but
-    degrades inside the initial layer, where fractional trajectories carry
-    t^alpha behaviour, and inside the terminal layer when the control has
-    the (T-t)^(1-alpha) cusp of the minimum-energy law.  ``skip_fraction``
-    must lie in [0, 0.5) and leave at least one node.
+    alpha = 1).  Interior means the fixed nodes with 0.05 T <= t <= 0.95 T
+    (at least one node of any grid): the L1 scheme is formally
+    O(h^(2-alpha)) but degrades inside the initial layer, where fractional
+    trajectories carry t^alpha behaviour, and inside the terminal layer when
+    the control has the (T-t)^(1-alpha) cusp of the minimum-energy law.
     """
-    return _caputo_residual(sys, traj, u.sample(traj.grid.nodes), skip_fraction)
+    return _caputo_residual(sys, traj, u.sample(traj.grid.nodes))
 
 
-def _caputo_residual(sys: FracSystem, traj: Trajectory, uf: np.ndarray, skip_fraction=0.05):
+def _caputo_residual(sys: FracSystem, traj: Trajectory, uf: np.ndarray) -> float:
     """``caputo_residual`` from control samples at the nodes, e.g. ``traj.controls``."""
-    if not 0.0 <= skip_fraction < 0.5:
-        raise InvalidParams(f"skip_fraction must lie in [0, 0.5), got {skip_fraction}")
     X = traj.states
     grid = traj.grid
     N = grid.steps
-    lo = max(1, int(np.ceil(skip_fraction * N)))
-    hi = min(N, int(np.floor((1.0 - skip_fraction) * N)))
-    if lo > hi:
-        raise InvalidParams(f"skip_fraction {skip_fraction} leaves no node of {N} steps")
+    lo, hi = int(np.ceil(0.05 * N)), int(np.floor(0.95 * N))
     if sys.alpha < 1.0:
         D = caputo_derivative(GridFunction(grid, X), sys.alpha).values
     else:

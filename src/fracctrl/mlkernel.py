@@ -41,6 +41,7 @@ __all__ = [
     "MLParams",
     "SeriesPolicy",
     "DEFAULT_POLICY",
+    "SINGULAR_KERNEL_RCOND",
     "ml_scalar",
     "ml_matrix",
     "ml_matrix_batch",
@@ -97,6 +98,10 @@ class SeriesPolicy:
 
 
 DEFAULT_POLICY = SeriesPolicy()
+
+# below this singular-value ratio the Mittag-Leffler matrix of an inverse
+# kernel is treated as singular
+SINGULAR_KERNEL_RCOND = 1e-12
 
 # 34 digits, the precision of IEEE 754-2008 decimal128; every operation goes
 # through this context's methods, never through the thread-local context, and
@@ -375,7 +380,6 @@ def inverse_kernel(
     alpha: float,
     t: float,
     policy: SeriesPolicy = DEFAULT_POLICY,
-    rcond_threshold: float = 1e-12,
 ) -> np.ndarray:
     """The unique g(t) = t^(1-alpha) E_{alpha,alpha}(A t^alpha)^(-1) with
     alpha_exp(A, alpha, t) @ g(t) = I for t > 0.
@@ -383,24 +387,23 @@ def inverse_kernel(
     The one-lag case of the batched inverse of the pinv and rank-based
     controls, under the same rule: ``SingularKernel`` when the
     Mittag-Leffler matrix's singular-value ratio at t falls below
-    ``rcond_threshold``; existence pointwise does not guarantee good
+    ``SINGULAR_KERNEL_RCOND``; existence pointwise does not guarantee good
     conditioning at every t.
     """
     A = _as_square(A)
     _check_order(alpha)
     if t <= 0.0:
         raise DomainError(f"inverse_kernel requires t > 0, got {t}")
-    return t ** (1.0 - alpha) * _kernel_inverse_batch(A, alpha, np.array([t]), policy,
-                                                      rcond_threshold)[0]
+    return t ** (1.0 - alpha) * _kernel_inverse_batch(A, alpha, np.array([t]), policy)[0]
 
 
 def _kernel_inverse_batch(A: np.ndarray, alpha: float, s: np.ndarray,
-                          policy: SeriesPolicy, rcond_threshold: float) -> np.ndarray:
+                          policy: SeriesPolicy) -> np.ndarray:
     """E_{alpha,alpha}(A s^alpha)^(-1) over an array of lags; ``SingularKernel``
-    where its singular-value ratio falls below ``rcond_threshold``, with the
-    SVD computed only where the Frobenius certificate of ``_checked_inverse``
-    does not hold."""
-    return _checked_inverse(ml_matrix_batch(A, alpha, alpha, s, policy), rcond_threshold)
+    where its singular-value ratio falls below ``SINGULAR_KERNEL_RCOND``, with
+    the SVD computed only where the Frobenius certificate of
+    ``_checked_inverse`` does not hold."""
+    return _checked_inverse(ml_matrix_batch(A, alpha, alpha, s, policy), SINGULAR_KERNEL_RCOND)
 
 
 def _checked_inverse(E: np.ndarray, rcond_threshold: float) -> np.ndarray:
@@ -413,7 +416,7 @@ def _checked_inverse(E: np.ndarray, rcond_threshold: float) -> np.ndarray:
     try:
         Einv = np.linalg.inv(E)
     except np.linalg.LinAlgError:
-        pass
+        Einv = None
     else:
         r = float((np.linalg.norm(E, axis=(-2, -1)) * np.linalg.norm(Einv, axis=(-2, -1))).max())
         if 2.0 * rcond_threshold * r <= 1.0 and 64.0 * E.shape[-1] * np.finfo(float).eps * r <= 1.0:
@@ -424,10 +427,9 @@ def _checked_inverse(E: np.ndarray, rcond_threshold: float) -> np.ndarray:
         raise SingularKernel(
             f"Mittag-Leffler matrix ill-conditioned inside [0, T] (rcond~{rc:.2e})"
         )
-    try:
-        return np.linalg.inv(E)
-    except np.linalg.LinAlgError as exc:
-        raise SingularKernel("Mittag-Leffler matrix singular inside [0, T]") from exc
+    if Einv is None:
+        raise SingularKernel("Mittag-Leffler matrix singular inside [0, T]")
+    return Einv
 
 
 def _finite(x, name: str) -> np.ndarray:

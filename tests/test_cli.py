@@ -71,6 +71,15 @@ class TestMl:
         got = np.array([[float(v) for v in row.split()] for row in rows])
         assert np.allclose(got, [[1.0, 2.0 / np.sqrt(np.pi)], [0.0, 1.0]], rtol=1e-12)
 
+    def test_alpha_exponential_mode(self, capsys):
+        # the chain's t^(alpha-1) E_{alpha,alpha}(A t^alpha) at t = 1, alpha = 1/2
+        rc = main(["ml", "--alpha", "0.5", "--exp", "--A", "[[0,1],[0,0]]", "--t", "1"])
+        assert rc == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        got = np.array([[float(v) for v in row.split()] for row in rows])
+        want = [[1.0 / np.sqrt(np.pi), 1.0], [0.0, 1.0 / np.sqrt(np.pi)]]
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_matrix_overflow_prints_only_the_failure(self):
         # numpy's overflow warning from the series step never reaches stderr
         out = run_cli(["-m", "fracctrl.cli", "ml", "--alpha", "0.5", "--A", "[[-10]]", "--t", "1"])
@@ -196,6 +205,7 @@ class TestSimulate:
         ("control", {"type": "constant", "value": [{}]}),
         ("control", {"type": "constant", "value": ["a"]}),
         ("control", {"type": "constant", "value": [1.0, 2.0]}),
+        ("control", {"type": "constant", "value": [[1], [2, 3]]}),
     ])
     def test_malformed_blocks_rejected(self, tmp_path, capsys, block, value):
         pf = write_problem(tmp_path / "p.json", **{block: value})
@@ -203,6 +213,8 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
         assert err.count("\n") == 1
+        if isinstance(value, dict) and value.get("value") in ([{}], ["a"], [[1], [2, 3]]):
+            assert err.startswith("input error: constant control value: ")
 
     @pytest.mark.parametrize("content, message", [
         ("{not json", "problem file is not valid JSON"),
@@ -439,6 +451,23 @@ class TestSynthesize:
                 capsys.readouterr().out.splitlines()[0].split(":")[1].split()]
         terminal_err = max(abs(v) for v in vals)  # b = 0
         assert abs(terminal_err - reported) <= 1e-10
+
+    def test_reingested_control_keeps_the_series_policy(self, tmp_path, capsys):
+        # a truncation loose enough to move the rotation's miss: simulate
+        # rebuilds the control under the problem file's series settings
+        problem = {"system": {**CHAIN, "A": [[0.0, 1.0], [-1.0, 0.0]]},
+                   "steering": {**STEERING, "a": [0.0, 1.0]},
+                   "numerics": {"grid_steps": 256, "series_rel_tol": 1e-6}}
+        ctrl = tmp_path / "ctrl.json"
+        pf = write_problem(tmp_path / "p.json", **problem)
+        assert main(["synthesize", pf, "--out", str(ctrl)]) == 0
+        reported = json.loads(ctrl.read_text())["report"]["terminal_error_abs"]
+        pf2 = write_problem(tmp_path / "p2.json", **problem,
+                            control={"type": "synthesized", "path": str(ctrl)})
+        capsys.readouterr()
+        assert main(["simulate", pf2]) == 0
+        vals = capsys.readouterr().out.splitlines()[0].split(":")[1].split()
+        assert max(abs(float(v)) for v in vals) == reported  # b = 0
 
     def test_simulate_samples_the_control_once(self, tmp_path, capsys, monkeypatch):
         # the residual reads the samples simulate recorded, and equals the

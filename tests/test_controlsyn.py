@@ -42,6 +42,7 @@ from fracctrl import (
     verify_steering,
 )
 import fracctrl.controlsyn as controlsyn
+import fracctrl.mlkernel as mlkernel
 from fracctrl.controlsyn import _adaptive_graded, _solve_spd
 
 
@@ -66,19 +67,16 @@ class Ramp(ControlSignal):
         return np.asarray(times, float)[:, None]
 
 
-def panel_loop_rule(T, levels, order, both_ends):
+def panel_loop_rule(T, levels, order):
     """Reference for ``graded_gauss_rule``: the panel list and per-panel loop
-    it replaced, kept verbatim."""
-    def graded_panels(T, levels, both_ends):
-        if both_ends:
-            left = graded_panels(T / 2.0, levels, False)
-            return left + [(T - hi, T - lo) for (lo, hi) in reversed(left)]
+    it replaced, kept verbatim but for the two-ended grading now gone."""
+    def graded_panels(T, levels):
         edges = [T * 0.5**j for j in range(levels)] + [0.0]
         return [(edges[j + 1], edges[j]) for j in range(levels)][::-1]
 
     xg, wg = leggauss(order)
     nodes, weights = [], []
-    for lo, hi in graded_panels(T, levels, both_ends):
+    for lo, hi in graded_panels(T, levels):
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes.append(mid + rad * xg)
         weights.append(rad * wg)
@@ -86,26 +84,24 @@ def panel_loop_rule(T, levels, order, both_ends):
 
 
 class TestGradedRule:
-    @pytest.mark.parametrize("both_ends", [False, True])
-    def test_bitwise_equal_to_panel_loop(self, both_ends):
+    def test_bitwise_equal_to_panel_loop(self):
         for T in (0.3, 1.0, 2.0, 5.0, 7.77, 10.0):
             for levels in (1, 12, 16, 24, 48):
                 for order in (1, 16, 20):
-                    got = graded_gauss_rule(T, levels, order, both_ends)
-                    want = panel_loop_rule(T, levels, order, both_ends)
+                    got = graded_gauss_rule(T, levels, order)
+                    want = panel_loop_rule(T, levels, order)
                     assert all(g.shape == w.shape and np.array_equal(g, w)
                                for g, w in zip(got, want))
 
     @pytest.mark.parametrize("levels, order", [(0, 16), (12, 0), (-1, 4)])
     def test_empty_rule_refused(self, levels, order):
         with pytest.raises(InvalidParams):
-            graded_gauss_rule(1.0, levels, order, False)
+            graded_gauss_rule(1.0, levels, order)
 
     @pytest.mark.parametrize("T", [-1.0, 0.0, np.inf, np.nan])
-    @pytest.mark.parametrize("both_ends", [False, True])
-    def test_bad_horizon_refused(self, T, both_ends):
+    def test_bad_horizon_refused(self, T):
         with pytest.raises(InvalidParams):
-            graded_gauss_rule(T, 12, 16, both_ends)
+            graded_gauss_rule(T, 12, 16)
 
     def test_legendre_rule_exact_to_degree(self):
         for order in range(1, 65):
@@ -114,19 +110,16 @@ class TestGradedRule:
             want = np.where(k[:, 0] % 2, 0.0, 2.0 / (k[:, 0] + 1.0))
             assert np.abs((x**k) @ w - want).max() <= 1e-13
 
-    @pytest.mark.parametrize("both_ends", [False, True])
-    def test_deepening_keeps_outer_panels_bitwise(self, both_ends):
-        # 4 more levels split only the innermost panel at each graded end
-        # into 5; every other panel's nodes and weights stay bitwise the same
+    def test_deepening_keeps_outer_panels_bitwise(self):
+        # 4 more levels split only the innermost panel into 5; every other
+        # panel's nodes and weights stay bitwise the same
         for T in (0.3, 1.0, 2.0, 5.0, 7.77, 10.0):
             for levels in range(1, 45):
                 for order in (1, 16, 20):
-                    s0, w0 = graded_gauss_rule(T, levels, order, both_ends)
-                    s1, w1 = graded_gauss_rule(T, levels + 4, order, both_ends)
-                    kept = slice(order, s0.size - order * both_ends)
-                    outer = slice(5 * order, s1.size - 5 * order * both_ends)
-                    assert np.array_equal(s1[outer], s0[kept])
-                    assert np.array_equal(w1[outer], w0[kept])
+                    s0, w0 = graded_gauss_rule(T, levels, order)
+                    s1, w1 = graded_gauss_rule(T, levels + 4, order)
+                    assert np.array_equal(s1[5 * order:], s0[order:])
+                    assert np.array_equal(w1[5 * order:], w0[order:])
 
 
 def counting(fn, sizes, nodes=None, at=0):
@@ -150,7 +143,7 @@ class TestAdaptiveGraded:
         assert sizes == [quad.levels * k] + [5 * k] * (len(sizes) - 1)
         seen = np.concatenate(nodes)
         assert np.unique(seen).size == seen.size
-        final = graded_gauss_rule(T, quad.levels + 4 * (len(sizes) - 1), k, False)[0]
+        final = graded_gauss_rule(T, quad.levels + 4 * (len(sizes) - 1), k)[0]
         assert np.isin(final, seen).all()
         assert value == pytest.approx(2.0 * T**1.5 / 3.0, rel=1e-10)
 
@@ -194,9 +187,14 @@ class TestSolveSpd:
                 want = cho_solve(cho_factor(Q), f)
                 assert np.abs(_solve_spd(Q, f) - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_singular_falls_back_to_pseudo_solve(self):
-        Q = np.diag([2.0, 0.0])
-        assert np.array_equal(_solve_spd(Q, np.array([4.0, 1.0])), np.array([2.0, 0.0]))
+    def test_cholesky_failure_raises_singular_gramian(self, monkeypatch):
+        with pytest.raises(SingularGramian, match="not numerically positive definite"):
+            _solve_spd(np.diag([2.0, 0.0]), np.array([4.0, 1.0]))
+        # a singular Gramian let through the rcond gate is still refused
+        monkeypatch.setattr(controlsyn, "SINGULAR_GRAMIAN_RCOND", 0.0)
+        sys = FracSystem(np.zeros((2, 2)), np.array([[1.0], [0.0]]), alpha=0.5)
+        with pytest.raises(SingularGramian, match="not numerically positive definite"):
+            synthesize_min_energy(problem(sys, [1.0, 1.0], [0.0, 0.0], 1.0, steps=64))
 
 
 class TestSteeringProblem:
@@ -252,7 +250,7 @@ class TestGramian:
 
     @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
     def test_nonpositive_horizon_refused(self, example1_system, T):
-        with pytest.raises(InvalidParams, match="horizon must be positive, got"):
+        with pytest.raises(InvalidParams, match="horizon must be positive and finite, got"):
             gramian(example1_system, T)
 
 
@@ -364,11 +362,11 @@ class TestPinv:
         with pytest.raises(RankDeficientB):
             synthesize_pinv(problem(example1_system, [1.0, 0.0], [0.0, 0.0], 1.0, steps=64))
 
-    def test_ill_conditioned_kernel_refused_by_energy(self, example1_system):
+    def test_ill_conditioned_kernel_refused_by_energy(self, monkeypatch, example1_system):
         # E_{1/2,1/2}(A s^(1/2)) of the chain system has singular-value
         # ratio 0.20 at s = 1, below the threshold of 0.5
-        u = PinvControl(example1_system.A, np.eye(2), 0.5, 1.0,
-                        np.array([1.0, 0.0]), rcond_threshold=0.5)
+        monkeypatch.setattr(mlkernel, "SINGULAR_KERNEL_RCOND", 0.5)
+        u = PinvControl(example1_system.A, np.eye(2), 0.5, 1.0, np.array([1.0, 0.0]))
         with pytest.raises(SingularKernel):
             u.sample(np.array([0.0]))
         with pytest.raises(SingularKernel):

@@ -59,6 +59,10 @@ class TestGridTypes:
     def test_linear_interpolation(self):
         f = grid_fn(lambda t: 3.0 * t, steps=4)
         assert f(0.375) == pytest.approx(1.125, rel=1e-14)
+        assert f(1.0 + 1e-13) == pytest.approx(3.0, rel=1e-12)  # t1 up to rounding
+        for t in (-1e-9, 1.0 + 1e-9):
+            with pytest.raises(DomainError, match="outside grid"):
+                f(t)
 
 
 class TestFracIntegralLeft:
@@ -204,6 +208,9 @@ class TestSingularConvolution:
         u = grid_fn(lambda t: np.ones_like(t), steps=32)
         with pytest.raises(DomainError):
             singular_convolution(lambda s: 1.0, 0.5, u, 1.5)
+        for order in (0.0, -0.5):
+            with pytest.raises(InvalidOrder, match="convolution order must be > 0"):
+                singular_convolution(lambda s: 1.0, order, u, 0.5)
 
     def test_kernel_called_once_on_all_lags(self):
         u = grid_fn(lambda t: np.ones_like(t), steps=64)

@@ -245,6 +245,12 @@ class TestClosedFormControlInputs:
                 PinvControl(A, B_pinv, 0.5, 1.0, v)
         assert PinvControl(A, np.ones((3, 2)), 0.5, 1.0, np.ones(2)).m == 3
 
+    def test_sampled_only_up_to_its_horizon(self):
+        u = PinvControl(np.zeros((1, 1)), np.eye(1), 0.5, 2.0, np.ones(1))
+        assert u.sample(np.array([2.0 + 1e-13])).shape == (1, 1)  # T up to rounding
+        with pytest.raises(DomainError, match="beyond its horizon"):
+            u.sample(np.array([0.0, 2.0 + 1e-9]))
+
 
 class TestCuspTerminal:
     @pytest.mark.parametrize("steps", [2048, 2047])
@@ -478,21 +484,15 @@ class TestResidual:
         traj = simulate(sys, np.zeros(2), u, grid)
         assert caputo_residual(sys, traj, u) <= 1e-6
 
-    @pytest.mark.parametrize("skip", [-1.0, -1e-3, 0.5, 0.6, np.nan, np.inf])
-    def test_skip_fraction_out_of_range_refused(self, example1_system, skip):
-        grid = TimeGrid(0.0, 1.0, 64)
+    @pytest.mark.parametrize("steps", [2, 3, 64])
+    def test_fixed_interior_keeps_a_node_and_drops_the_last(self, example1_system, steps):
+        grid = TimeGrid(0.0, 1.0, steps)
         u = constant_control(grid, 1.0)
         traj = simulate(example1_system, np.zeros(2), u, grid)
-        with pytest.raises(InvalidParams):
-            caputo_residual(example1_system, traj, u, skip_fraction=skip)
-
-    def test_skip_fraction_that_leaves_no_node_refused(self, example1_system):
-        grid = TimeGrid(0.0, 1.0, 3)
-        u = constant_control(grid, 1.0)
-        traj = simulate(example1_system, np.zeros(2), u, grid)
-        assert caputo_residual(example1_system, traj, u, skip_fraction=0.0) >= 0.0
-        with pytest.raises(InvalidParams):
-            caputo_residual(example1_system, traj, u, skip_fraction=0.4)
+        res = caputo_residual(example1_system, traj, u)
+        # the L1 derivative at a node reads no later node (up to FFT rounding)
+        traj.states[-1] += 1e3
+        assert caputo_residual(example1_system, traj, u) == pytest.approx(res, rel=1e-9)
 
 
 class TestCsv:

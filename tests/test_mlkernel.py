@@ -461,7 +461,7 @@ class TestCheckedInverse:
             raise AssertionError("SVD computed for a certified batch")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        got = _kernel_inverse_batch(A, 0.6, s, DEFAULT_POLICY, 1e-12)
+        got = _kernel_inverse_batch(A, 0.6, s, DEFAULT_POLICY)
         assert np.array_equal(got, want)
 
 
@@ -594,19 +594,22 @@ class TestInverseKernel:
                 err = np.abs(alpha_exp(A, alpha, t) @ g - np.eye(A.shape[0])).max()
                 assert err <= 1e-10
 
-    def test_threshold_raises(self):
+    def test_threshold_raises(self, monkeypatch):
         # the chain matrix's E_{1/2,1/2}(A) has singular-value ratio 0.2025
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        monkeypatch.setattr(mlkernel, "SINGULAR_KERNEL_RCOND", 0.5)
         with pytest.raises(SingularKernel):
-            inverse_kernel(A, 0.5, 1.0, rcond_threshold=0.5)
-        assert np.isfinite(inverse_kernel(A, 0.5, 1.0, rcond_threshold=0.1)).all()
+            inverse_kernel(A, 0.5, 1.0)
+        monkeypatch.setattr(mlkernel, "SINGULAR_KERNEL_RCOND", 0.1)
+        assert np.isfinite(inverse_kernel(A, 0.5, 1.0)).all()
 
-    def test_same_rule_as_pinv_control(self):
+    def test_same_rule_as_pinv_control(self, monkeypatch):
         # the rotation's kernel is a scaled rotation, ratio 1: the one-lag
         # inverse and the pinv control both accept it at threshold 0.9
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        g = inverse_kernel(A, 0.5, 1.0, rcond_threshold=0.9)
-        u = PinvControl(A, np.eye(2), 0.5, 1.0, np.array([1.0, 0.0]), rcond_threshold=0.9)
+        monkeypatch.setattr(mlkernel, "SINGULAR_KERNEL_RCOND", 0.9)
+        g = inverse_kernel(A, 0.5, 1.0)
+        u = PinvControl(A, np.eye(2), 0.5, 1.0, np.array([1.0, 0.0]))
         assert np.allclose(u.sample(np.array([0.0]))[0], g[:, 0], rtol=1e-14)
 
     def test_domain_guard(self):
