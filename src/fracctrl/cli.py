@@ -210,33 +210,47 @@ def _load_problem(path: str) -> Problem:
 
 # ------------------------------------------------------------------ commands
 
+# the ml modes by precedence, each with the flags it reads besides --alpha;
+# any other flag given is refused
+_ML_READS = {"sin": {"t"}, "cos": {"t"}, "exp": {"A", "t"}, "s0": {"A", "t"},
+             "A": {"beta", "t"}, "z": {"beta"}}
+
+
 def cmd_ml(args) -> int:
+    given = [f for f in (*_ML_READS, "beta", "t") if getattr(args, f) is not None]
+    mode = next((f for f in given if f in _ML_READS), None)
+    if mode is None:
+        raise InputError("scalar evaluation needs --z")
+    extra = [f for f in given if f != mode and f not in _ML_READS[mode]]
+    if extra:
+        raise InputError(f"ml --{mode} does not read " + ", ".join("--" + f for f in extra))
+    beta = 1.0 if args.beta is None else args.beta
     pol = _ML_PRINT_POLICY
-    if args.sin or args.cos:
+    if mode == "z":
+        print(_fmt(ml_scalar(MLParams(args.alpha, beta), args.z, pol)))
+        return EXIT_OK
+    if mode in ("sin", "cos"):
         if args.t is None:
             raise InputError("--sin/--cos need --t")
-        fn = frac_sin if args.sin else frac_cos
+        fn = frac_sin if mode == "sin" else frac_cos
         print(_fmt(fn(args.alpha, args.t, pol)))
         return EXIT_OK
-    if args.A is not None:
-        try:
-            A = np.asarray(json.loads(args.A), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"--A must be a JSON matrix: {exc}") from None
-        if args.t is None:
-            raise InputError("matrix evaluation needs --t")
-        if args.exp:
-            M = alpha_exp(A, args.alpha, args.t, pol)
-        elif args.s0:
-            M = state_transition(A, args.alpha, args.t, pol)
-        else:
-            M = ml_matrix(MLParams(args.alpha, args.beta), A * args.t**args.alpha, pol)
-        for row in M:
-            print(" ".join(_fmt(v) for v in row))
-        return EXIT_OK
-    if args.z is None:
-        raise InputError("scalar evaluation needs --z")
-    print(_fmt(ml_scalar(MLParams(args.alpha, args.beta), args.z, pol)))
+    if args.A is None:
+        raise InputError("--exp/--s0 need --A")
+    try:
+        A = np.asarray(json.loads(args.A), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"--A must be a JSON matrix: {exc}") from None
+    if args.t is None:
+        raise InputError("matrix evaluation needs --t")
+    if mode == "exp":
+        M = alpha_exp(A, args.alpha, args.t, pol)
+    elif mode == "s0":
+        M = state_transition(A, args.alpha, args.t, pol)
+    else:
+        M = ml_matrix(MLParams(args.alpha, beta), A * args.t**args.alpha, pol)
+    for row in M:
+        print(" ".join(_fmt(v) for v in row))
     return EXIT_OK
 
 
@@ -440,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ml = sub.add_parser("ml", help="evaluate Mittag-Leffler / fractional trig kernels")
     ml.add_argument("--alpha", type=float, required=True)
-    ml.add_argument("--beta", type=float, default=1.0)
+    ml.add_argument("--beta", type=float, help="second order (default 1) for --z and --A")
     ml.add_argument("--z", type=float, help="scalar argument")
     ml.add_argument("--t", type=float, help="time argument for --sin/--cos/matrix modes")
     ml.add_argument("--sin", action="store_true", help="fractional sine at --t")
@@ -448,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ml.add_argument("--A", type=str, help="JSON matrix for matrix modes")
     ml.add_argument("--exp", action="store_true", help="alpha-exponential of --A at --t")
     ml.add_argument("--s0", action="store_true", help="state-transition of --A at --t")
-    ml.set_defaults(fn=cmd_ml)
+    ml.set_defaults(fn=cmd_ml, sin=None, cos=None, exp=None, s0=None)  # None: not given
 
     sim = sub.add_parser("simulate", help="forward trajectory from a problem file")
     sim.add_argument("problem")

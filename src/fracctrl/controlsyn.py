@@ -59,6 +59,7 @@ from .fracsys import (
 from .mlkernel import (
     DEFAULT_POLICY,
     SeriesPolicy,
+    _count,
     _finite,
     _kernel_inverse_batch,
     ml_matrix_batch,
@@ -112,6 +113,8 @@ class QuadSettings:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise InvalidParams(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        for name in ("order", "levels"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, InvalidParams))
         if self.order < 1:
             raise InvalidParams(f"order must be >= 1, got {self.order}")
         if not (1 <= self.levels <= _MAX_LEVELS):

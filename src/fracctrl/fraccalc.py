@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidOrder
-from .mlkernel import _rgamma
+from .mlkernel import _count, _rgamma
 
 __all__ = [
     "TimeGrid",
@@ -48,6 +48,7 @@ class TimeGrid:
     def __post_init__(self):
         if not -np.inf < self.t0 < self.t1 < np.inf:
             raise DomainError(f"need finite t0 < t1, got [{self.t0}, {self.t1}]")
+        object.__setattr__(self, "steps", _count(self.steps, "steps", DomainError))
         if self.steps < 2:
             raise DomainError(f"need at least 2 steps, got {self.steps}")
 

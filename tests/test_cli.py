@@ -97,11 +97,33 @@ class TestMl:
         (["--sin"], "--sin/--cos need --t"),
         (["--A", "not json", "--t", "1"], "--A must be a JSON matrix"),
         (["--A", "[[1]]"], "matrix evaluation needs --t"),
+        (["--t", "1", "--sin", "--cos"], "ml --sin does not read --cos"),
+        (["--A", "[[0,1],[0,0]]", "--t", "1", "--exp", "--s0"], "ml --exp does not read --s0"),
+        (["--z", "1", "--sin", "--t", "2"], "ml --sin does not read --z"),
+        (["--cos", "--beta", "2", "--t", "1"], "ml --cos does not read --beta"),
+        (["--s0", "--A", "[[1]]", "--t", "1", "--beta", "2"], "ml --s0 does not read --beta"),
+        (["--A", "[[1]]", "--t", "1", "--z", "1"], "ml --A does not read --z"),
+        (["--z", "1", "--t", "1"], "ml --z does not read --t"),
+        (["--z", "0", "--exp"], "ml --exp does not read --z"),
+        (["--exp", "--t", "1"], "--exp/--s0 need --A"),
+        (["--t", "1"], "scalar evaluation needs --z"),
     ])
     def test_incomplete_mode_is_input_error(self, capsys, args, message):
         assert main(["ml", "--alpha", "0.5", *args]) == 2
         err = capsys.readouterr().err
         assert one_line_input_error(err) and message in err
+
+    @pytest.mark.parametrize("args, out", [
+        (["--alpha", "0.5", "--z", "-6.5"], "0.0858056701049013\n"),
+        (["--alpha", "0.37", "--beta", "1.91", "--z", "3.2"], "1819630850.07733\n"),
+        (["--cos", "--alpha", "1", "--t", "1"], "0.54030230586814\n"),
+        (["--sin", "--alpha", "0.7", "--t", "3"], "0.0041229404104039\n"),
+        (["--alpha", "0.5", "--beta", "0.5", "--z", "-1"], "0.136606007391949\n"),
+    ])
+    def test_scalar_output_pinned(self, capsys, args, out):
+        # stdout byte for byte, as first recorded from the per-term stop rule
+        assert main(["ml", *args]) == 0
+        assert capsys.readouterr() == (out, "")
 
     def test_general_matrix_mode(self, capsys):
         # E_{alpha,beta}(A t^alpha) with the --beta given, row by row

@@ -239,10 +239,16 @@ class TestGramian:
             assert ev.min() >= -1e-10 * np.abs(ev).max()
 
     @pytest.mark.parametrize("field", [{"order": 0}, {"levels": 0},
-                                       {"levels": 50}, {"rel_tol": 0.0}])
+                                       {"levels": 50}, {"rel_tol": 0.0},
+                                       {"levels": 12.5}, {"order": 16.0}, {"levels": True},
+                                       {"order": "16"}])
     def test_quad_settings_validated(self, field):
         with pytest.raises(InvalidParams):
             QuadSettings(**field)
+
+    def test_quad_settings_store_plain_ints(self):
+        q = QuadSettings(levels=np.int64(12), order=np.int32(16))
+        assert type(q.levels) is int and type(q.order) is int and q == DEFAULT_QUAD
 
     def test_quad_settings_fields(self):
         assert [f.name for f in dataclasses.fields(QuadSettings)] == ["rel_tol", "levels", "order"]

@@ -49,6 +49,15 @@ class TestGridTypes:
         with pytest.raises(DomainError):
             TimeGrid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("steps", [8.5, 8.0, True, "8", None])
+    def test_grid_steps_must_be_an_integer(self, steps):
+        with pytest.raises(DomainError, match="steps must be an integer"):
+            TimeGrid(0.0, 1.0, steps)
+
+    def test_grid_steps_stored_as_int(self):
+        g = TimeGrid(0.0, 1.0, np.int64(8))
+        assert type(g.steps) is int and g == TimeGrid(0.0, 1.0, 8)
+
     def test_values_shape_checked(self):
         g = TimeGrid(0.0, 1.0, 8)
         with pytest.raises(DomainError):

@@ -38,6 +38,7 @@ from fracctrl import (
     state_transition,
 )
 from fracctrl import mlkernel
+from fracctrl.cli import _ML_PRINT_POLICY
 from fracctrl.mlkernel import _checked_inverse, _kernel_inverse_batch, _ml_series, _rgamma
 
 # frozen 50-digit oracle values (independent fixed-precision summation of the
@@ -75,6 +76,47 @@ def lag_first_series(A, alpha, beta, s, L, policy):
     raise NonConvergence(
         f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
     )
+
+
+def pointwise_stop_scalar(params, z, policy):
+    """Reference for ``ml_scalar``: the loop it replaced, kept verbatim (a
+    cached-row lookup and two float conversions per term)."""
+    z = float(z)
+    alpha, beta = params.alpha, params.beta
+    if not math.isfinite(z):
+        raise NonConvergence(f"E_{{{alpha},{beta}}}({z}): series terms overflow")
+    c = mlkernel._CTX
+    zd = mlkernel._D(z)
+    total = mlkernel._rgamma_chunk(alpha, beta, 0)[0]
+    zk = mlkernel._D(1)
+    for k in range(1, policy.max_terms + 1):
+        zk = c.multiply(zk, zd)
+        if zk.copy_abs() > mlkernel._ZK_MAX:
+            raise NonConvergence(f"E_{{{alpha},{beta}}}({z}): series terms overflow")
+        term = c.multiply(zk, mlkernel._rgamma_chunk(alpha, beta, k // 16)[k % 16])
+        ref = abs(float(total))
+        mag = abs(float(term))
+        if (ref > 0.0 and mag < policy.rel_tol * ref) or (ref == 0.0 and mag < policy.rel_tol):
+            return float(total)
+        total = c.add(total, term)
+    raise NonConvergence(
+        f"E_{{{alpha},{beta}}}({z}): no convergence in {policy.max_terms} terms")
+
+
+def assert_same_scalar_outcome(params, z, policy):
+    """``ml_scalar`` returns the reference's float bitwise, or raises the
+    same exception type with the same message; returns the refusal's type
+    or None."""
+    try:
+        want = pointwise_stop_scalar(params, z, policy)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            ml_scalar(params, z, policy)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return type(exc)
+    got = ml_scalar(params, z, policy)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (params, z, policy)
+    return None
 
 
 def svd_first_inverse(E, rcond_threshold):
@@ -139,6 +181,11 @@ class TestParams:
             SeriesPolicy(rel_tol=1.5)
         with pytest.raises(InvalidParams):
             SeriesPolicy(max_terms=0)
+        for bad in (40.5, 40.0, True, "40", None):
+            with pytest.raises(InvalidParams, match="max_terms must be an integer"):
+                SeriesPolicy(max_terms=bad)
+        policy = SeriesPolicy(max_terms=np.int64(40))
+        assert type(policy.max_terms) is int and policy == SeriesPolicy(max_terms=40)
 
 
 class TestScalar:
@@ -207,6 +254,25 @@ class TestScalar:
     def test_non_finite_argument_refused(self, z):
         with pytest.raises(NonConvergence, match="series terms overflow"):
             ml_scalar(MLParams(0.5, 1.0), z)
+
+    def test_bitwise_equal_to_pointwise_stop_loop(self):
+        # seeded battery over orders, arguments (with the edges: signed zeros,
+        # +-1e-300, the overflow refusal at -7.35, the budget refusal at 5e3)
+        # and policies down to rel_tol = 1e-300 and up to 0.5
+        policies = [DEFAULT_POLICY, _ML_PRINT_POLICY, SeriesPolicy(max_terms=5),
+                    SeriesPolicy(rel_tol=1e-300), SeriesPolicy(rel_tol=0.5)]
+        edges = [0.0, -0.0, 1e-300, -1e-300, -6.5, -7.2, -7.35, 5e3]
+        rng = np.random.default_rng(2015)
+        outcomes = []
+        for alpha in (0.3, 0.5, 0.7, 0.9, 1.0, 1.7, 2.5):
+            zmax = min(8.0, 20.0**alpha)
+            for beta in rng.uniform(0.2, 3.0, 2).tolist():
+                params = MLParams(alpha, beta)
+                zs = edges + rng.uniform(-zmax, zmax, 22).tolist()
+                outcomes += [assert_same_scalar_outcome(params, z, policy)
+                             for policy in policies for z in zs]
+        assert len(outcomes) >= 2000
+        assert outcomes.count(None) >= 1000 and outcomes.count(NonConvergence) >= 100
 
     def test_overflow_refusal_near_x_eight(self):
         # E_{1/2,1}(-x) needs |x|^k beyond 1.3e300 before it stops near
