@@ -16,8 +16,7 @@ types built from it refuse (FracSystem, SteeringProblem, TimeGrid, ...):
     "system":   {"alpha": 0.5, "A": [[0,1],[0,0]], "B": [[0],[1]], "C": null},
     "steering": {"a": [1,0], "b": [0,0], "T": 10.0},
     "numerics": {"grid_steps": 1024, "series_rel_tol": 1e-14,
-                 "series_max_terms": 500, "quad_rel_tol": 1e-11,
-                 "quad_levels": 12, "quad_order": 16},
+                 "series_max_terms": 500, "quad_rel_tol": 1e-11},
     "control":  {"type": "constant", "value": [1.0]},
     "method":   "min-energy"
   }
@@ -36,6 +35,7 @@ import numpy as np
 
 from .controlsyn import (
     DEFAULT_QUAD,
+    SINGULAR_GRAMIAN_RCOND,
     QuadSettings,
     SteeringProblem,
     _adaptive_graded,
@@ -67,8 +67,6 @@ from .mlkernel import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-RANK_RCOND_THRESHOLD = 1e-8  # Gramian-side controllability verdict
 
 _SYNTHESES = {"min-energy": synthesize_min_energy, "pinv": synthesize_pinv,
               "rank": synthesize_rank_based}
@@ -108,7 +106,6 @@ _FIELDS = {
         "series_rel_tol": (_NUM, SeriesPolicy.rel_tol),
         "series_max_terms": (_INT, SeriesPolicy.max_terms),
         "quad_rel_tol": (_NUM, QuadSettings.rel_tol),
-        "quad_levels": (_INT, QuadSettings.levels), "quad_order": (_INT, QuadSettings.order),
     },
     "control block": {"type": (_STR, _REQUIRED), "value": (_NUM + _LIST, None), "path": (_STR, None)},
 }
@@ -152,8 +149,7 @@ class Problem:
             grid = TimeGrid(0.0, steering["T"], numerics["grid_steps"])
             self.steering = SteeringProblem(self.system, grid=grid, **steering)
             self.policy = SeriesPolicy(numerics["series_rel_tol"], numerics["series_max_terms"])
-            self.quad = QuadSettings(numerics["quad_rel_tol"], numerics["quad_levels"],
-                                     numerics["quad_order"])
+            self.quad = QuadSettings(numerics["quad_rel_tol"])
         except (FracctrlError, TypeError, ValueError) as exc:
             raise InputError(f"invalid problem data: {exc}") from exc
         self.control_spec, self.method = doc["control"], doc["method"]
@@ -191,7 +187,7 @@ def _control_from_csv(path: str, m: int) -> SampledControl:
         raise InputError(f"control CSV must have 1+{m} columns")
     t = data[:, 0]
     h = np.diff(t)
-    if len(t) < 3 or h.min() <= 0 or (abs(h - h[0]) > 1e-9 * h[0]).any():
+    if len(t) < 3 or not (h > 0).all() or (abs(h - h[0]) > 1e-9 * h[0]).any():  # NaN: not > 0
         raise InputError("control CSV must be sampled on a uniform grid")
     grid = TimeGrid(float(t[0]), float(t[-1]), len(t) - 1)
     return SampledControl(GridFunction(grid, data[:, 1:]))
@@ -274,7 +270,7 @@ def cmd_gramian(args) -> int:
     rd = kalman_rank(prob.system)
     n = prob.system.n
     rank_ok = rd.rank == n
-    gram_ok = g.rcond > RANK_RCOND_THRESHOLD
+    gram_ok = not g.rcond < SINGULAR_GRAMIAN_RCOND  # synthesize_min_energy's refusal
     print(f"Q_T (T={_fmt(prob.steering.T)}):")
     for row in g.Q:
         print("  " + " ".join(_fmt17(v) for v in row))
@@ -282,7 +278,7 @@ def cmd_gramian(args) -> int:
     print(f"quad_err = {_fmt(g.quad_err)}")
     print(f"kalman rank = {rd.rank} of {n} -> "
           + ("controllable" if rank_ok else "uncontrollable"))
-    print(f"gramian verdict (rcond > {RANK_RCOND_THRESHOLD:g}) -> "
+    print(f"gramian verdict (rcond >= {SINGULAR_GRAMIAN_RCOND:g}) -> "
           + ("controllable" if gram_ok else "uncontrollable"))
     print("rank/gramian equivalence: " + ("consistent" if rank_ok == gram_ok else "INCONSISTENT"))
     if args.out:

@@ -59,7 +59,6 @@ from .fracsys import (
 from .mlkernel import (
     DEFAULT_POLICY,
     SeriesPolicy,
-    _count,
     _finite,
     _kernel_inverse_batch,
     ml_matrix_batch,
@@ -92,33 +91,26 @@ __all__ = [
 # i.e. the system as practically uncontrollable
 SINGULAR_GRAMIAN_RCOND = 1e-10
 
-# the most levels a graded quadrature starts with, and the most it deepens from
-_MAX_LEVELS = 44
+# a graded quadrature starts from _LEVELS panels of _ORDER Gauss nodes, and
+# deepens while its grading has at most _MAX_LEVELS levels
+_LEVELS, _ORDER, _MAX_LEVELS = 12, 16, 44
 
 
 @dataclass(frozen=True)
 class QuadSettings:
     """Composite Gauss-Legendre quadrature with geometric panel grading.
 
-    ``levels`` panels (1 to 44) shrink by ratio 1/2 toward s = 0; nested
-    adaptivity adds 4 levels at a time, as long as the grading has at most
-    44, until two successive gradings agree to ``rel_tol`` (relative,
-    max-norm), else ``NonConvergence``.
+    The shape is fixed: 12 panels of 16 nodes shrink by ratio 1/2 toward
+    s = 0, and nested adaptivity adds 4 levels at a time, while the grading
+    has at most 44, until two successive gradings agree to ``rel_tol``, the
+    one setting (relative, max-norm), else ``NonConvergence``.
     """
 
     rel_tol: float = 1e-11
-    levels: int = 12
-    order: int = 16
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise InvalidParams(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        for name in ("order", "levels"):
-            object.__setattr__(self, name, _count(getattr(self, name), name, InvalidParams))
-        if self.order < 1:
-            raise InvalidParams(f"order must be >= 1, got {self.order}")
-        if not (1 <= self.levels <= _MAX_LEVELS):
-            raise InvalidParams(f"levels must lie in [1, {_MAX_LEVELS}], got {self.levels}")
 
 
 DEFAULT_QUAD = QuadSettings()
@@ -213,7 +205,7 @@ def _adaptive_graded(f, T: float, quad: QuadSettings, what: str):
     change).  ``f(s)`` is the integrand at the nodes s, stacked on the first
     axis.  A deepening splits the innermost panel into 5; the other panels
     keep their nodes bitwise (edges T 2^-j), so f sees each node once."""
-    lv, k = quad.levels, quad.order
+    lv, k = _LEVELS, _ORDER
     s, w = graded_gauss_rule(T, lv, k)
     F = f(s)
     v0 = np.einsum("s,s...->...", w, F)
@@ -563,12 +555,14 @@ def synthesis_to_dict(result: SynthesisResult, sys: FracSystem, T: float) -> dic
 
 def control_from_dict(doc: dict, policy: SeriesPolicy = DEFAULT_POLICY) -> ControlSignal:
     """Rebuild the exact control exported by ``synthesis_to_dict``, under the
-    series ``policy`` it was synthesized with.  The document's system is
-    checked as a ``FracSystem`` and its control arrays must be finite; a
-    document missing a key raises ``KeyError``."""
+    series ``policy`` it was synthesized with.  Its system is checked as a
+    ``FracSystem``, ``T`` and ``steps`` must be numbers (not bools or strings)
+    and its control arrays finite; a missing key raises ``KeyError``."""
     spec = doc["control"]
     sys = FracSystem(doc["system"]["A"], doc["system"]["B"], alpha=doc["alpha"])
-    T = float(doc["T"])
+    T = doc["T"]
+    if isinstance(T, bool) or not isinstance(T, (int, float)):
+        raise InvalidParams(f"horizon T must be a number, got {T!r}")
     kind = spec["type"]
     if kind == "min-energy":
         return MinEnergyControl(sys.A, sys.B, sys.alpha, T, spec["coeff"], policy)
@@ -576,6 +570,6 @@ def control_from_dict(doc: dict, policy: SeriesPolicy = DEFAULT_POLICY) -> Contr
         return PinvControl(sys.A, spec["B_pinv"], sys.alpha, T, spec["v"], policy)
     if kind == "sampled":
         g = spec["grid"]
-        grid = TimeGrid(float(g["t0"]), float(g["t1"]), int(g["steps"]))
+        grid = TimeGrid(g["t0"], g["t1"], g["steps"])
         return SampledControl(GridFunction(grid, np.asarray(spec["values"], float)))
     raise InvalidParams(f"unknown control type {kind!r}")

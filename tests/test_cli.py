@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from fracctrl import (FracSystem, MLParams, MinEnergyControl, TimeGrid, caputo_residual,
                       control_from_dict, ml_matrix, simulate)
+import fracctrl.cli as cli
 from fracctrl.cli import _ML_PRINT_POLICY, _example2_energy, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -170,6 +172,30 @@ class TestImport:
         assert (out.returncode, out.stderr) == (0, "") and out.stdout
 
 
+class TestSchemaDocs:
+    """The problem-file examples in docs/file-formats.md and in the CLI's
+    docstring show the fields the CLI reads, with its defaults."""
+
+    @staticmethod
+    def examples():
+        md = (Path(__file__).parents[1] / "docs" / "file-formats.md").read_text()
+        doc = cli.__doc__
+        return {"file-formats.md": md.split("```json\n", 1)[1].split("```", 1)[0],
+                "cli docstring": doc[doc.index("\n  {\n"):doc.index("\n  }\n") + 4]}
+
+    @pytest.mark.parametrize("where", ["file-formats.md", "cli docstring"])
+    def test_example_keys_and_defaults_match_field_table(self, where):
+        example = json.loads(re.sub(r"//.*", "", self.examples()[where]))
+        assert set(example) == set(cli._FIELDS["problem file"])
+        for key, block in example.items():
+            if key == "control":  # one control type, with the key that type needs
+                assert set(block) == {"type", cli._CONTROL_NEEDS[block["type"]]}
+            elif isinstance(block, dict):
+                assert set(block) == set(cli._FIELDS[f"{key} block"]), (where, key)
+        for key, value in example["numerics"].items():
+            assert value == cli._FIELDS["numerics block"][key][1], (where, key)
+
+
 class TestSimulate:
     def test_constant_control_terminal_state(self, tmp_path, capsys):
         pf = write_problem(tmp_path / "p.json")
@@ -201,15 +227,17 @@ class TestSimulate:
         {"grid_steps": 2.7}, {"grid_steps": 512.0}, {"refine": 1.5},
         {"quad_order": 0}, {"series_max_terms": True}, {"grid_steps": None},
         {"series_rel_tol": [1]}, {"quad_rel_tol": None}, {"series_rel_tol": True},
-        {"refine": None},
+        {"refine": None}, {"quad_levels": 12}, {"quad_order": 16},
     ])
     def test_malformed_numerics_rejected(self, tmp_path, capsys, numerics):
         pf = write_problem(tmp_path / "p.json", numerics={"grid_steps": 512, **numerics})
         assert main(["simulate", pf]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
-        if "refine" in numerics:  # simulate samples the control on the grid itself
-            assert "unknown keys in numerics block: ['refine']" in err
+        # retired settings are unknown keys, even where simulate would not read them
+        retired = sorted({"refine", "quad_levels", "quad_order"} & set(numerics))
+        if retired:
+            assert f"unknown keys in numerics block: {retired}" in err
 
     @pytest.mark.parametrize("block, value", [
         ("numerics", []), ("numerics", None), ("steering", None), ("system", None),
@@ -255,6 +283,7 @@ class TestSimulate:
         ("t,u1,u2\n" + "".join(f"{t},1,2\n" for t in (0.0, 5.0, 10.0)), "1+1 columns"),
         ("t,u1\n" + "".join(f"{t},1\n" for t in (0.0, 2.0, 5.0, 10.0)), "uniform grid"),
         ("t,u1\n0.0,1\n10.0,1\n", "uniform grid"),
+        ("t,u1\n" + "".join(f"{t},1\n" for t in (0.0, 2.5, "nan", 7.5, 10.0)), "uniform grid"),
     ])
     def test_malformed_control_csv_rejected(self, tmp_path, capsys, rows, message):
         csvp = tmp_path / "ctrl.csv"
@@ -287,6 +316,21 @@ class TestSimulate:
             # refused by the document's own checks, not by numpy on the way
             assert err.startswith("input error:")
             assert "malformed synthesis document" in err or "must span" in err
+        # numbers are JSON numbers, never coerced from a fraction, bool or string
+        grid = {"t0": 0.0, "t1": 10.0, "steps": 8}
+        for content, message in (
+                ({"steps": 8.9}, "steps must be an integer, got 8.9"),
+                ({"steps": "8"}, "steps must be an integer, got '8'"),
+                ({"t1": "10"}, "TypeError"),
+                ({"steps": True}, "steps must be an integer, got True"),
+                ({"T": "10"}, "horizon T must be a number, got '10'")):
+            spec = {"type": "sampled", "grid": {**grid, **content}, "values": [[1.0]] * 9}
+            doc = {**good, "T": content["T"]} if "T" in content else {**good, "control": spec}
+            docp.write_text(json.dumps(doc))
+            assert main(["simulate", pf]) == 2
+            err = capsys.readouterr().err
+            assert one_line_input_error(err) and "malformed synthesis document" in err
+            assert message in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cmd", ["simulate", "gramian"])
@@ -378,8 +422,31 @@ class TestGramian:
         assert main(["gramian", pf]) == 0
         text = capsys.readouterr().out
         assert "kalman rank = 2 of 2 -> controllable" in text
-        assert "gramian verdict (rcond > 1e-08) -> controllable" in text
+        assert "gramian verdict (rcond >= 1e-10) -> controllable" in text
         assert "rank/gramian equivalence: consistent" in text
+
+    @pytest.mark.parametrize("T, steers", [(0.2, True), (0.05, False)])
+    def test_verdict_is_min_energy_refusal(self, tmp_path, capsys, T, steers):
+        # a 4-state chain whose Gramian rcond is 4.5e-9 at T = 0.2 and 2.6e-12
+        # at T = 0.05: the verdict says controllable exactly when min-energy
+        # synthesis steers rather than raising SingularGramian
+        pf = write_problem(tmp_path / "p.json",
+                           system={"alpha": 0.9, "A": np.diag(np.ones(3), 1).tolist(),
+                                   "B": [[0.0], [0.0], [0.0], [1.0]]},
+                           steering={"a": [1.0] * 4, "b": [0.0] * 4, "T": T},
+                           numerics={"grid_steps": 256})
+        out = tmp_path / "gram.json"
+        assert main(["gramian", pf, "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "kalman rank = 4 of 4 -> controllable" in text
+        verdict = "controllable" if steers else "uncontrollable"
+        assert f"gramian verdict (rcond >= 1e-10) -> {verdict}\n" in text
+        assert ("rank/gramian equivalence: consistent" in text) is steers
+        doc = json.loads(out.read_text())
+        assert doc["controllable_gramian"] is steers and doc["consistent"] is steers
+        assert main(["synthesize", pf, "--method", "min-energy"]) == (0 if steers else 3)
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: SingularGramian") is not steers
 
 
 class TestSynthesize:
@@ -572,6 +639,7 @@ FUZZ_FIELDS = (
     [(block,) for block in ("system", "steering", "numerics", "control", "method")]
     + [("system", key) for key in ("alpha", "A", "B", "C")]
     + [("steering", key) for key in ("a", "b", "T")]
+    # quad_levels and quad_order are retired: they probe the unknown-key refusal
     + [("numerics", key) for key in ("grid_steps", "series_rel_tol", "series_max_terms",
                                      "quad_rel_tol", "quad_levels", "quad_order")]
     + [("control", key) for key in ("type", "value", "path")]

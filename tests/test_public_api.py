@@ -56,7 +56,7 @@ PUBLIC = {
     "GramianResult": ["Q", "rcond", "quad_err"],
     "SynthesisResult": ["control", "f_T", "energy", "method", "gramian", "energy_quad"],
     "RankData": ["kalman", "rank", "K_blocks"],
-    "QuadSettings": ["rel_tol", "levels", "order"],
+    "QuadSettings": ["rel_tol"],
     "DEFAULT_QUAD": "QuadSettings",
     "SINGULAR_GRAMIAN_RCOND": "float",
     "gramian": ["sys", "T", "quad", "policy"],
