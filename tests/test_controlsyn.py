@@ -238,7 +238,14 @@ class TestGramian:
             ev = np.linalg.eigvalsh(g.Q)
             assert ev.min() >= -1e-10 * np.abs(ev).max()
 
-    @pytest.mark.parametrize("field", [{"rel_tol": 0.0}])
+    # The ids keep each case's name from when QuadSettings had more fields.
+    @pytest.mark.parametrize(
+        "field",
+        [
+            pytest.param({"rel_tol": 1.0}, id="field0"),
+            pytest.param({"rel_tol": 0.0}, id="field3"),
+        ],
+    )
     def test_quad_settings_validated(self, field):
         with pytest.raises(InvalidParams):
             QuadSettings(**field)
