@@ -21,12 +21,14 @@ types built from it refuse (FracSystem, SteeringProblem, TimeGrid, ...):
     "method":   "min-energy"
   }
 
-Exit codes: 0 success, 2 input error, 3 numeric failure.
+Exit codes: 0 success, 2 input error, 3 numeric failure.  Every file format
+is this module's alone (docs/file-formats.md): one writer per format.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys as _sys
@@ -38,19 +40,20 @@ from .controlsyn import (
     SINGULAR_GRAMIAN_RCOND,
     QuadSettings,
     SteeringProblem,
+    SteeringReport,
+    SynthesisResult,
     _adaptive_graded,
-    control_from_dict,
     gramian,
     kalman_rank,
-    synthesis_to_dict,
     synthesize_min_energy,
     synthesize_pinv,
     synthesize_rank_based,
     verify_steering,
 )
-from .errors import FracctrlError
+from .errors import FracctrlError, InvalidParams
 from .fraccalc import GridFunction, TimeGrid
-from .fracsys import FracSystem, SampledControl, _caputo_residual, simulate, trajectory_to_csv
+from .fracsys import (ControlSignal, FracSystem, MinEnergyControl, PinvControl, SampledControl,
+                      _caputo_residual, simulate)
 from .mlkernel import (
     MLParams,
     SeriesPolicy,
@@ -88,7 +91,7 @@ def _fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-# ---------------------------------------------------------------- problem IO
+# -------------------------------------------------------------- file formats
 
 # Each field of each block of a problem file: the Python types its JSON value
 # may take, and its default (_REQUIRED where it has none).  A JSON number is
@@ -112,11 +115,23 @@ _FIELDS = {
 _CONTROL_NEEDS = {"constant": "value", "csv": "path", "synthesized": "path"}
 
 
+def _number(val, what: str, error=TypeError, nested: bool = False):
+    """``val`` if it is a JSON number (never a bool or a string) or, where
+    ``nested``, nested lists of them; else ``error`` naming ``what``."""
+    if nested and type(val) is list:
+        for v in val:
+            _number(v, what, error, nested)
+    elif type(val) not in _NUM:
+        raise error(f"{what} must be a number, got {val!r}")
+    return val
+
+
 def _read(block, where: str) -> dict:
     """The fields ``_FIELDS[where]`` of ``block``, defaults filled in.  The
     block must be a JSON object without unknown keys, with every required key
     and with each value of its field's types (null only where that is the
-    default); a field that is an object is read as the block ``"<key> block"``."""
+    default), an array's entries numbers; a field that is an object is read
+    as the block ``"<key> block"``."""
     if type(block) is not dict:
         raise InputError(f"{where} must be a JSON object, got {block!r}")
     fields = _FIELDS[where]
@@ -131,6 +146,8 @@ def _read(block, where: str) -> dict:
         if type(val) not in types and not (val is None is default):
             names = " or ".join(t.__name__ for t in types)
             raise InputError(f"{key} in {where} must be {names}, got {val!r}")
+        if type(val) is list:
+            _number(val, f"each entry of {key} in {where}", InputError, nested=True)
         if type(val) is dict:
             val = _read(val, f"{key} block")
         out[key] = float(val) if type(val) is int and float in types else val
@@ -154,7 +171,7 @@ class Problem:
             raise InputError(f"invalid problem data: {exc}") from exc
         self.control_spec, self.method = doc["control"], doc["method"]
 
-    def control(self) -> SampledControl:
+    def control(self) -> ControlSignal:
         spec, grid = self.control_spec, self.steering.grid
         if spec is None:
             raise InputError("problem file has no control block")
@@ -166,7 +183,7 @@ class Problem:
         if need == "value":
             try:
                 val = np.atleast_1d(np.asarray(spec["value"], dtype=float))
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:  # a ragged array
                 raise InputError(f"constant control value: {exc}") from None
             if val.shape != (self.system.m,):
                 raise InputError(f"constant control must have {self.system.m} entries")
@@ -176,9 +193,79 @@ class Problem:
         with open(spec["path"]) as fh:
             doc = json.load(fh)
         try:
-            return control_from_dict(doc, self.policy)
+            return _control_from_dict(doc, self.policy)
         except (KeyError, TypeError, FracctrlError) as exc:
             raise InputError(f"malformed synthesis document: {exc!r}") from None
+
+
+def _synthesis_to_dict(result: SynthesisResult, report: SteeringReport, sys: FracSystem,
+                       T: float) -> dict:
+    """The document ``synthesize --out`` writes: method, defect, energy,
+    Gramian data when present, the control sampled at 201 equispaced times,
+    the parameters that rebuild the control exactly, and the report."""
+    ts = np.linspace(0.0, T, 201)
+    ctrl = result.control
+    if isinstance(ctrl, MinEnergyControl):
+        spec = {"type": "min-energy", "coeff": list(ctrl.coeff)}
+    elif isinstance(ctrl, PinvControl):
+        spec = {"type": "pinv", "B_pinv": ctrl.B_pinv.tolist(), "v": list(ctrl.v)}
+    else:  # rank-based synthesis samples its control
+        g = ctrl.data.grid
+        spec = {"type": "sampled", "grid": {"t0": g.t0, "t1": g.t1, "steps": g.steps},
+                "values": ctrl.data.values.tolist()}
+    return {
+        "method": result.method,
+        "alpha": sys.alpha,
+        "T": T,
+        "f_T": list(result.f_T),
+        "energy": result.energy,
+        "gramian": list(result.gramian.Q.ravel()) if result.gramian else None,
+        "rcond": result.gramian.rcond if result.gramian else None,
+        "system": {"A": sys.A.tolist(), "B": sys.B.tolist()},
+        "control_samples": {"t": list(ts), "u": ctrl.sample(ts).tolist()},
+        "control": spec,
+        "report": {k: v for k, v in dataclasses.asdict(report).items() if k != "energy_reported"},
+    }
+
+
+def _control_from_dict(doc: dict, policy: SeriesPolicy) -> ControlSignal:
+    """Rebuild the exact control ``_synthesis_to_dict`` exported, under the
+    series ``policy`` it was synthesized with.  Its numbers must be JSON
+    numbers (``TypeError``), its system a ``FracSystem`` and its control
+    arrays finite; a missing key raises ``KeyError``."""
+    def arr(block, key):
+        return _number(block[key], f"each entry of {key}", nested=True)
+
+    spec, system = doc["control"], doc["system"]
+    sys = FracSystem(arr(system, "A"), arr(system, "B"), alpha=_number(doc["alpha"], "alpha"))
+    T = _number(doc["T"], "horizon T")
+    kind = spec["type"]
+    if kind == "min-energy":
+        return MinEnergyControl(sys.A, sys.B, sys.alpha, T, arr(spec, "coeff"), policy)
+    if kind == "pinv":
+        return PinvControl(sys.A, arr(spec, "B_pinv"), sys.alpha, T, arr(spec, "v"), policy)
+    if kind == "sampled":
+        g = spec["grid"]
+        grid = TimeGrid(_number(g["t0"], "grid t0"), _number(g["t1"], "grid t1"), g["steps"])
+        return SampledControl(GridFunction(grid, np.asarray(arr(spec, "values"), float)))
+    raise InvalidParams(f"unknown control type {kind!r}")
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_csv(path: str, t: np.ndarray, **blocks) -> None:
+    """The column ``t``, then the columns ``<name>1..`` of each block given
+    (None is skipped), at 17 significant digits so that doubles round-trip."""
+    blocks = {name: v for name, v in blocks.items() if v is not None}
+    header = ["t", *(f"{name}{i + 1}" for name, v in blocks.items() for i in range(v.shape[1]))]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in np.column_stack([t, *blocks.values()]):
+            fh.write(",".join(_fmt17(v) for v in row) + "\n")
 
 
 def _control_from_csv(path: str, m: int) -> SampledControl:
@@ -255,7 +342,7 @@ def cmd_simulate(args) -> int:
     control = prob.control()
     traj = simulate(prob.system, prob.steering.a, control, prob.steering.grid, policy=prob.policy)
     if args.out:
-        trajectory_to_csv(traj, args.out)
+        _write_csv(args.out, traj.grid.nodes, x=traj.states, y=traj.outputs)
     res = _caputo_residual(prob.system, traj, traj.controls)
     print("terminal state: " + " ".join(_fmt17(v) for v in traj.states[-1]))
     print(f"caputo residual (interior): {_fmt(res)}")
@@ -282,7 +369,7 @@ def cmd_gramian(args) -> int:
           + ("controllable" if gram_ok else "uncontrollable"))
     print("rank/gramian equivalence: " + ("consistent" if rank_ok == gram_ok else "INCONSISTENT"))
     if args.out:
-        doc = {
+        _write_json(args.out, {
             "T": prob.steering.T,
             "Q": g.Q.tolist(),
             "rcond": g.rcond,
@@ -292,10 +379,7 @@ def cmd_gramian(args) -> int:
             "controllable_rank": rank_ok,
             "controllable_gramian": gram_ok,
             "consistent": rank_ok == gram_ok,
-        }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        })
         print(f"gramian report written to {args.out}")
     return EXIT_OK
 
@@ -315,25 +399,10 @@ def cmd_synthesize(args) -> int:
     print(f"energy quadrature mismatch: {_fmt(report.energy_mismatch_rel)}")
     print(f"caputo residual: {_fmt(report.caputo_residual)}")
     if args.out:
-        doc = synthesis_to_dict(result, prob.system, sp.T)
-        doc["report"] = {
-            "terminal_error_abs": report.terminal_error_abs,
-            "terminal_error_rel": report.terminal_error_rel,
-            "energy_quadrature": report.energy_quadrature,
-            "energy_mismatch_rel": report.energy_mismatch_rel,
-            "caputo_residual": report.caputo_residual,
-        }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, _synthesis_to_dict(result, report, prob.system, sp.T))
         print(f"synthesis written to {args.out}")
     if args.csv:
-        ts = sp.grid.nodes
-        table = result.control.sample(ts)
-        with open(args.csv, "w") as fh:
-            fh.write("t," + ",".join(f"u{i+1}" for i in range(table.shape[1])) + "\n")
-            for tv, row in zip(ts, table):
-                fh.write(",".join(_fmt17(v) for v in [tv, *row]) + "\n")
+        _write_csv(args.csv, sp.grid.nodes, u=result.control.sample(sp.grid.nodes))
         print(f"control samples written to {args.csv}")
     return EXIT_OK
 

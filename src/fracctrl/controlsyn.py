@@ -25,6 +25,8 @@ Three steering laws are provided:
   psi(t) = g(T-t) (b - S0(T) a) phi(t) and the K_j blocks right-invert
   [B, AB, ..., A^(n-1)B].  The inverse kernel argument is T-t so that
   S(T-t) g(T-t) = I pointwise, which is what the steering computation needs.
+
+Only the command-line front end saves a synthesis to a file and reads it back.
 """
 
 from __future__ import annotations
@@ -83,8 +85,6 @@ __all__ = [
     "SteeringReport",
     "default_shaping_density",
     "graded_gauss_rule",
-    "synthesis_to_dict",
-    "control_from_dict",
 ]
 
 # below this reciprocal condition estimate the Gramian is treated as singular,
@@ -172,8 +172,9 @@ class SynthesisResult:
 
 @dataclass
 class SteeringReport:
-    """verify_steering output; inaccuracy is reported, not raised.  For pinv and
-    rank-based synthesis ``energy_mismatch_rel`` is 0.0 (NaN if inf): no check."""
+    """verify_steering output; inaccuracy is reported, not raised.
+    ``energy_mismatch_rel`` is inf where an energy diverges, and otherwise 0.0
+    for pinv and rank-based synthesis: no check."""
 
     terminal_error_abs: float
     terminal_error_rel: float
@@ -183,17 +184,17 @@ class SteeringReport:
     caputo_residual: float
 
 
-def graded_gauss_rule(T: float, levels: int, order: int):
-    """Composite Gauss-Legendre rule over [0, T]: ``order`` nodes on each of
+def graded_gauss_rule(T: float, levels: int):
+    """Composite Gauss-Legendre rule over [0, T]: 16 nodes on each of
     ``levels`` panels that halve toward s = 0.  Returns (nodes, weights),
     nodes ascending."""
     if not 0.0 < T < math.inf:
         raise InvalidParams(f"horizon must be positive and finite, got {T}")
-    if levels < 1 or order < 1:
-        raise InvalidParams(f"need levels, order >= 1, got {levels}, {order}")
+    if levels < 1:
+        raise InvalidParams(f"need levels >= 1, got {levels}")
     edges = np.append(0.0, T * 0.5 ** np.arange(levels)[::-1])
     lo, hi = edges[:-1], edges[1:]
-    xg, wg = _gauss(leggauss, order)
+    xg, wg = _gauss(leggauss, _ORDER)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return (mid[:, None] + rad[:, None] * xg).ravel(), (rad[:, None] * wg).ravel()
 
@@ -206,12 +207,12 @@ def _adaptive_graded(f, T: float, quad: QuadSettings, what: str):
     axis.  A deepening splits the innermost panel into 5; the other panels
     keep their nodes bitwise (edges T 2^-j), so f sees each node once."""
     lv, k = _LEVELS, _ORDER
-    s, w = graded_gauss_rule(T, lv, k)
+    s, w = graded_gauss_rule(T, lv)
     F = f(s)
     v0 = np.einsum("s,s...->...", w, F)
     while lv <= _MAX_LEVELS:
         lv += 4
-        s, w = graded_gauss_rule(T, lv, k)
+        s, w = graded_gauss_rule(T, lv)
         F = np.concatenate([f(s[:5 * k]), F[k:]])
         v1 = np.einsum("s,s...->...", w, F)
         if not np.isfinite(v1).all():
@@ -503,7 +504,8 @@ def verify_steering(
     term_rel = term_abs / max(1.0, float(np.abs(prob.b).max()))
     e_quad = (result.energy if result.energy_quad == quad
               else modified_energy(result.control, sys.alpha, prob.T, quad))
-    mismatch = abs(e_quad - result.energy) / (1.0 + abs(result.energy))
+    mismatch = (math.inf if math.isinf(e_quad) or math.isinf(result.energy)  # not inf - inf
+                else abs(e_quad - result.energy) / (1.0 + abs(result.energy)))
     residual = _caputo_residual(sys, traj, traj.controls)
     return SteeringReport(
         terminal_error_abs=term_abs,
@@ -514,62 +516,3 @@ def verify_steering(
         caputo_residual=residual,
     )
 
-
-def synthesis_to_dict(result: SynthesisResult, sys: FracSystem, T: float) -> dict:
-    """JSON-ready document for a synthesis result: method, defect, energy,
-    Gramian data when present, the control sampled at 201 equispaced times,
-    and the parameters needed to reconstruct the control exactly."""
-    ts = np.linspace(0.0, T, 201)
-    table = result.control.sample(ts)
-    doc = {
-        "method": result.method,
-        "alpha": sys.alpha,
-        "T": T,
-        "f_T": list(result.f_T),
-        "energy": result.energy,
-        "gramian": list(result.gramian.Q.ravel()) if result.gramian else None,
-        "rcond": result.gramian.rcond if result.gramian else None,
-        "system": {"A": sys.A.tolist(), "B": sys.B.tolist()},
-        "control_samples": {"t": list(ts), "u": table.tolist()},
-    }
-    ctrl = result.control
-    if isinstance(ctrl, MinEnergyControl):
-        doc["control"] = {"type": "min-energy", "coeff": list(ctrl.coeff)}
-    elif isinstance(ctrl, PinvControl):
-        doc["control"] = {
-            "type": "pinv",
-            "B_pinv": ctrl.B_pinv.tolist(),
-            "v": list(ctrl.v),
-        }
-    elif isinstance(ctrl, SampledControl):
-        g = ctrl.data.grid
-        doc["control"] = {
-            "type": "sampled",
-            "grid": {"t0": g.t0, "t1": g.t1, "steps": g.steps},
-            "values": ctrl.data.values.tolist(),
-        }
-    else:
-        raise InvalidParams(f"cannot export control of type {type(ctrl).__name__}")
-    return doc
-
-
-def control_from_dict(doc: dict, policy: SeriesPolicy = DEFAULT_POLICY) -> ControlSignal:
-    """Rebuild the exact control exported by ``synthesis_to_dict``, under the
-    series ``policy`` it was synthesized with.  Its system is checked as a
-    ``FracSystem``, ``T`` and ``steps`` must be numbers (not bools or strings)
-    and its control arrays finite; a missing key raises ``KeyError``."""
-    spec = doc["control"]
-    sys = FracSystem(doc["system"]["A"], doc["system"]["B"], alpha=doc["alpha"])
-    T = doc["T"]
-    if isinstance(T, bool) or not isinstance(T, (int, float)):
-        raise InvalidParams(f"horizon T must be a number, got {T!r}")
-    kind = spec["type"]
-    if kind == "min-energy":
-        return MinEnergyControl(sys.A, sys.B, sys.alpha, T, spec["coeff"], policy)
-    if kind == "pinv":
-        return PinvControl(sys.A, spec["B_pinv"], sys.alpha, T, spec["v"], policy)
-    if kind == "sampled":
-        g = spec["grid"]
-        grid = TimeGrid(g["t0"], g["t1"], g["steps"])
-        return SampledControl(GridFunction(grid, np.asarray(spec["values"], float)))
-    raise InvalidParams(f"unknown control type {kind!r}")

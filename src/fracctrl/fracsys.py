@@ -20,13 +20,13 @@ w(s) the kernel's s^(alpha-1) cancels the cusp; w, analytic in y = s^alpha,
 is interpolated quadratically in y on each panel pair and integrated exactly
 against E_{alpha,alpha}(A s^alpha) B through its moments (product
 integration, as in Diethelm, *The Analysis of Fractional Differential
-Equations*).
+Equations*).  Trajectories are written as CSV by the command-line front end
+only (``fracctrl simulate --out``).
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +47,6 @@ __all__ = [
     "Trajectory",
     "simulate",
     "caputo_residual",
-    "trajectory_to_csv",
 ]
 
 @dataclass(frozen=True)
@@ -364,16 +363,3 @@ def _caputo_residual(sys: FracSystem, traj: Trajectory, uf: np.ndarray) -> float
     res = np.abs(D - rhs).max(axis=1)
     return float(res[lo : hi + 1].max())
 
-
-def trajectory_to_csv(traj: Trajectory, out) -> None:
-    """Write ``t,x1..xn[,y1..yp]`` rows at full double precision (17
-    significant digits) so values round-trip exactly."""
-    cols = [traj.grid.nodes[:, None], traj.states]
-    header = ["t"] + [f"x{i+1}" for i in range(traj.states.shape[1])]
-    if traj.outputs is not None:
-        cols.append(traj.outputs)
-        header += [f"y{i+1}" for i in range(traj.outputs.shape[1])]
-    with open(out, "w") if isinstance(out, (str, bytes)) else nullcontext(out) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.hstack(cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracctrl import (FracSystem, MLParams, MinEnergyControl, TimeGrid, caputo_residual,
-                      control_from_dict, ml_matrix, simulate)
+from fracctrl import (DEFAULT_POLICY, FracSystem, GridFunction, MLParams, MinEnergyControl,
+                      SampledControl, TimeGrid, caputo_residual, ml_matrix, simulate)
 import fracctrl.cli as cli
 from fracctrl.cli import _ML_PRINT_POLICY, _example2_energy, main
 
@@ -208,6 +208,25 @@ class TestSimulate:
         assert vals[1] == pytest.approx(2.0 * np.sqrt(T) / np.sqrt(np.pi), abs=1e-4)
         assert out.read_text().splitlines()[0] == "t,x1,x2"
 
+    def test_trajectory_csv_roundtrip_and_determinism(self, tmp_path, capsys):
+        # with a "C" block: the y columns too, each column bit for bit what
+        # simulate returns, and the same bytes from a second run
+        C = [[0.0, 1.0]]
+        pf = write_problem(tmp_path / "p.json", system={**CHAIN, "C": C})
+        outs = [tmp_path / "traj1.csv", tmp_path / "traj2.csv"]
+        for out in outs:
+            assert main(["simulate", pf, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_text().splitlines()[0] == "t,x1,x2,y1"
+        sys = FracSystem(CHAIN["A"], CHAIN["B"], C=C, alpha=CHAIN["alpha"])
+        grid = TimeGrid(0.0, STEERING["T"], 512)
+        u = SampledControl(GridFunction(grid, np.ones((grid.steps + 1, 1))))
+        traj = simulate(sys, np.array(STEERING["a"]), u, grid)
+        data = np.loadtxt(outs[0], delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(data[:, 0], grid.nodes)
+        assert np.array_equal(data[:, 1:3], traj.states)
+        assert np.array_equal(data[:, 3:], traj.outputs)
+
     def test_zero_control_free_response(self, tmp_path, capsys):
         pf = write_problem(tmp_path / "p.json",
                            control={"type": "constant", "value": [0.0]})
@@ -263,8 +282,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
         assert err.count("\n") == 1
-        if isinstance(value, dict) and value.get("value") in ([{}], ["a"], [[1], [2, 3]]):
+        if isinstance(value, dict) and value.get("value") == [[1], [2, 3]]:
             assert err.startswith("input error: constant control value: ")
+        if isinstance(value, dict) and value.get("value") in ([{}], ["a"]):
+            assert err.startswith("input error: each entry of value in control block "
+                                  f"must be a number, got {value['value'][0]!r}")
+
+    @pytest.mark.parametrize("cmd", ["simulate", "gramian"])
+    @pytest.mark.parametrize("block, key, value, bad", [
+        ("system", "A", [[0.0, True], [0.0, 0.0]], True),
+        ("system", "B", [[0.0], ["1"]], "1"),
+        ("steering", "a", [1.0, False], False),
+        ("control", "value", [True], True),
+    ])
+    def test_array_entries_are_numbers(self, tmp_path, capsys, cmd, block, key, value, bad):
+        blocks = {"system": CHAIN, "steering": STEERING,
+                  "control": {"type": "constant", "value": [1.0]}}
+        pf = write_problem(tmp_path / "p.json", **{block: {**blocks[block], key: value}})
+        assert main([cmd, pf]) == 2
+        err = capsys.readouterr().err
+        assert one_line_input_error(err)
+        assert f"each entry of {key} in {block} block must be a number, got {bad!r}" in err
 
     @pytest.mark.parametrize("content, message", [
         ("{not json", "problem file is not valid JSON"),
@@ -331,6 +369,28 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert one_line_input_error(err) and "malformed synthesis document" in err
             assert message in err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"alpha": True}, "alpha must be a number, got True"),
+        ({"control": {"type": "min-energy", "coeff": [True, False]}},
+         "each entry of coeff must be a number, got True"),
+        ({"control": {"type": "min-energy", "coeff": ["0.1", "0.2"]}},
+         "each entry of coeff must be a number, got '0.1'"),
+        ({"control": {"type": "sampled", "grid": {"t0": False, "t1": 10.0, "steps": 8},
+                      "values": [[1.0]] * 9}}, "grid t0 must be a number, got False"),
+    ])
+    def test_synthesis_document_numbers_are_numbers(self, tmp_path, capsys, change, message):
+        # each runs as 1, 0 or a parsed string if coerced
+        docp = tmp_path / "c.json"
+        docp.write_text(json.dumps({"alpha": 0.5, "T": 10.0,
+                                    "system": {"A": CHAIN["A"], "B": CHAIN["B"]},
+                                    "control": {"type": "min-energy", "coeff": [0.1, 0.2]},
+                                    **change}))
+        pf = write_problem(tmp_path / "p.json", control={"type": "synthesized", "path": str(docp)})
+        assert main(["simulate", pf]) == 2
+        err = capsys.readouterr().err
+        assert one_line_input_error(err) and "malformed synthesis document" in err
+        assert message in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cmd", ["simulate", "gramian"])
@@ -574,7 +634,7 @@ class TestSynthesize:
         assert main(["simulate", pf2]) == 0
         assert calls == [257]
         monkeypatch.undo()
-        u = control_from_dict(json.loads(ctrl.read_text()))
+        u = cli._control_from_dict(json.loads(ctrl.read_text()), DEFAULT_POLICY)
         sys = FracSystem(CHAIN["A"], CHAIN["B"], alpha=CHAIN["alpha"])
         traj = simulate(sys, np.array(STEERING["a"]), u, TimeGrid(0.0, STEERING["T"], 256))
         want = f"caputo residual (interior): {caputo_residual(sys, traj, u):.15g}"

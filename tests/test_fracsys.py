@@ -1,7 +1,6 @@
-"""Simulation tests: closed-form trajectories, superposition, convergence,
-the residual certificate, and CSV round trips."""
+"""Simulation tests: closed-form trajectories, superposition, convergence
+and the residual certificate."""
 
-import io
 from concurrent.futures import ThreadPoolExecutor
 from sys import getswitchinterval, setswitchinterval
 
@@ -29,7 +28,6 @@ from fracctrl import (
     state_transition,
     synthesize_min_energy,
     synthesize_pinv,
-    trajectory_to_csv,
     verify_steering,
 )
 from fracctrl import fracsys
@@ -494,21 +492,3 @@ class TestResidual:
         traj.states[-1] += 1e3
         assert caputo_residual(example1_system, traj, u) == pytest.approx(res, rel=1e-9)
 
-
-class TestCsv:
-    def test_roundtrip_and_determinism(self, example1_system, tmp_path):
-        grid = TimeGrid(0.0, 1.0, 64)
-        sys = FracSystem(example1_system.A, example1_system.B,
-                         C=np.array([[0.0, 1.0]]), alpha=0.5)
-        traj = simulate(sys, np.array([1.0, 0.0]), constant_control(grid, 1.0), grid)
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        trajectory_to_csv(traj, buf1)
-        trajectory_to_csv(traj, buf2)
-        assert buf1.getvalue() == buf2.getvalue()
-        assert buf1.getvalue().splitlines()[0] == "t,x1,x2,y1"
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, str(path))
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        assert np.array_equal(data[:, 0], grid.nodes)
-        assert np.array_equal(data[:, 1:3], traj.states)
-        assert np.array_equal(data[:, 3:], traj.outputs)

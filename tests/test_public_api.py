@@ -36,7 +36,6 @@ PUBLIC = {
     "Trajectory": ["grid", "states", "outputs", "controls"],
     "simulate": ["sys", "a", "u", "grid", "policy"],
     "caputo_residual": ["sys", "traj", "u"],
-    "trajectory_to_csv": ["traj", "out"],
     # mlkernel
     "MLParams": ["alpha", "beta"],
     "SeriesPolicy": ["rel_tol", "max_terms"],
@@ -69,9 +68,7 @@ PUBLIC = {
     "SteeringReport": ["terminal_error_abs", "terminal_error_rel", "energy_quadrature",
                        "energy_reported", "energy_mismatch_rel", "caputo_residual"],
     "default_shaping_density": ["grid", "alpha"],
-    "graded_gauss_rule": ["T", "levels", "order"],
-    "synthesis_to_dict": ["result", "sys", "T"],
-    "control_from_dict": ["doc", "policy"],
+    "graded_gauss_rule": ["T", "levels"],
 }
 
 
