@@ -326,12 +326,16 @@ def cmd_ml(args) -> int:
         raise InputError(f"--A must be a JSON matrix: {exc}") from None
     if args.t is None:
         raise InputError("matrix evaluation needs --t")
+    if not 0.0 <= args.t < math.inf:
+        raise InputError(f"--t must be finite and >= 0, got {args.t}")
     if mode == "exp":
         M = alpha_exp(A, args.alpha, args.t, pol)
     elif mode == "s0":
         M = state_transition(A, args.alpha, args.t, pol)
     else:
-        M = ml_matrix(MLParams(args.alpha, beta), A * args.t**args.alpha, pol)
+        with np.errstate(over="ignore", invalid="ignore"):  # ml_matrix refuses a non-finite entry
+            M = A * np.float64(args.t) ** args.alpha
+        M = ml_matrix(MLParams(args.alpha, beta), M, pol)
     for row in M:
         print(" ".join(_fmt(v) for v in row))
     return EXIT_OK

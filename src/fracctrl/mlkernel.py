@@ -19,10 +19,12 @@ lags on the last, contiguous axis and returns ``s.shape + L.shape`` arrays.
 
 All functions are pure.  Shared state is immutable once built or swapped whole,
 so safe for concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and
-``_rgamma_floats`` (a race builds a row twice, bitwise the same) and
-``fraccalc._gauss`` (read-only Gauss rules); ``fracsys._TABLES`` (simulate's
-last kernel table of read-only arrays, swapped under a lock); ``_CTX``, whose
-settings never change (its status flags are set but never read).
+``_rgamma_floats`` (a race builds a row twice, bitwise the same), ``_ln_int``
+(ln m at 44 digits, correctly rounded, so a race stores the same immutable
+Decimal twice) and ``fraccalc._gauss`` (read-only Gauss rules);
+``fracsys._TABLES`` (simulate's last kernel table of read-only arrays, swapped
+under a lock); ``_CTX`` and the 44-digit ``_CTX44``, whose settings never
+change (their status flags are set but never read).
 """
 
 from __future__ import annotations
@@ -140,23 +142,61 @@ _ZK_MAX = _D(sys.float_info.max / 134217729.0)
 # ml_scalar's pre-test holds while 2 rel_tol |total| >= _TINY4, |total| <= _FMAX
 _TINY4 = _D(4.0 * sys.float_info.min)
 _FMAX = _D(sys.float_info.max)
+_ONE, _HALF, _THIRTY = _D(1), _D("0.5"), _D(30)
+_CTX44 = _CTX.copy()  # for ln x, x >= 30, taken first at 44 digits
+_CTX44.prec = 44
+# 2 atanh(t) = t sum_j _ATANH[j] t^(2j), _ATANH[j] = 2/(2j+1) for j = 12 down to 0
+_ATANH = [_CTX44.divide(2, 2 * j + 1) for j in range(12, -1, -1)]
+# ln m at 44 digits, correctly rounded, for the integer part m of x
+_ln_int = functools.lru_cache(maxsize=4096)(_CTX44.ln)
+# Bound on |y - ln x| / y for _rgamma_dec's y = ln m + 2 atanh(t), u = 5e-44
+# the unit roundoff at 44 digits: x - m and x + m are exact (at most 35
+# digits); ln m is off by u ln m; as 0 <= t < 1/61, t times the Horner sum is
+# off by under 16u relative, of a value below 0.033, and the omitted terms
+# are below t^27 < 1e-48; the last fma adds u y.  So |y - ln x| <=
+# u (2 ln x + 1) < 1.2e-43 y as ln x >= 3.4, and y -+ _LN_ERR y, each rounded
+# at 44 digits, still enclose ln x.
+_LN_ERR = _D("1e-42")
 
 
 def _rgamma_dec(x: decimal.Decimal) -> decimal.Decimal:
     """1 / Gamma(x) for positive x: Stirling's series for log Gamma after
-    shifting the argument up to at least 30."""
+    shifting the argument up to at least 30.
+
+    Bit for bit the value with ``_CTX.ln(x)``, which is correctly rounded:
+    ln x is first taken at 44 digits as y = ln m + 2 atanh(t), m = int(x),
+    t = (x - m)/(x + m), with |y - ln x| < 1.2e-43 y (bound at ``_LN_ERR``).
+    y is used when y - _LN_ERR y and y + _LN_ERR y round to one and the same
+    34-digit number, so ln x rounds to it too; otherwise ``_CTX.ln(x)`` is
+    called.
+    """
     c = _CTX
-    shift = _D(1)
-    while x < 30:
-        shift = c.multiply(shift, x)
-        x = c.add(x, 1)
-    lg = c.add(c.subtract(c.multiply(c.subtract(x, _D("0.5")), c.ln(x)), x), _HALF_LN_2PI)
-    x2 = c.multiply(x, x)
+    mul, add, sub = c.multiply, c.add, c.subtract
+    shift = _ONE
+    while x < _THIRTY:
+        shift = mul(shift, x)
+        x = add(x, _ONE)
+    m = int(x)
+    c44 = _CTX44
+    md = _D(m)
+    t = c44.divide(c44.subtract(x, md), c44.add(x, md))
+    t2 = c44.multiply(t, t)
+    fma = c44.fma
+    p = _ATANH[0]
+    for coef in _ATANH[1:]:
+        p = fma(p, t2, coef)
+    y = fma(t, p, _ln_int(m))
+    err = c44.multiply(y, _LN_ERR)
+    ln = c.plus(c44.subtract(y, err))
+    if ln != c.plus(c44.add(y, err)):
+        ln = c.ln(x)
+    lg = add(sub(mul(sub(x, _HALF), ln), x), _HALF_LN_2PI)
+    x2 = mul(x, x)
     xp = x
     for coef in _STIRLING:
-        lg = c.add(lg, c.divide(coef, xp))
-        xp = c.multiply(xp, x2)
-    return c.multiply(shift, c.exp(c.minus(lg)))
+        lg = add(lg, c.divide(coef, xp))
+        xp = mul(xp, x2)
+    return mul(shift, c.exp(c.minus(lg)))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -250,7 +290,7 @@ def ml_matrix_batch(
     """
     A = _as_square(A)
     MLParams(alpha, beta)
-    return _ml_series(A, alpha, beta, np.asarray(s, float), np.eye(A.shape[0]), policy)
+    return _ml_series(A, alpha, beta, _real(s, "lag"), np.eye(A.shape[0]), policy)
 
 
 def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
@@ -341,7 +381,9 @@ def alpha_exp(
     _check_order(alpha)
     if t < 0.0 or (t == 0.0 and alpha < 1.0):
         raise DomainError(f"alpha_exp undefined at t={t} for alpha={alpha}")
-    return t ** (alpha - 1.0) * ml_matrix(MLParams(alpha, alpha), A * t**alpha, policy)
+    with np.errstate(over="ignore"):  # ml_matrix refuses a non-finite entry
+        M = A * t**alpha
+    return t ** (alpha - 1.0) * ml_matrix(MLParams(alpha, alpha), M, policy)
 
 
 def state_transition(
@@ -355,7 +397,9 @@ def state_transition(
     _check_order(alpha)
     if t < 0.0:
         raise DomainError(f"state_transition requires t >= 0, got {t}")
-    return ml_matrix(MLParams(alpha, 1.0), A * t**alpha, policy)
+    with np.errstate(over="ignore"):  # ml_matrix refuses a non-finite entry
+        M = A * t**alpha
+    return ml_matrix(MLParams(alpha, 1.0), M, policy)
 
 
 def frac_sin(alpha: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -463,9 +507,17 @@ def _checked_inverse(E: np.ndarray, rcond_threshold: float) -> np.ndarray:
     return Einv
 
 
+def _real(x, name: str) -> np.ndarray:
+    """``x`` as a float array, refused if complex, where the cast would keep
+    only the real part."""
+    if np.iscomplexobj(x):
+        raise InvalidParams(f"{name} entries must be real, got a complex array")
+    return np.asarray(x, dtype=float)
+
+
 def _finite(x, name: str) -> np.ndarray:
-    """``x`` as a float array, refused unless every entry is finite."""
-    x = np.asarray(x, dtype=float)
+    """``x`` as a float array, refused unless every entry is real and finite."""
+    x = _real(x, name)
     if not np.isfinite(x).all():
         raise InvalidParams(f"{name} entries must be finite")
     return x

@@ -148,6 +148,23 @@ class TestMl:
         assert main(["ml", *orders, "--z", "1"]) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("mode", [[], ["--exp"], ["--s0"]])
+    @pytest.mark.parametrize("t", ["-1", "-1e-300", "inf", "-inf", "nan"])
+    def test_bad_matrix_time_names_t(self, capsys, mode, t):
+        # --A once took --t -1 as the real part of the complex (-1)**0.5
+        assert main(["ml", "--alpha", "0.5", *mode, "--A", "[[1]]", f"--t={t}"]) == 2
+        err = capsys.readouterr().err
+        assert one_line_input_error(err) and "--t must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("mode, alpha", [([], "0.5"), (["--exp"], "0.5"), (["--s0"], "0.5"),
+                                             ([], "400")])
+    def test_overflowing_matrix_argument_prints_only_the_refusal(self, mode, alpha):
+        # A t^alpha overflows (or t^alpha alone at alpha = 400): one input error, no warning
+        out = run_cli(["-m", "fracctrl.cli", "ml", "--alpha", alpha, *mode,
+                       "--A", "[[1e308]]", "--t", "10"])
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "input error: matrix entries must be finite\n"
+
 
 class TestImport:
     def test_import_is_silent_and_writes_nothing(self, tmp_path):

@@ -21,12 +21,15 @@ from scipy.special import rgamma as scipy_rgamma
 from fracctrl import (
     DEFAULT_POLICY,
     DomainError,
+    FracSystem,
     InvalidParams,
     MLParams,
     NonConvergence,
     PinvControl,
     SeriesPolicy,
     SingularKernel,
+    SteeringProblem,
+    TimeGrid,
     alpha_exp,
     cl_truncation,
     frac_cos,
@@ -103,6 +106,24 @@ def pointwise_stop_scalar(params, z, policy):
         f"E_{{{alpha},{beta}}}({z}): no convergence in {policy.max_terms} terms")
 
 
+def stirling_rgamma_reference(x):
+    """Reference for ``_rgamma_dec``: the routine before its 44-digit
+    logarithm, kept verbatim (``_CTX.ln`` and a method lookup per step)."""
+    c = mlkernel._CTX
+    _D = mlkernel._D
+    shift = _D(1)
+    while x < 30:
+        shift = c.multiply(shift, x)
+        x = c.add(x, 1)
+    lg = c.add(c.subtract(c.multiply(c.subtract(x, _D("0.5")), c.ln(x)), x), mlkernel._HALF_LN_2PI)
+    x2 = c.multiply(x, x)
+    xp = x
+    for coef in mlkernel._STIRLING:
+        lg = c.add(lg, c.divide(coef, xp))
+        xp = c.multiply(xp, x2)
+    return c.multiply(shift, c.exp(c.minus(lg)))
+
+
 def assert_same_scalar_outcome(params, z, policy):
     """``ml_scalar`` returns the reference's float bitwise, or raises the
     same exception type with the same message; returns the refusal's type
@@ -175,6 +196,19 @@ class TestParams:
     def test_batch_rejects_bad_orders(self, alpha, beta):
         with pytest.raises(InvalidParams):
             ml_matrix_batch(np.eye(1), alpha, beta, [1.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda: FracSystem(np.array([[1j]]), [1.0]),
+        lambda: FracSystem(np.eye(1), np.array([[1.0 + 0j]])),
+        lambda: ml_matrix(MLParams(0.5, 1.0), [[1j]]),
+        lambda: ml_matrix_batch(np.eye(1), 0.5, 1.0, np.array([1 + 0j])),
+        lambda: SteeringProblem(FracSystem(np.eye(1), [[1.0]]), np.array([1j]), [0.0], 1.0,
+                                TimeGrid(0.0, 1.0, 8)),
+    ], ids=["system-A", "system-B", "matrix", "batch-lags", "steering-a"])
+    def test_complex_input_refused(self, call):
+        # a cast to float would keep only the real part, with a ComplexWarning
+        with pytest.raises(InvalidParams, match="must be real"):
+            call()
 
     def test_policy_validation(self):
         with pytest.raises(InvalidParams):
@@ -475,6 +509,111 @@ class TestRgammaTable:
         assert errors == [] and len(results) == 24
         assert all(val == want[key] for key, val in results)
         assert mlkernel._rgamma_chunk.cache_info().currsize <= 1
+
+
+def near_integers(n, ulp):
+    """Decimals at n and 1, 2 and 10^6 units of the last place either side,
+    at 34 digits."""
+    return [mlkernel._CTX.fma(d, ulp, n) for d in (0, 1, -1, 2, -2, 10**6, -10**6)]
+
+
+def counting_context(calls):
+    """A context with ``_CTX``'s settings whose ``ln`` records its arguments."""
+    base = mlkernel._CTX
+
+    class Counting(decimal.Context):
+        def ln(self, x):
+            calls.append(x)
+            return super().ln(x)
+
+    return Counting(prec=base.prec, rounding=base.rounding, Emin=base.Emin, Emax=base.Emax,
+                    capitals=base.capitals, clamp=base.clamp, flags=[],
+                    traps=[t for t, on in base.traps.items() if on])
+
+
+def assert_same_decimal(got, want):
+    assert got == want and str(got) == str(want), (got, want)
+
+
+class TestRgammaDec:
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.7, 2.5])
+    def test_rows_bitwise_equal_to_reference(self, alpha, monkeypatch):
+        # every coefficient k < 600 of the key, for a few beta
+        betas = (1.0, alpha, 0.37 + alpha)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(mlkernel, "_CTX", counting_context(calls))
+            got = {beta: [r for j in range(38) for r in mlkernel._rgamma_chunk.__wrapped__(
+                alpha, beta, j)] for beta in betas}
+        assert calls == []  # the 44-digit logarithm settled every rounding
+        fma, D = mlkernel._CTX.fma, mlkernel._D
+        for beta in betas:
+            for k in range(600):
+                want = stirling_rgamma_reference(fma(k, D(alpha), D(beta)))
+                assert_same_decimal(got[beta][k], want)
+
+    @pytest.mark.parametrize("x", [
+        *[x for n in range(30, 41) for x in near_integers(n, decimal.Decimal("1e-32"))],
+        *near_integers(29, decimal.Decimal("1e-32")),  # shifted up onto 30 and 31, either side
+        *near_integers(1000, decimal.Decimal("1e-30")),
+        decimal.Decimal("999.4999999999999999999999999999999"),
+        decimal.Decimal("1000.5"),
+        decimal.Decimal(30),
+        decimal.Decimal(1000),
+        decimal.Decimal("1e34"),
+    ], ids=str)
+    def test_near_integer_arguments_bitwise(self, x):
+        assert_same_decimal(mlkernel._rgamma_dec(x), stirling_rgamma_reference(x))
+
+    def test_fallback_returns_context_ln(self, monkeypatch):
+        # an error bound this wide fails the rounding test on every argument
+        xs = [decimal.Decimal(v) for v in ("0.05", "1.5", "29.99", "30", "31.25", "987.654321")]
+        want = [stirling_rgamma_reference(x) for x in xs]
+        calls = []
+        monkeypatch.setattr(mlkernel, "_LN_ERR", decimal.Decimal(1))
+        monkeypatch.setattr(mlkernel, "_CTX", counting_context(calls))
+        for x, w in zip(xs, want):
+            assert_same_decimal(mlkernel._rgamma_dec(x), w)
+        assert len(calls) == len(xs) and all(x >= 30 for x in calls)
+
+    def test_concurrent_fresh_key_matches_single_thread(self, monkeypatch):
+        key = (0.587, 1.913)
+        raw_rows, raw_ln = mlkernel._rgamma_chunk.__wrapped__, mlkernel._ln_int.__wrapped__
+
+        def fresh_caches():
+            monkeypatch.setattr(mlkernel, "_rgamma_chunk", functools.lru_cache(maxsize=4096)(raw_rows))
+            cache = functools.lru_cache(maxsize=4096)(raw_ln)
+            monkeypatch.setattr(mlkernel, "_ln_int", cache)
+            return cache
+
+        fresh_caches()
+        want = [mlkernel._rgamma_chunk(*key, j) for j in range(6)]
+        cache = fresh_caches()
+        results = []
+        barrier = threading.Barrier(4)
+
+        def worker():
+            barrier.wait()
+            results.append([mlkernel._rgamma_chunk(*key, j) for j in range(6)])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert len(results) == 4
+        for rows in results:
+            for got_row, want_row in zip(rows, want):
+                for got, w in zip(got_row, want_row):
+                    assert_same_decimal(got, w)
+        assert cache.cache_info().currsize >= 10
+        assert all(cache(m) == raw_ln(m) for m in range(30, 40))
 
 
 class TestCheckedInverse:
