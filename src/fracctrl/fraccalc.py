@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidOrder
-from .mlkernel import _count, _rgamma
+from .mlkernel import _count, _real, _rgamma
 
 __all__ = [
     "TimeGrid",
@@ -69,7 +69,7 @@ class GridFunction:
     """
 
     def __init__(self, grid: TimeGrid, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+        values = _real(values, "grid function")
         if values.shape[0] != grid.steps + 1 or values.ndim not in (1, 2):
             raise DomainError(
                 f"values shape {values.shape} does not match grid with "
@@ -227,7 +227,7 @@ def singular_convolution(
     k = int((nodes < t_eval - eps).sum())
     taus = np.append(nodes[:k], t_eval)
     U = np.vstack([u.values[:k].reshape(k, -1), np.reshape(u(t_eval), (1, -1))])
-    kern = np.asarray(kernel_smooth(t_eval - taus), float)
+    kern = _real(kernel_smooth(t_eval - taus), "kernel")
     P = (kern @ U[:, :, None])[..., 0] if kern.ndim == 3 else kern.reshape(-1, 1) * U
     sp = t_eval - taus[:-1]
     sq = t_eval - taus[1:]

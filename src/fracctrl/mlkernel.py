@@ -17,6 +17,20 @@ Matrix series are summed in ordinary doubles, which is adequate at desk scale
 (series argument max-norms up to roughly 20), by one primitive that keeps the
 lags on the last, contiguous axis and returns ``s.shape + L.shape`` arrays.
 
+That primitive adds its terms late.  It records up to ``_BLOCK`` = 16 steps
+of L A^k and each live sequence's coefficients, and adds them before each
+stop decision that reads the sums and at the end: lag chunk by lag chunk,
+and term after term within a chunk, with s^(k alpha) built per chunk by the
+same sequential products.  The chunks have equal widths (to one lag) and
+hold ``_CHUNK`` = 65536 to twice as many sums (0.5-1 MB), so that a chunk and
+its product buffer stay in a 2 MB L2 cache.  Where a product has three or
+more rows and every chunk 128 or more lags, numpy's ufunc buffer size is set
+to the narrowest chunk's width, at most 8192: with a buffer wider than a
+chunk's rows, numpy's buffered iterator copies the broadcast L A^k row by
+row, 3-4x slower for the same bits.  The setting is scoped by
+``np.errstate()``, which restores it on exit, also on a raise; no summing
+reduction runs inside (max and min are exact).
+
 All functions are pure.  Shared state is immutable once built or swapped whole,
 so safe for concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and
 ``_rgamma_floats`` (a race builds a row twice, bitwise the same), ``_ln_int``
@@ -24,7 +38,9 @@ so safe for concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and
 Decimal twice) and ``fraccalc._gauss`` (read-only Gauss rules);
 ``fracsys._TABLES`` (simulate's last kernel table of read-only arrays, swapped
 under a lock); ``_CTX`` and the 44-digit ``_CTX44``, whose settings never
-change (their status flags are set but never read).
+change (their status flags are set but never read).  The matrix series'
+pending terms and buffers belong to one call, and numpy keeps its buffer size
+in a context variable, which each thread holds for itself.
 """
 
 from __future__ import annotations
@@ -113,6 +129,12 @@ class SeriesPolicy:
 
 
 DEFAULT_POLICY = SeriesPolicy()
+
+# _ml_series adds its terms in blocks of up to _BLOCK steps, over lag chunks
+# of _CHUNK to 2 _CHUNK sums (see the module docstring); the reductions are
+# bound once, as the ndarray methods add a Python call per stop decision
+_BLOCK, _CHUNK = 16, 65536
+_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
 # below this singular-value ratio the Mittag-Leffler matrix of an inverse
 # kernel is treated as singular
@@ -306,8 +328,16 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     The package's only matrix kernel series, truncated by ``policy`` over all
     lags at once and exact when L A^k vanishes.  A right factor R goes
     through the transpose: E(A s^alpha) R = (R^T E(A^T s^alpha))^T.
+
+    Bit for bit the loop that added each term as it came: every stop
+    decision (the term norm, the bound, max|out|, which sequences live,
+    L A^k and its max-norm) is taken at the same step in the same order, and
+    every element of every sum sees the same products (s^(k alpha) c_k
+    rounded first, then L A^k times it) and adds, in the same order.  Arrays,
+    refusal messages and numpy warnings are the same; only the moment a term
+    is added moves, and every sum is complete before it is read.
     """
-    if (s < 0).any():
+    if not (s >= 0).all():
         raise DomainError("Mittag-Leffler kernels need lags s >= 0")
     # each sequence as j -> its c_k for k = 16 j, ..., 16 j + 15; for a
     # number these rows are cached, so the loop makes no gamma call per term
@@ -321,9 +351,7 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     # a bound on it, so each stop decision is that of a per-term max|out|.
     out = np.zeros((len(coef),) + L.shape + (s.size,))
     rows = [out[i] for i in range(len(coef))]
-    term = np.empty(L.shape + (s.size,))
     P = L
-    spow = np.ones(s.size)
     sa = s.ravel() ** alpha
     sa_max = float(sa.max(initial=0.0))
     acol = float(np.abs(A).sum(axis=0).max())  # max|P A| <= max|P| acol
@@ -331,39 +359,79 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     pmax = float(np.abs(P).max())
     bound = [0.0] * len(coef)
     live = list(range(len(coef))) if s.size else []
-    for k in range(policy.max_terms + 1):
-        if not k % 16:
-            cs = [c(k // 16) for c in coef]
-        for i in live:
-            rg = cs[i][k % 16]
-            tnorm = spow_max * abs(rg) * pmax
-            if not math.isfinite(tnorm):
-                raise NonConvergence("Mittag-Leffler matrix series terms overflow")
-            if tnorm < policy.rel_tol * bound[i]:
-                ref = max(rows[i].max(), -rows[i].min())
-                if ref > 0.0 and tnorm < policy.rel_tol * ref:
-                    live = [j for j in live if j != i]  # the loop goes on over the old list
-                    continue
-                bound[i] = 2.0 * ref
-            np.multiply(P[..., None], spow * rg, out=term)
-            rows[i] += term
-            bound[i] += 2.0 * tnorm
-        if not live:
-            break
-        if pmax * acol > 1e300 or spow_max * sa_max > 1e300:  # the next tnorm refuses an overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                P, spow = P @ A, np.multiply(spow, sa, out=spow)
+    # Terms are added late: todo lists each pending term as (L A^k with a
+    # lag axis, sequence, c_k, k) in the order the loop met them, and spow
+    # holds s^(kp alpha) for the step kp of the last term added.  A power is
+    # taken only for a step whose term passed the tnorm test, so it is at
+    # most spow_max and finite: unlike L A^k, it needs no overflow guard.
+    # The lags split into nc chunks of _CHUNK to 2 _CHUNK sums (or one chunk
+    # of fewer), widths within one.
+    nc = s.size * len(coef) * L.size // _CHUNK or 1
+    width = -(-s.size // nc)
+    spow, cbuf, T = np.ones(s.size), np.empty(width), np.empty(L.shape + (width,))
+    chunks = [(spow, sa, cbuf, T, rows)] if nc == 1 else [
+        (spow[a:b], sa[a:b], cbuf[:b - a], T[..., :b - a], [row[..., a:b] for row in rows])
+        for a, b in ((s.size * j // nc, s.size * (j + 1) // nc) for j in range(nc))]
+    todo, kp, Pv, rel_tol = [], 0, P[..., None], policy.rel_tol
+
+    def flush():
+        """Add the pending terms, lag chunk by lag chunk and term after term
+        within a chunk."""
+        nonlocal kp
+        mul = np.multiply
+        for sp, sa_c, c, tw, rs in chunks:
+            kc = kp
+            for Pk, i, rg, k in todo:
+                if k > kc:  # the terms' steps run on without a gap
+                    mul(sp, sa_c, sp)
+                    kc = k
+                mul(sp, rg, c)
+                mul(Pk, c, tw)
+                rs[i] += tw
+        if todo:
+            kp = todo[-1][3]
+            todo.clear()
+
+    with np.errstate():
+        if L.size > 2 and s.size // nc >= 128:  # see the module docstring
+            np.setbufsize(16 * min(512, s.size // nc // 16))
+        for k in range(policy.max_terms + 1):
+            if not k % 16:
+                cs = [c(k // 16) for c in coef]
+            for i in live:
+                rg = cs[i][k % 16]
+                tnorm = spow_max * abs(rg) * pmax
+                if not math.isfinite(tnorm):
+                    raise NonConvergence("Mittag-Leffler matrix series terms overflow")
+                if tnorm < rel_tol * bound[i]:
+                    flush()
+                    ref = max(_MAX(rows[i], axis=None), -_MIN(rows[i], axis=None))
+                    if ref > 0.0 and tnorm < rel_tol * ref:
+                        live = [j for j in live if j != i]  # the loop goes on over the old list
+                        continue
+                    bound[i] = 2.0 * ref
+                todo.append((Pv, i, rg, k))
+                bound[i] += 2.0 * tnorm
+            if not live:
+                break
+            if pmax * acol > 1e300:  # the next tnorm refuses an overflow
+                with np.errstate(over="ignore", invalid="ignore"):
+                    P = P @ A
+            else:
+                P = P @ A
+            pmax = float(_MAX(np.abs(P), axis=None))
+            if not pmax:
+                break
+            spow_max = spow_max * sa_max
+            Pv = P[..., None]
+            if k - kp >= _BLOCK:  # the pending terms need _BLOCK powers
+                flush()
         else:
-            P, spow = P @ A, np.multiply(spow, sa, out=spow)
-        pmax = float(np.abs(P).max())
-        if not pmax:
-            break
-        spow_max = spow_max * sa_max
-    else:
-        raise NonConvergence(
-            f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
-        )
-    del term  # peak memory: the sums and their lag-first copy, no term besides
+            raise NonConvergence(
+                f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
+            )
+        flush()
+    del T, chunks  # peak memory: the sums and their lag-first copy, no term besides
     out = out.transpose(0, -1, *range(1, out.ndim - 1))  # np.moveaxis(out, -1, 1), cheaper
     out = np.ascontiguousarray(out).reshape((len(coef),) + s.shape + L.shape)
     return out if isinstance(beta, list) else out[0]
@@ -409,7 +477,7 @@ def frac_sin(alpha: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> f
     exp(-t) at alpha = 1/2 and to sin(t) at alpha = 1.
     """
     _check_order(alpha)
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"frac_sin requires t > 0, got {t}")
     z = t ** (2.0 * alpha)
     return t ** (2.0 * alpha - 1.0) * ml_scalar(MLParams(2.0 * alpha, 2.0 * alpha), -z, policy)
@@ -422,7 +490,7 @@ def frac_cos(alpha: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> f
     1/sqrt(pi t) for small t at alpha = 1/2 and reduces to cos(t) at alpha = 1.
     """
     _check_order(alpha)
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"frac_cos requires t > 0, got {t}")
     z = t ** (2.0 * alpha)
     return t ** (alpha - 1.0) * ml_scalar(MLParams(2.0 * alpha, alpha), -z, policy)
@@ -440,7 +508,7 @@ def cl_truncation(L: int, t: float) -> float:
     """
     if L < 1:
         raise DomainError(f"cl_truncation requires L >= 1, got {L}")
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"cl_truncation requires t > 0, got {t}")
     acc = 1.0
     prod = 1.0
@@ -467,7 +535,7 @@ def inverse_kernel(
     """
     A = _as_square(A)
     _check_order(alpha)
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"inverse_kernel requires t > 0, got {t}")
     return t ** (1.0 - alpha) * _kernel_inverse_batch(A, alpha, np.array([t]), policy)[0]
 

@@ -57,6 +57,16 @@ def make_uncontrollable(count=10, seed=7):
     return out
 
 
+@pytest.fixture(autouse=True)
+def numpy_state_unchanged():
+    """Fail a test that leaves numpy's ufunc buffer size or floating-point
+    error state other than it found them (the matrix series sets a buffer
+    size inside an ``np.errstate`` scope)."""
+    before = np.getbufsize(), np.geterr()
+    yield
+    assert (np.getbufsize(), np.geterr()) == before, "numpy bufsize or error state changed"
+
+
 @pytest.fixture(scope="session")
 def battery():
     return make_battery()

@@ -16,6 +16,7 @@ from fracctrl import (
     DomainError,
     GridFunction,
     InvalidOrder,
+    InvalidParams,
     MLParams,
     TimeGrid,
     caputo_derivative,
@@ -64,6 +65,11 @@ class TestGridTypes:
             GridFunction(g, np.zeros(5))
         with pytest.raises(DomainError):
             GridFunction(g, np.full(9, np.nan))
+
+    def test_complex_values_refused(self):
+        # a cast to float would keep only the real part, with a ComplexWarning
+        with pytest.raises(InvalidParams, match="grid function entries must be real"):
+            GridFunction(TimeGrid(0.0, 1.0, 2), np.array([1j, 1.0 + 2.0j, 3.0]))
 
     def test_linear_interpolation(self):
         f = grid_fn(lambda t: 3.0 * t, steps=4)
@@ -220,6 +226,13 @@ class TestSingularConvolution:
         for order in (0.0, -0.5):
             with pytest.raises(InvalidOrder, match="convolution order must be > 0"):
                 singular_convolution(lambda s: 1.0, order, u, 0.5)
+
+    @pytest.mark.parametrize("kernel", [lambda s: 1j, lambda s: np.full((s.size, 1, 1), 1.0 + 1j)],
+                             ids=["constant", "stack"])
+    def test_complex_kernel_refused(self, kernel):
+        u = grid_fn(lambda t: np.ones_like(t), steps=8)
+        with pytest.raises(InvalidParams, match="kernel entries must be real"):
+            singular_convolution(kernel, 0.5, u, 1.0)
 
     def test_kernel_called_once_on_all_lags(self):
         u = grid_fn(lambda t: np.ones_like(t), steps=64)

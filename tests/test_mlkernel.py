@@ -81,6 +81,39 @@ def lag_first_series(A, alpha, beta, s, L, policy):
     )
 
 
+def assert_same_series_outcome(A, alpha, beta, s, L, policy):
+    """``_ml_series`` returns ``lag_first_series``'s array byte for byte, or
+    raises the same exception type with the same message; returns the
+    refusal's type or None.  Only the reference runs with numpy's overflow
+    warnings off: the series itself must stay silent."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = lag_first_series(A, alpha, beta, s, L, policy)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            _ml_series(A, alpha, beta, s, L, policy)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return type(exc)
+    got = _ml_series(A, alpha, beta, s, L, policy)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return None
+
+
+def stop_step(A, alpha, beta, s, L, rel_tol):
+    """The step at which ``_ml_series`` stops: the least ``max_terms`` it
+    needs, by bisection (a call that stops within m terms stops within m + 1)."""
+    lo, hi = 0, 500
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _ml_series(A, alpha, beta, s, L, SeriesPolicy(rel_tol, mid))
+        except NonConvergence:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def pointwise_stop_scalar(params, z, policy):
     """Reference for ``ml_scalar``: the loop it replaced, kept verbatim (a
     cached-row lookup and two float conversions per term)."""
@@ -338,6 +371,16 @@ class TestMatrix:
         with pytest.raises(DomainError, match="lags s >= 0"):
             ml_matrix_batch(np.eye(2), 0.5, 1.0, np.array(s))
 
+    @pytest.mark.parametrize("s", [[np.nan], [0.5, np.nan, 1.0], [[0.5], [np.nan]]])
+    def test_batch_nan_lag_refused(self, s):
+        # NaN is not >= 0: a domain error, not a series overflow
+        with pytest.raises(DomainError, match="lags s >= 0"):
+            ml_matrix_batch(np.eye(2) * 0.5, 0.5, 1.0, np.array(s))
+
+    def test_batch_infinite_lag_overflows(self):
+        with pytest.raises(NonConvergence, match="terms overflow"):
+            ml_matrix_batch(np.eye(2) * 0.5, 0.5, 1.0, np.array([1.0, np.inf]))
+
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0)])
     def test_batch_over_no_lags(self, shape):
         got = ml_matrix_batch(np.eye(2), 0.5, 1.0, np.zeros(shape))
@@ -410,6 +453,164 @@ class TestSeriesPrimitive:
         with pytest.raises(NonConvergence) as got:
             _ml_series(np.array(A), 0.5, 1.0, np.array(s), np.eye(1), DEFAULT_POLICY)
         assert str(got.value) == "Mittag-Leffler matrix series terms overflow"
+
+    # The series adds its terms in blocks of up to 16 steps, lag chunk by lag
+    # chunk; the cases below put every edge of that schedule against the
+    # reference loop: chunk counts, stops and refusals inside a block, a
+    # nilpotent break after a block, stacked sequences and lag shapes.
+
+    @pytest.mark.parametrize("n, left, lags, chunks", [
+        (3, "vector", 1000, 1),
+        (4, "eye", 2 * (mlkernel._CHUNK // 16), 2),
+        (8, "eye", 8193, 8),
+        (3, "vector", 50001, 2),
+    ], ids=["J3-one", "J16-two", "J64-ragged", "J3-ragged"])
+    def test_lag_chunks_bitwise(self, n, left, lags, chunks):
+        J = n * n if left == "eye" else n
+        assert max(1, lags * J // mlkernel._CHUNK) == chunks
+        rng = np.random.default_rng(lags + n)
+        A = rng.uniform(-1.0, 1.0, (n, n)) / np.sqrt(n)
+        L = np.eye(n) if left == "eye" else rng.uniform(-1.0, 1.0, n)
+        s = np.linspace(0.0, 2.0, lags)
+        assert assert_same_series_outcome(A, 0.7, 0.7, s, L, DEFAULT_POLICY) is None
+
+    def test_stops_and_budget_refusals_inside_a_block(self):
+        # every max_terms short of the stop refuses with the reference's
+        # message, at each position in a block; the stops themselves fall
+        # inside blocks
+        rng = np.random.default_rng(16)
+        A = rng.uniform(-1.0, 1.0, (3, 3))
+        L = rng.uniform(-1.0, 1.0, (2, 3))
+        s = np.linspace(0.0, 3.0, 300)
+        stops = []
+        for rel_tol in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
+            stop = stop_step(A, 0.6, 1.0, s, L, rel_tol)
+            stops.append(stop)
+            for m in range(1, stop + 2):
+                refusal = assert_same_series_outcome(A, 0.6, 1.0, s, L, SeriesPolicy(rel_tol, m))
+                assert refusal is (NonConvergence if m < stop else None)
+        assert len(set(stops)) == 5 and len({k % 16 for k in stops} - {0}) >= 3
+
+    def test_stacked_sequences_stop_apart_over_chunks(self):
+        # four sequences, numbers and coefficient functions, over four lag
+        # chunks; each stops at its own step and equals its own call
+        alpha = 0.6
+        moment = lambda k: _rgamma(k * alpha + alpha) / (k * alpha + 2.0 * alpha + 1.0)
+        betas = [alpha + 2.0, moment, 1.0, alpha]
+        rng = np.random.default_rng(4)
+        A = rng.uniform(-1.0, 1.0, (3, 3))
+        L = rng.uniform(-1.0, 1.0, (2, 3))
+        lags = 4 * mlkernel._CHUNK // (len(betas) * L.size) + 7
+        assert lags * len(betas) * L.size // mlkernel._CHUNK == 4
+        s = np.linspace(0.0, 2.5, lags)
+        got = _ml_series(A, alpha, betas, s, L, DEFAULT_POLICY)
+        for g, beta in zip(got, betas):
+            assert g.tobytes() == _ml_series(A, alpha, beta, s, L, DEFAULT_POLICY).tobytes()
+            if not callable(beta):
+                assert g.tobytes() == lag_first_series(A, alpha, beta, s, L, DEFAULT_POLICY).tobytes()
+        stops = [stop_step(A, alpha, beta, s, L, DEFAULT_POLICY.rel_tol) for beta in betas]
+        assert len(set(stops)) >= 3
+
+    @pytest.mark.parametrize("n", [4, 20])
+    def test_nilpotent_break_inside_a_block(self, n):
+        # L A^k vanishes at k = n, inside the first block or after a flush;
+        # a tiny rel_tol keeps the stop rule from firing first
+        rng = np.random.default_rng(n)
+        A = np.diag(rng.uniform(0.5, 1.5, n - 1), 1)
+        s = np.linspace(0.0, 4.0, 1025)
+        policy = SeriesPolicy(rel_tol=1e-300)
+        for L in (np.eye(n), rng.uniform(-1.0, 1.0, n)):
+            assert assert_same_series_outcome(A, 0.5, 1.5, s, L, policy) is None
+
+    @pytest.mark.parametrize("A, lags, policy, message", [
+        (50.0 * np.eye(3), 50000, DEFAULT_POLICY, "terms overflow"),
+        (np.diag([3.0, -2.0, 1.0]), 50000, SeriesPolicy(max_terms=21), "no convergence in 21 terms"),
+        (35.0 * np.eye(3), 2049, DEFAULT_POLICY, "terms overflow"),
+    ], ids=["overflow-chunks", "budget-chunks", "overflow-one-chunk"])
+    def test_refusals_inside_a_block(self, A, lags, policy, message):
+        # the refusals come at steps 182, 21 and 200: positions 6, 5 and 8
+        # of a 16-step block, with terms pending
+        s = np.linspace(0.0, 10.0, lags)
+        L = np.arange(1.0, 4.0)
+        assert assert_same_series_outcome(A, 0.5, 1.0, s, L, policy) is NonConvergence
+        with pytest.raises(NonConvergence, match=message):
+            _ml_series(A, 0.5, [1.0, 0.5], s, L, policy)
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (40, 7), (0, 3)])
+    def test_lag_shapes_stacked_and_single(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        A = rng.uniform(-1.0, 1.0, (3, 3))
+        L = rng.uniform(-1.0, 1.0, (2, 3))
+        s = rng.uniform(0.0, 3.0, shape)
+        got = _ml_series(A, 0.8, [1.8, 0.8], s, L, DEFAULT_POLICY)
+        assert got.shape == (2,) + shape + (2, 3) and got.flags.c_contiguous
+        for g, beta in zip(got, (1.8, 0.8)):
+            assert g.tobytes() == _ml_series(A, 0.8, beta, s, L, DEFAULT_POLICY).tobytes()
+            if s.size:
+                assert assert_same_series_outcome(A, 0.8, beta, s, L, DEFAULT_POLICY) is None
+            else:
+                assert not g.any()
+
+
+class TestNumpyState:
+    """The series sets numpy's ufunc buffer size inside a ``np.errstate``
+    scope; a caller's buffer size and error state are what they were."""
+
+    @staticmethod
+    def kernel_calls():
+        rng = np.random.default_rng(3)
+        A = rng.uniform(-1.0, 1.0, (3, 3))
+        s = np.linspace(0.0, 2.0, 2049)
+        return [
+            lambda: ml_matrix_batch(A, 0.7, 1.0, s),
+            lambda: ml_matrix_batch(A, 0.7, 1.0, s, SeriesPolicy(max_terms=5)),
+            lambda: ml_matrix_batch(30.0 * np.eye(3), 0.5, 1.0, 5.0 * s),
+            lambda: ml_matrix_batch(A, 0.7, 1.0, np.array([np.nan])),
+            lambda: ml_matrix(MLParams(0.5, 1.0), A),
+            lambda: inverse_kernel(A, 0.5, 1.3),
+            lambda: state_transition(A, 0.5, 2.0),
+        ]
+
+    @pytest.mark.parametrize("bufsize", [8192, 4096, 160])
+    def test_callers_state_kept_after_each_call(self, bufsize):
+        with np.errstate(divide="raise", over="warn", under="ignore", invalid="warn"):
+            np.setbufsize(bufsize)
+            state = np.getbufsize(), np.geterr()
+            outcomes = []
+            for call in self.kernel_calls():
+                try:
+                    call()
+                except (NonConvergence, DomainError) as exc:
+                    outcomes.append(type(exc))
+                else:
+                    outcomes.append(None)
+                assert (np.getbufsize(), np.geterr()) == state
+        assert outcomes == [None, NonConvergence, NonConvergence, DomainError, None, None, None]
+
+    def test_threads_with_different_bufsizes_agree(self):
+        rng = np.random.default_rng(8)
+        A = rng.uniform(-1.0, 1.0, (4, 4))
+        s = np.linspace(0.0, 2.0, 2049)
+        want = ml_matrix_batch(A, 0.7, 1.0, s).tobytes()
+        results, errors = {}, []
+
+        def run(bufsize):
+            try:
+                with np.errstate():
+                    np.setbufsize(bufsize)
+                    got = [ml_matrix_batch(A, 0.7, 1.0, s).tobytes() for _ in range(4)]
+                    results[bufsize] = got, np.getbufsize()
+            except Exception as exc:  # reported below, from the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(b,)) for b in (16, 1024, 8192, 65536)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors and len(results) == 4
+        for bufsize, (got, after) in results.items():
+            assert after == bufsize and all(g == want for g in got)
 
 
 class TestRgammaFloat:
@@ -747,6 +948,11 @@ class TestFracTrig:
         with pytest.raises(DomainError):
             frac_cos(0.5, -1.0)
 
+    @pytest.mark.parametrize("fn", [frac_sin, frac_cos])
+    def test_nan_time_refused(self, fn):
+        with pytest.raises(DomainError, match=f"{fn.__name__} requires t > 0, got nan"):
+            fn(0.5, math.nan)
+
 
 class TestClTruncation:
     def test_first_truncation(self):
@@ -766,6 +972,11 @@ class TestClTruncation:
             cl_truncation(1, 0.0)
         with pytest.raises(DomainError):
             cl_truncation(0, 1.0)
+
+    def test_nan_time_refused(self):
+        # the sum would carry the NaN through and return it
+        with pytest.raises(DomainError, match="cl_truncation requires t > 0, got nan"):
+            cl_truncation(2, math.nan)
 
 
 class TestInverseKernel:
@@ -820,3 +1031,7 @@ class TestInverseKernel:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             inverse_kernel(np.eye(2), 0.5, 0.0)
+
+    def test_nan_time_refused(self):
+        with pytest.raises(DomainError, match="inverse_kernel requires t > 0, got nan"):
+            inverse_kernel(np.eye(2) * 0.5, 0.5, math.nan)
