@@ -47,7 +47,7 @@ from .errors import (
     RankDeficientB,
     SingularGramian,
 )
-from .fraccalc import GridFunction, TimeGrid, _gauss, rl_derivative_left
+from .fraccalc import GridFunction, TimeGrid, rl_derivative_left
 from .fracsys import (
     ControlSignal,
     CuspControl,
@@ -84,7 +84,6 @@ __all__ = [
     "verify_steering",
     "SteeringReport",
     "default_shaping_density",
-    "graded_gauss_rule",
 ]
 
 # below this reciprocal condition estimate the Gramian is treated as singular,
@@ -94,6 +93,9 @@ SINGULAR_GRAMIAN_RCOND = 1e-10
 # a graded quadrature starts from _LEVELS panels of _ORDER Gauss nodes, and
 # deepens while its grading has at most _MAX_LEVELS levels
 _LEVELS, _ORDER, _MAX_LEVELS = 12, 16, 44
+# the _ORDER-node Gauss-Legendre rule on [-1, 1], read-only
+_XG, _WG = leggauss(_ORDER)
+_XG.flags.writeable = _WG.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -184,19 +186,16 @@ class SteeringReport:
     caputo_residual: float
 
 
-def graded_gauss_rule(T: float, levels: int):
+def _graded_gauss_rule(T: float, levels: int):
     """Composite Gauss-Legendre rule over [0, T]: 16 nodes on each of
     ``levels`` panels that halve toward s = 0.  Returns (nodes, weights),
     nodes ascending."""
     if not 0.0 < T < math.inf:
         raise InvalidParams(f"horizon must be positive and finite, got {T}")
-    if levels < 1:
-        raise InvalidParams(f"need levels >= 1, got {levels}")
     edges = np.append(0.0, T * 0.5 ** np.arange(levels)[::-1])
     lo, hi = edges[:-1], edges[1:]
-    xg, wg = _gauss(leggauss, _ORDER)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return (mid[:, None] + rad[:, None] * xg).ravel(), (rad[:, None] * wg).ravel()
+    return (mid[:, None] + rad[:, None] * _XG).ravel(), (rad[:, None] * _WG).ravel()
 
 
 def _adaptive_graded(f, T: float, quad: QuadSettings, what: str):
@@ -207,12 +206,12 @@ def _adaptive_graded(f, T: float, quad: QuadSettings, what: str):
     axis.  A deepening splits the innermost panel into 5; the other panels
     keep their nodes bitwise (edges T 2^-j), so f sees each node once."""
     lv, k = _LEVELS, _ORDER
-    s, w = graded_gauss_rule(T, lv)
+    s, w = _graded_gauss_rule(T, lv)
     F = f(s)
     v0 = np.einsum("s,s...->...", w, F)
     while lv <= _MAX_LEVELS:
         lv += 4
-        s, w = graded_gauss_rule(T, lv)
+        s, w = _graded_gauss_rule(T, lv)
         F = np.concatenate([f(s[:5 * k]), F[k:]])
         v1 = np.einsum("s,s...->...", w, F)
         if not np.isfinite(v1).all():

@@ -18,7 +18,6 @@ Accuracy caveats, documented rather than patched:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +29,6 @@ from .mlkernel import _count, _real, _rgamma
 __all__ = [
     "TimeGrid",
     "GridFunction",
-    "frac_integral_left",
     "rl_derivative_left",
     "caputo_derivative",
     "singular_convolution",
@@ -113,16 +111,6 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a, nf, axis=0) * np.fft.rfft(b, nf, axis=0), nf, axis=0)[:n]
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss(rule: Callable, *args):
-    """Nodes and weights of the Gauss rule ``rule(*args)`` (such as numpy's
-    ``polynomial.legendre.leggauss``), computed once per arguments and
-    read-only."""
-    x, w = rule(*args)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def _frac_integral_values(values: np.ndarray, beta: float, h: float) -> np.ndarray:
     """Left fractional integral of order beta > 0 at every node (distances
     measured from the grid start, which keeps tau^(beta+1) in range for large
@@ -140,20 +128,6 @@ def _frac_integral_values(values: np.ndarray, beta: float, h: float) -> np.ndarr
     out = np.zeros_like(uu)
     out[1:] = (_rgamma(beta + 2.0) / h) * acc
     return out.reshape(values.shape)
-
-
-def frac_integral_left(f: GridFunction, alpha: float) -> GridFunction:
-    """Left-sided fractional integral of order alpha >= 0.
-
-    Node values of (1/Gamma(alpha)) * integral of f(tau) (t-tau)^(alpha-1)
-    from the grid start; exact for piecewise-linear f.  Order zero is the
-    identity operator.
-    """
-    if alpha < 0.0:
-        raise InvalidOrder(f"integral order must be >= 0, got {alpha}")
-    if alpha == 0.0:
-        return GridFunction(f.grid, f.values.copy())
-    return GridFunction(f.grid, _frac_integral_values(f.values, alpha, f.grid.h))
 
 
 def rl_derivative_left(f: GridFunction, alpha: float) -> GridFunction:

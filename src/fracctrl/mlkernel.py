@@ -35,12 +35,12 @@ All functions are pure.  Shared state is immutable once built or swapped whole,
 so safe for concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and
 ``_rgamma_floats`` (a race builds a row twice, bitwise the same), ``_ln_int``
 (ln m at 44 digits, correctly rounded, so a race stores the same immutable
-Decimal twice) and ``fraccalc._gauss`` (read-only Gauss rules);
-``fracsys._TABLES`` (simulate's last kernel table of read-only arrays, swapped
-under a lock); ``_CTX`` and the 44-digit ``_CTX44``, whose settings never
-change (their status flags are set but never read).  The matrix series'
-pending terms and buffers belong to one call, and numpy keeps its buffer size
-in a context variable, which each thread holds for itself.
+Decimal twice); ``fracsys._TABLES`` (simulate's last kernel table of
+read-only arrays, swapped under a lock); ``_CTX`` and the 44-digit
+``_CTX44``, whose settings never change (their status flags are set but
+never read).  The matrix series' pending terms and buffers belong to one
+call, and numpy keeps its buffer size in a context variable, which each
+thread holds for itself.
 """
 
 from __future__ import annotations
@@ -437,6 +437,18 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     return out if isinstance(beta, list) else out[0]
 
 
+def _ml_at(A: np.ndarray, alpha: float, beta: float, t: float, policy: SeriesPolicy,
+           refusal: str) -> np.ndarray:
+    """t^(beta-1) E_{alpha,beta}(A t^alpha) at t >= 0 (t > 0 if beta < 1), else ``refusal``."""
+    A = _as_square(A)
+    _check_order(alpha)
+    if not t >= 0.0 or (t == 0.0 and beta < 1.0):
+        raise DomainError(refusal.format(t=t, alpha=alpha))
+    with np.errstate(over="ignore"):  # ml_matrix refuses a non-finite entry
+        M = A * t**alpha
+    return t ** (beta - 1.0) * ml_matrix(MLParams(alpha, beta), M, policy)
+
+
 def alpha_exp(
     A: np.ndarray, alpha: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY
 ) -> np.ndarray:
@@ -445,13 +457,7 @@ def alpha_exp(
     Singular at t = 0 for alpha < 1 (the prefactor blows up); at alpha = 1 it
     is the classical matrix exponential and t = 0 returns the identity.
     """
-    A = _as_square(A)
-    _check_order(alpha)
-    if t < 0.0 or (t == 0.0 and alpha < 1.0):
-        raise DomainError(f"alpha_exp undefined at t={t} for alpha={alpha}")
-    with np.errstate(over="ignore"):  # ml_matrix refuses a non-finite entry
-        M = A * t**alpha
-    return t ** (alpha - 1.0) * ml_matrix(MLParams(alpha, alpha), M, policy)
+    return _ml_at(A, alpha, alpha, t, policy, "alpha_exp undefined at t={t} for alpha={alpha}")
 
 
 def state_transition(
@@ -461,13 +467,17 @@ def state_transition(
 
     Equals the identity exactly at t = 0.
     """
-    A = _as_square(A)
+    return _ml_at(A, alpha, 1.0, t, policy, "state_transition requires t >= 0, got {t}")
+
+
+def _frac_trig(alpha: float, t: float, policy: SeriesPolicy, sine: bool) -> float:
+    """t^(beta-1) E_{2 alpha, beta}(-t^(2 alpha)), beta = 2 alpha for a sine, else alpha."""
     _check_order(alpha)
-    if t < 0.0:
-        raise DomainError(f"state_transition requires t >= 0, got {t}")
-    with np.errstate(over="ignore"):  # ml_matrix refuses a non-finite entry
-        M = A * t**alpha
-    return ml_matrix(MLParams(alpha, 1.0), M, policy)
+    if not t > 0.0:
+        raise DomainError(f"frac_{'sin' if sine else 'cos'} requires t > 0, got {t}")
+    beta = 2.0 * alpha if sine else alpha
+    z = t ** (2.0 * alpha)
+    return t ** (beta - 1.0) * ml_scalar(MLParams(2.0 * alpha, beta), -z, policy)
 
 
 def frac_sin(alpha: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -476,11 +486,7 @@ def frac_sin(alpha: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> f
     Equals t^(2 alpha - 1) E_{2 alpha, 2 alpha}(-t^(2 alpha)); reduces to
     exp(-t) at alpha = 1/2 and to sin(t) at alpha = 1.
     """
-    _check_order(alpha)
-    if not t > 0.0:
-        raise DomainError(f"frac_sin requires t > 0, got {t}")
-    z = t ** (2.0 * alpha)
-    return t ** (2.0 * alpha - 1.0) * ml_scalar(MLParams(2.0 * alpha, 2.0 * alpha), -z, policy)
+    return _frac_trig(alpha, t, policy, True)
 
 
 def frac_cos(alpha: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -489,11 +495,7 @@ def frac_cos(alpha: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> f
     Equals t^(alpha-1) E_{2 alpha, alpha}(-t^(2 alpha)); behaves like
     1/sqrt(pi t) for small t at alpha = 1/2 and reduces to cos(t) at alpha = 1.
     """
-    _check_order(alpha)
-    if not t > 0.0:
-        raise DomainError(f"frac_cos requires t > 0, got {t}")
-    z = t ** (2.0 * alpha)
-    return t ** (alpha - 1.0) * ml_scalar(MLParams(2.0 * alpha, alpha), -z, policy)
+    return _frac_trig(alpha, t, policy, False)
 
 
 def cl_truncation(L: int, t: float) -> float:

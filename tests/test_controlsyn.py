@@ -29,7 +29,6 @@ from fracctrl import (
     SingularKernel,
     SteeringProblem,
     TimeGrid,
-    graded_gauss_rule,
     gramian,
     kalman_rank,
     modified_energy,
@@ -43,7 +42,7 @@ from fracctrl import (
 import fracctrl.controlsyn as controlsyn
 from fracctrl import cli
 import fracctrl.mlkernel as mlkernel
-from fracctrl.controlsyn import _adaptive_graded, _solve_spd
+from fracctrl.controlsyn import _adaptive_graded, _graded_gauss_rule, _solve_spd
 
 
 def problem(sys, a, b, T, steps=1024):
@@ -68,7 +67,7 @@ class Ramp(ControlSignal):
 
 
 def panel_loop_rule(T, levels):
-    """Reference for ``graded_gauss_rule``: the panel list and per-panel loop
+    """Reference for ``_graded_gauss_rule``: the panel list and per-panel loop
     it replaced, kept verbatim but for the two-ended grading now gone and the
     order, now always 16."""
     def graded_panels(T, levels):
@@ -88,20 +87,21 @@ class TestGradedRule:
     def test_bitwise_equal_to_panel_loop(self):
         for T in (0.3, 1.0, 2.0, 5.0, 7.77, 10.0):
             for levels in (1, 12, 16, 24, 48):
-                got = graded_gauss_rule(T, levels)
+                got = _graded_gauss_rule(T, levels)
                 want = panel_loop_rule(T, levels)
                 assert all(g.shape == w.shape and np.array_equal(g, w)
                            for g, w in zip(got, want))
 
-    @pytest.mark.parametrize("levels", [0, -1])
-    def test_empty_rule_refused(self, levels):
-        with pytest.raises(InvalidParams):
-            graded_gauss_rule(1.0, levels)
-
     @pytest.mark.parametrize("T", [-1.0, 0.0, np.inf, np.nan])
     def test_bad_horizon_refused(self, T):
         with pytest.raises(InvalidParams):
-            graded_gauss_rule(T, 12)
+            _graded_gauss_rule(T, 12)
+
+    def test_legendre_constant_is_leggauss_read_only(self):
+        for got, want in zip((controlsyn._XG, controlsyn._WG), leggauss(16)):
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0.0
 
     def test_legendre_rule_exact_to_degree(self):
         for order in range(1, 65):
@@ -115,8 +115,8 @@ class TestGradedRule:
         # panel's nodes and weights stay bitwise the same
         for T in (0.3, 1.0, 2.0, 5.0, 7.77, 10.0):
             for levels in range(1, 45):
-                s0, w0 = graded_gauss_rule(T, levels)
-                s1, w1 = graded_gauss_rule(T, levels + 4)
+                s0, w0 = _graded_gauss_rule(T, levels)
+                s1, w1 = _graded_gauss_rule(T, levels + 4)
                 assert np.array_equal(s1[5 * 16:], s0[16:])
                 assert np.array_equal(w1[5 * 16:], w0[16:])
 
@@ -142,7 +142,7 @@ class TestAdaptiveGraded:
         assert sizes == [controlsyn._LEVELS * k] + [5 * k] * (len(sizes) - 1)
         seen = np.concatenate(nodes)
         assert np.unique(seen).size == seen.size
-        final = graded_gauss_rule(T, controlsyn._LEVELS + 4 * (len(sizes) - 1))[0]
+        final = _graded_gauss_rule(T, controlsyn._LEVELS + 4 * (len(sizes) - 1))[0]
         assert np.isin(final, seen).all()
         assert value == pytest.approx(2.0 * T**1.5 / 3.0, rel=1e-10)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
-from scipy.special import gamma, roots_jacobi, roots_legendre
+from scipy.special import gamma
 
 from fracctrl import (
     DomainError,
@@ -20,19 +20,23 @@ from fracctrl import (
     MLParams,
     TimeGrid,
     caputo_derivative,
-    frac_integral_left,
     ml_matrix_batch,
     ml_scalar,
     rl_derivative_left,
     singular_convolution,
 )
 import fracctrl
-from fracctrl.fraccalc import _fft_convolve, _gauss, _next_fast_len
+from fracctrl.fraccalc import _fft_convolve, _frac_integral_values, _next_fast_len
 
 
 def grid_fn(fn, t0=0.0, t1=1.0, steps=512):
     g = TimeGrid(t0, t1, steps)
     return GridFunction(g, fn(g.nodes))
+
+
+def integral(f: GridFunction, alpha: float) -> GridFunction:
+    """Left fractional integral of order alpha > 0, from the grid start."""
+    return GridFunction(f.grid, _frac_integral_values(f.values, alpha, f.grid.h))
 
 
 def rl_derivative_right(f: GridFunction, alpha: float) -> GridFunction:
@@ -83,35 +87,26 @@ class TestGridTypes:
 class TestFracIntegralLeft:
     def test_constant_half_order(self):
         f = grid_fn(lambda t: np.ones_like(t), steps=512)
-        got = frac_integral_left(f, 0.5).values
+        got = integral(f, 0.5).values
         want = 2.0 * np.sqrt(f.grid.nodes) / np.sqrt(np.pi)
         assert np.abs(got - want).max() <= 1e-6
 
     def test_linear_exact_for_product_rule(self):
         # I^{1/2} t = t^{3/2} Gamma(2)/Gamma(2.5): exact, f is piecewise linear
         f = grid_fn(lambda t: t, steps=128)
-        got = frac_integral_left(f, 0.5).values
+        got = integral(f, 0.5).values
         want = f.grid.nodes**1.5 * gamma(2.0) / gamma(2.5)
         assert np.abs(got - want).max() <= 1e-14
 
     def test_order_one_is_plain_integral(self):
         f = grid_fn(lambda t: np.ones_like(t), steps=64)
-        got = frac_integral_left(f, 1.0).values
+        got = integral(f, 1.0).values
         assert np.abs(got - f.grid.nodes).max() <= 1e-13
-
-    def test_order_zero_is_identity(self):
-        f = grid_fn(lambda t: np.sin(t), steps=64)
-        assert np.array_equal(frac_integral_left(f, 0.0).values, f.values)
-
-    def test_negative_order_rejected(self):
-        f = grid_fn(lambda t: t, steps=8)
-        with pytest.raises(InvalidOrder):
-            frac_integral_left(f, -0.5)
 
     def test_alpha_one_matches_cumulative_trapezoid(self):
         # exact reduction on polynomial data
         f = grid_fn(lambda t: 1.0 + 2.0 * t, steps=256)
-        got = frac_integral_left(f, 1.0).values
+        got = integral(f, 1.0).values
         from scipy.integrate import cumulative_trapezoid
 
         want = np.concatenate([[0.0], cumulative_trapezoid(f.values, f.grid.nodes)])
@@ -120,7 +115,7 @@ class TestFracIntegralLeft:
     def test_vector_valued(self):
         g = TimeGrid(0.0, 1.0, 64)
         f = GridFunction(g, np.stack([g.nodes, np.ones_like(g.nodes)], axis=1))
-        got = frac_integral_left(f, 1.0).values
+        got = integral(f, 1.0).values
         assert np.abs(got[:, 0] - g.nodes**2 / 2.0).max() <= 1e-13
         assert np.abs(got[:, 1] - g.nodes).max() <= 1e-13
 
@@ -292,8 +287,8 @@ class TestIdentities:
         for steps in (512, 1024):
             g = TimeGrid(0.0, 1.0, steps)
             src = GridFunction(g, np.sin(2.0 * g.nodes) + 0.5)
-            f = frac_integral_left(src, alpha)
-            back = frac_integral_left(rl_derivative_left(f, alpha), alpha)
+            f = integral(src, alpha)
+            back = integral(rl_derivative_left(f, alpha), alpha)
             err = np.abs(back.values - f.values)
             errs.append(err[int(0.05 * steps):].max())
         assert errs[-1] <= 1e-3
@@ -303,9 +298,9 @@ class TestIdentities:
         g = TimeGrid(0.0, 1.0, 1024)
         phi = GridFunction(g, np.sin(2.0 * np.pi * g.nodes) + g.nodes)
         psi = GridFunction(g, np.cos(np.pi * g.nodes))
-        lhs = np.trapezoid(phi.values * frac_integral_left(psi, 0.5).values, g.nodes)
+        lhs = np.trapezoid(phi.values * integral(psi, 0.5).values, g.nodes)
         # the right-sided integral is the left one of the reflected samples
-        right = frac_integral_left(GridFunction(g, phi.values[::-1]), 0.5).values[::-1]
+        right = integral(GridFunction(g, phi.values[::-1]), 0.5).values[::-1]
         rhs = np.trapezoid(psi.values * right, g.nodes)
         assert abs(lhs - rhs) <= 1e-5
 
@@ -345,9 +340,9 @@ class TestIdentities:
         for steps in (128, 256, 512):
             g = TimeGrid(0.0, 1.0, steps)
             f = GridFunction(g, np.cos(g.nodes))
-            got = frac_integral_left(f, alpha).values
+            got = integral(f, alpha).values
             gf = TimeGrid(0.0, 1.0, 4096)
-            ref = frac_integral_left(GridFunction(gf, np.cos(gf.nodes)), alpha).values
+            ref = integral(GridFunction(gf, np.cos(gf.nodes)), alpha).values
             errs.append(np.abs(got - ref[:: 4096 // steps]).max())
         order = np.log2(errs[0] / errs[1])
         assert order >= min(2.0 - alpha, 1.0)
@@ -384,16 +379,3 @@ class TestFftConvolve:
     def test_fast_length_matches_scipy(self):
         assert [_next_fast_len(n) for n in range(1, 20001)] == [
             next_fast_len(n, real=True) for n in range(1, 20001)]
-
-
-class TestGaussRules:
-    @pytest.mark.parametrize("rule, args", [(roots_legendre, (16,)),
-                                            (roots_jacobi, (20, 0.0, 1.37))])
-    def test_cached_read_only_and_equal_to_scipy(self, rule, args):
-        x, w = _gauss(rule, *args)
-        assert _gauss(rule, *args)[0] is x
-        for got, want in zip((x, w), rule(*args)):
-            assert np.array_equal(got, want)
-            assert not got.flags.writeable
-            with pytest.raises(ValueError):
-                got[0] = 0.0

@@ -23,7 +23,6 @@ from fracctrl import (
     SteeringProblem,
     TimeGrid,
     caputo_residual,
-    frac_integral_left,
     simulate,
     state_transition,
     synthesize_min_energy,
@@ -31,6 +30,7 @@ from fracctrl import (
     verify_steering,
 )
 from fracctrl import fracsys
+from fracctrl.fraccalc import _frac_integral_values
 from fracctrl.fracsys import _moment_coefs
 from fracctrl.mlkernel import _ml_series, _rgamma
 
@@ -193,7 +193,7 @@ class TestSimulate:
         want = np.stack([state_transition(A, alpha, tv) @ a for tv in t])
         M = B.copy()
         for k in range(120):
-            term = frac_integral_left(u, (k + 1) * alpha).values @ M.T
+            term = _frac_integral_values(u.values, (k + 1) * alpha, grid.h) @ M.T
             want += term
             if np.abs(term).max() < 1e-18 * np.abs(want).max():
                 break

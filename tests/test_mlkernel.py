@@ -892,6 +892,18 @@ class TestAlphaExp:
             alpha_exp(np.eye(2), 0.5, 0.0)
         assert np.array_equal(alpha_exp(np.eye(2), 1.0, 0.0), np.eye(2))
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
+    def test_bitwise_the_scaled_matrix_series(self, alpha):
+        A = np.array([[-0.4, 0.9], [-0.7, 0.2]])
+        for t in (0.25, 1.0, 3.7):
+            want = t ** (alpha - 1.0) * ml_matrix(MLParams(alpha, alpha), A * t**alpha)
+            assert np.array_equal(alpha_exp(A, alpha, t), want)
+
+    def test_nan_time_refused(self):
+        # NaN is not >= 0: a domain error naming t, not a non-finite matrix
+        with pytest.raises(DomainError, match="alpha_exp undefined at t=nan"):
+            alpha_exp(0.5 * np.eye(2), 0.5, math.nan)
+
     def test_semigroup_property_fails_for_fractional_order(self):
         # classical exp identities must NOT carry over at alpha = 1/2
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -917,6 +929,17 @@ class TestStateTransition:
     def test_negative_time_refused(self):
         with pytest.raises(DomainError, match="t >= 0"):
             state_transition(np.eye(2), 0.7, -1e-3)
+
+    def test_nan_time_refused(self):
+        with pytest.raises(DomainError, match="state_transition requires t >= 0, got nan"):
+            state_transition(0.5 * np.eye(2), 0.5, math.nan)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
+    def test_bitwise_the_scaled_matrix_series(self, alpha):
+        A = np.array([[-0.4, 0.9], [-0.7, 0.2]])
+        for t in (0.0, 0.25, 1.0, 3.7):
+            want = ml_matrix(MLParams(alpha, 1.0), A * t**alpha)
+            assert np.array_equal(state_transition(A, alpha, t), want)
 
     def test_skew_matrix_frozen_oracle(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -947,6 +970,15 @@ class TestFracTrig:
             frac_sin(0.5, 0.0)
         with pytest.raises(DomainError):
             frac_cos(0.5, -1.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
+    def test_bitwise_the_scaled_scalar_series(self, alpha):
+        for t in (0.25, 1.0, 3.7):
+            z = -t ** (2.0 * alpha)
+            assert frac_sin(alpha, t) == (
+                t ** (2.0 * alpha - 1.0) * ml_scalar(MLParams(2.0 * alpha, 2.0 * alpha), z))
+            assert frac_cos(alpha, t) == (
+                t ** (alpha - 1.0) * ml_scalar(MLParams(2.0 * alpha, alpha), z))
 
     @pytest.mark.parametrize("fn", [frac_sin, frac_cos])
     def test_nan_time_refused(self, fn):

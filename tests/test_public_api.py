@@ -22,7 +22,6 @@ PUBLIC = {
     # fraccalc
     "TimeGrid": ["t0", "t1", "steps"],
     "GridFunction": ["grid", "values"],
-    "frac_integral_left": ["f", "alpha"],
     "rl_derivative_left": ["f", "alpha"],
     "caputo_derivative": ["f", "alpha"],
     "singular_convolution": ["kernel_smooth", "alpha", "u", "t_eval"],
@@ -68,7 +67,6 @@ PUBLIC = {
     "SteeringReport": ["terminal_error_abs", "terminal_error_rel", "energy_quadrature",
                        "energy_reported", "energy_mismatch_rel", "caputo_residual"],
     "default_shaping_density": ["grid", "alpha"],
-    "graded_gauss_rule": ["T", "levels"],
 }
 
 

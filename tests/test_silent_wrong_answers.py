@@ -1,5 +1,6 @@
 """Known silent wrong answers of the matrix Mittag-Leffler series (ROADMAP
-item 1), each kept as a strict xfail.
+item 1) and of the graded Gramian quadrature (ROADMAP item 3), each kept as a
+strict xfail.
 
 Every case below was returned without an error, far from its reference, when
 this file was written (the comments give those values).  Each asserts
@@ -30,6 +31,8 @@ E_AA_LAG10 = {0.9: 0.00019374288075846629,  # E_{alpha,alpha}(-3 10^alpha)
 
 silent = pytest.mark.xfail(strict=True, raises=AssertionError,
                            reason="matrix series cancellation (ROADMAP item 1)")
+blind_spot = pytest.mark.xfail(strict=True, raises=AssertionError,
+                               reason="quadrature blind spot, ROADMAP item 3")
 
 
 def scalar_system(lam, alpha):
@@ -88,6 +91,18 @@ CASES = [
 def test_matches_reference_or_refuses(compute, want):
     try:
         got = compute()
+    except FracctrlError:
+        return
+    assert abs(got - want) <= 1e-10 * abs(want), (got, want)
+
+
+@blind_spot
+def test_growing_gramian_matches_reference_or_refuses():
+    # int_0^10 e^(10 s) ds with the kernel exact to rounding; returned
+    # 2.688117036e42, 3.9e-8 off, with quad_err 0.0
+    want = math.expm1(100.0) / 10.0
+    try:
+        got = gramian(scalar_system(5.0, 1.0), 10.0).Q[0, 0]
     except FracctrlError:
         return
     assert abs(got - want) <= 1e-10 * abs(want), (got, want)
