@@ -21,8 +21,9 @@ types built from it refuse (FracSystem, SteeringProblem, TimeGrid, ...):
     "method":   "min-energy"
   }
 
-Exit codes: 0 success, 2 input error, 3 numeric failure.  Every file format
-is this module's alone (docs/file-formats.md): one writer per format.
+Exit codes: 0 success, 2 input error (a grid too large to allocate too), 3
+numeric failure (an argument or prefactor that overflows too).  Every file
+format is this module's alone (docs/file-formats.md): one writer per format.
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ from .controlsyn import (
 from .errors import FracctrlError, InvalidParams
 from .fraccalc import GridFunction, TimeGrid
 from .fracsys import (ControlSignal, FracSystem, MinEnergyControl, PinvControl, SampledControl,
-                      _caputo_residual, simulate)
+                      caputo_residual, simulate)
 from .mlkernel import (
     MLParams,
     SeriesPolicy,
+    _as_square,
+    _scaled,
     alpha_exp,
     cl_truncation,
     frac_cos,
@@ -83,12 +86,8 @@ class InputError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
-
-
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(x: float, digits: int = 15) -> str:
+    return f"{x:.{digits}g}"
 
 
 # -------------------------------------------------------------- file formats
@@ -265,7 +264,7 @@ def _write_csv(path: str, t: np.ndarray, **blocks) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in np.column_stack([t, *blocks.values()]):
-            fh.write(",".join(_fmt17(v) for v in row) + "\n")
+            fh.write(",".join(_fmt(v, 17) for v in row) + "\n")
 
 
 def _control_from_csv(path: str, m: int) -> SampledControl:
@@ -332,10 +331,9 @@ def cmd_ml(args) -> int:
         M = alpha_exp(A, args.alpha, args.t, pol)
     elif mode == "s0":
         M = state_transition(A, args.alpha, args.t, pol)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # ml_matrix refuses a non-finite entry
-            M = A * np.float64(args.t) ** args.alpha
-        M = ml_matrix(MLParams(args.alpha, beta), M, pol)
+    else:  # the orders and A are checked before A t^alpha is formed
+        params = MLParams(args.alpha, beta)
+        M = ml_matrix(params, _scaled(_as_square(A), args.t, args.alpha, "A t^alpha"), pol)
     for row in M:
         print(" ".join(_fmt(v) for v in row))
     return EXIT_OK
@@ -347,8 +345,8 @@ def cmd_simulate(args) -> int:
     traj = simulate(prob.system, prob.steering.a, control, prob.steering.grid, policy=prob.policy)
     if args.out:
         _write_csv(args.out, traj.grid.nodes, x=traj.states, y=traj.outputs)
-    res = _caputo_residual(prob.system, traj, traj.controls)
-    print("terminal state: " + " ".join(_fmt17(v) for v in traj.states[-1]))
+    res = caputo_residual(prob.system, traj)
+    print("terminal state: " + " ".join(_fmt(v, 17) for v in traj.states[-1]))
     print(f"caputo residual (interior): {_fmt(res)}")
     if args.out:
         print(f"trajectory written to {args.out}")
@@ -364,7 +362,7 @@ def cmd_gramian(args) -> int:
     gram_ok = not g.rcond < SINGULAR_GRAMIAN_RCOND  # synthesize_min_energy's refusal
     print(f"Q_T (T={_fmt(prob.steering.T)}):")
     for row in g.Q:
-        print("  " + " ".join(_fmt17(v) for v in row))
+        print("  " + " ".join(_fmt(v, 17) for v in row))
     print(f"rcond = {_fmt(g.rcond)}")
     print(f"quad_err = {_fmt(g.quad_err)}")
     print(f"kalman rank = {rd.rank} of {n} -> "
@@ -397,7 +395,7 @@ def cmd_synthesize(args) -> int:
     result = _SYNTHESES[method](sp, quad=prob.quad, policy=prob.policy)
     report = verify_steering(sp, result, prob.quad, prob.policy)
     print(f"method: {result.method}")
-    print(f"modified energy: {_fmt17(result.energy)}")
+    print(f"modified energy: {_fmt(result.energy, 17)}")
     print(f"terminal error: abs {_fmt(report.terminal_error_abs)} "
           f"rel {_fmt(report.terminal_error_rel)}")
     print(f"energy quadrature mismatch: {_fmt(report.energy_mismatch_rel)}")
@@ -561,7 +559,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, OSError, ValueError) as exc:
+    except (InputError, OSError, ValueError, MemoryError) as exc:  # MemoryError: a grid too large
         print(f"input error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     except FracctrlError as exc:

@@ -55,7 +55,7 @@ from .fracsys import (
     MinEnergyControl,
     PinvControl,
     SampledControl,
-    _caputo_residual,
+    caputo_residual,
     simulate,
 )
 from .mlkernel import (
@@ -333,8 +333,7 @@ def synthesize_pinv(
         raise RankDeficientB(f"rank B = {rankB} < n = {sys.n}; no right inverse")
     B_pinv = np.linalg.pinv(sys.B)
     f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
-    v = -f
-    control = PinvControl(sys.A, B_pinv, sys.alpha, prob.T, v, policy)
+    control = PinvControl(sys.A, B_pinv, sys.alpha, prob.T, -f, policy)
     if np.abs(f).max() == 0.0:
         return SynthesisResult(control, f, 0.0, "pinv", None)
     energy = modified_energy(control, sys.alpha, prob.T, quad)
@@ -388,14 +387,12 @@ def synthesize_rank_based(
             raise InvalidParams("phi must have nonzero integral")
         phi = GridFunction(grid, phi.values / mass)
     f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
-    v = -f
-    t = grid.nodes
     if np.abs(f).max() == 0.0:
         zero = SampledControl(GridFunction(grid, np.zeros((grid.steps + 1, sys.m))))
         return SynthesisResult(zero, f, 0.0, "rank-based", None)
-    s = prob.T - t
+    s = prob.T - grid.nodes
     Einv = _kernel_inverse_batch(sys.A, sys.alpha, s, policy)
-    psi = (s ** (1.0 - sys.alpha))[:, None] * np.einsum("sij,j->si", Einv, v)
+    psi = (s ** (1.0 - sys.alpha))[:, None] * np.einsum("sij,j->si", Einv, -f)
     psi = psi * phi.values[:, None]
     u_vals = psi @ rd.K_blocks[0].T
     cur = GridFunction(grid, psi)
@@ -505,13 +502,12 @@ def verify_steering(
               else modified_energy(result.control, sys.alpha, prob.T, quad))
     mismatch = (math.inf if math.isinf(e_quad) or math.isinf(result.energy)  # not inf - inf
                 else abs(e_quad - result.energy) / (1.0 + abs(result.energy)))
-    residual = _caputo_residual(sys, traj, traj.controls)
     return SteeringReport(
         terminal_error_abs=term_abs,
         terminal_error_rel=term_rel,
         energy_quadrature=e_quad,
         energy_reported=result.energy,
         energy_mismatch_rel=mismatch,
-        caputo_residual=residual,
+        caputo_residual=caputo_residual(sys, traj),
     )
 

@@ -78,14 +78,16 @@ class GridFunction:
         self.grid = grid
         self.values = values
 
-    def __call__(self, t: float) -> np.ndarray:
-        """Piecewise-linear evaluation at a point of [t0, t1]."""
-        g = self.grid
-        if not (g.t0 - 1e-12 * (g.t1 - g.t0) <= t <= g.t1 + 1e-12 * (g.t1 - g.t0)):
-            raise DomainError(f"t={t} outside grid [{g.t0}, {g.t1}]")
+    def __call__(self, t) -> np.ndarray:
+        """Piecewise-linear evaluation at a time or an array of times of
+        [t0, t1]; the times' axes come first."""
+        g, t = self.grid, np.asarray(t, dtype=float)
+        out = ~((g.t0 - 1e-12 * (g.t1 - g.t0) <= t) & (t <= g.t1 + 1e-12 * (g.t1 - g.t0)))
+        if out.any():
+            raise DomainError(f"t={t[out][0]} outside grid [{g.t0}, {g.t1}]")
         x = np.clip((t - g.t0) / g.h, 0.0, g.steps)
-        i = min(int(x), g.steps - 1)
-        w = x - i
+        i = np.minimum(x.astype(int), g.steps - 1)
+        w = np.reshape(x - i, t.shape + (1,) * (self.values.ndim - 1))
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
 

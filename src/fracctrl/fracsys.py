@@ -99,22 +99,16 @@ class ControlSignal:
 
 
 class SampledControl(ControlSignal):
-    """Control known through samples on a grid, piecewise linear in between."""
+    """Control known through samples on a grid, piecewise linear in between;
+    sampled outside its grid it raises ``DomainError``."""
 
     def __init__(self, values: GridFunction):
-        vals = values.values
-        if vals.ndim == 1:
-            values = GridFunction(values.grid, vals[:, None])
-        self.data = values
-        self.m = self.data.values.shape[1]
+        if values.values.ndim == 1:
+            values = GridFunction(values.grid, values.values[:, None])
+        self.data, self.m = values, values.values.shape[1]
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        g = self.data.grid
-        x = np.clip((np.asarray(times, float) - g.t0) / g.h, 0.0, g.steps)
-        i = np.minimum(x.astype(int), g.steps - 1)
-        w = (x - i)[:, None]
-        v = self.data.values
-        return (1.0 - w) * v[i] + w * v[i + 1]
+        return self.data(times)
 
 
 class CuspControl(ControlSignal):
@@ -237,8 +231,8 @@ def simulate(
         raise DomainError("simulation grids start at t = 0")
     if isinstance(u, SampledControl):
         g, T = u.data.grid, grid.t1
-        # no extrapolation: a control held constant past its last sample is a guess
-        if g.t0 > 1e-12 * T or g.t1 < T - 1e-12 * T:
+        tol = 1e-12 * (g.t1 - g.t0)  # the tolerance of its reader, GridFunction
+        if g.t0 - tol > 0.0 or g.t1 + tol < T:
             raise DomainError(f"sampled control must span [0, T] = [0, {T:g}], "
                               f"got [{g.t0:g}, {g.t1:g}]")
     uf = u.sample(grid.nodes)
@@ -335,8 +329,10 @@ def _cusp_terminal(u: CuspControl, uf: np.ndarray, grid: TimeGrid, F: np.ndarray
     return np.einsum("qpm,qpmn->n", np.stack([w[n0], d1, d2]), np.stack([dF[0], I1, I2]))
 
 
-def caputo_residual(sys: FracSystem, traj: Trajectory, u: ControlSignal) -> float:
-    """Certificate that a trajectory satisfies the Caputo dynamics.
+def caputo_residual(sys: FracSystem, traj: Trajectory) -> float:
+    """Certificate that a trajectory satisfies the Caputo dynamics under the
+    control samples ``traj.controls`` that ``simulate`` integrated; a
+    trajectory without them raises ``InvalidParams``.
 
     Returns max over interior nodes of || D^alpha x - (A x + B u) ||_inf,
     with the derivative taken by the L1 scheme (centered differences when
@@ -346,20 +342,14 @@ def caputo_residual(sys: FracSystem, traj: Trajectory, u: ControlSignal) -> floa
     trajectories carry t^alpha behaviour, and inside the terminal layer when
     the control has the (T-t)^(1-alpha) cusp of the minimum-energy law.
     """
-    return _caputo_residual(sys, traj, u.sample(traj.grid.nodes))
-
-
-def _caputo_residual(sys: FracSystem, traj: Trajectory, uf: np.ndarray) -> float:
-    """``caputo_residual`` from control samples at the nodes, e.g. ``traj.controls``."""
-    X = traj.states
-    grid = traj.grid
-    N = grid.steps
-    lo, hi = int(np.ceil(0.05 * N)), int(np.floor(0.95 * N))
+    if traj.controls is None:
+        raise InvalidParams("the trajectory has no control samples; take it from simulate")
+    X, grid = traj.states, traj.grid
+    lo, hi = int(np.ceil(0.05 * grid.steps)), int(np.floor(0.95 * grid.steps))
     if sys.alpha < 1.0:
         D = caputo_derivative(GridFunction(grid, X), sys.alpha).values
     else:
         D = _centered_diff(X, grid.h)
-    rhs = X @ sys.A.T + uf @ sys.B.T
+    rhs = X @ sys.A.T + traj.controls @ sys.B.T
     res = np.abs(D - rhs).max(axis=1)
     return float(res[lo : hi + 1].max())
-

@@ -444,9 +444,20 @@ def _ml_at(A: np.ndarray, alpha: float, beta: float, t: float, policy: SeriesPol
     _check_order(alpha)
     if not t >= 0.0 or (t == 0.0 and beta < 1.0):
         raise DomainError(refusal.format(t=t, alpha=alpha))
-    with np.errstate(over="ignore"):  # ml_matrix refuses a non-finite entry
-        M = A * t**alpha
-    return t ** (beta - 1.0) * ml_matrix(MLParams(alpha, beta), M, policy)
+    M = ml_matrix(MLParams(alpha, beta), _scaled(A, t, alpha, "A t^alpha"), policy)
+    return _scaled(M, t, beta - 1.0, "t^(beta-1) E_{alpha,beta}(A t^alpha)")
+
+
+def _scaled(x, t: float, p: float, what: str):
+    """x t^p for a number or an array x; ``NonConvergence`` naming ``what`` on overflow."""
+    try:
+        tp = float(t) ** p
+    except OverflowError:  # a float power that overflows raises
+        tp = math.inf
+    # rounding is monotone: no entry of x t^p overflows unless the largest does
+    if not math.isfinite(tp * (abs(x) if isinstance(x, float) else float(np.abs(x).max()))):
+        raise NonConvergence(f"{what} overflows at t={t}")
+    return x * tp
 
 
 def alpha_exp(
@@ -476,8 +487,8 @@ def _frac_trig(alpha: float, t: float, policy: SeriesPolicy, sine: bool) -> floa
     if not t > 0.0:
         raise DomainError(f"frac_{'sin' if sine else 'cos'} requires t > 0, got {t}")
     beta = 2.0 * alpha if sine else alpha
-    z = t ** (2.0 * alpha)
-    return t ** (beta - 1.0) * ml_scalar(MLParams(2.0 * alpha, beta), -z, policy)
+    E = ml_scalar(MLParams(2.0 * alpha, beta), _scaled(-1.0, t, 2.0 * alpha, "t^(2 alpha)"), policy)
+    return _scaled(E, t, beta - 1.0, "t^(beta-1) E_{2 alpha,beta}(-t^(2 alpha))")
 
 
 def frac_sin(alpha: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:

@@ -159,11 +159,25 @@ class TestMl:
     @pytest.mark.parametrize("mode, alpha", [([], "0.5"), (["--exp"], "0.5"), (["--s0"], "0.5"),
                                              ([], "400")])
     def test_overflowing_matrix_argument_prints_only_the_refusal(self, mode, alpha):
-        # A t^alpha overflows (or t^alpha alone at alpha = 400): one input error, no warning
+        # A t^alpha overflows (or t^alpha alone at alpha = 400): every entry given is
+        # finite, so one numeric failure naming the value, no warning
         out = run_cli(["-m", "fracctrl.cli", "ml", "--alpha", alpha, *mode,
                        "--A", "[[1e308]]", "--t", "10"])
-        assert (out.returncode, out.stdout) == (2, "")
-        assert out.stderr == "input error: matrix entries must be finite\n"
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr == "numeric failure: NonConvergence: A t^alpha overflows at t=10.0\n"
+
+
+    @pytest.mark.parametrize("args", [
+        ["--alpha", "0.001", "--exp", "--A", "[[0]]", "--t", "1e-320"],
+        ["--alpha", "0.001", "--cos", "--t", "1e-320"],
+        ["--alpha", "1", "--sin", "--t", "1e308"],
+    ])
+    def test_overflowing_power_of_t_is_numeric_failure(self, capsys, args):
+        # t^(beta-1) or t^(2 alpha) overflows: once a bare OverflowError traceback
+        assert main(["ml", *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: NonConvergence: t^") and err.count("\n") == 1
+        assert "overflows at t=" in err
 
 
 class TestImport:
@@ -417,6 +431,19 @@ class TestSimulate:
         assert main([cmd, pf]) == 3
         assert capsys.readouterr().err.startswith("numeric failure:")
 
+    @pytest.mark.parametrize("cmd", ["simulate", "synthesize"])
+    def test_unallocatable_grid_is_input_error(self, tmp_path, capsys, cmd):
+        # 10**15 steps need 8 PB an array, past a 47-bit address space, so the
+        # allocation fails at once under any overcommit setting; never test a
+        # grid that could be allocated
+        doc = json.loads(Path(EXAMPLE1_PATH).read_text())
+        doc["numerics"]["grid_steps"] = 10**15
+        pf = tmp_path / "p.json"
+        pf.write_text(json.dumps(doc))
+        assert main([cmd, str(pf)]) == 2
+        err = capsys.readouterr().err
+        assert one_line_input_error(err) and "Unable to allocate" in err
+
     @pytest.mark.parametrize("start, end, rc", [
         (0.0, 5.0, 2), (0.5, 10.0, 2), (0.0, 10.0 - 1e-9, 2), (1e-9, 10.0, 2),
         (0.0, 10.0, 0), (0.0, 10.0 * (1.0 - 1e-13), 0), (0.0, 20.0, 0), (-1.0, 10.0, 0),
@@ -636,8 +663,8 @@ class TestSynthesize:
         assert max(abs(float(v)) for v in vals) == reported  # b = 0
 
     def test_simulate_samples_the_control_once(self, tmp_path, capsys, monkeypatch):
-        # the residual reads the samples simulate recorded, and equals the
-        # one caputo_residual takes from a fresh sample
+        # the residual reads the samples simulate recorded, and equals
+        # caputo_residual of a fresh simulate
         pf = write_problem(tmp_path / "p.json", numerics={"grid_steps": 256})
         ctrl = tmp_path / "ctrl.json"
         assert main(["synthesize", pf, "--out", str(ctrl)]) == 0
@@ -654,7 +681,7 @@ class TestSynthesize:
         u = cli._control_from_dict(json.loads(ctrl.read_text()), DEFAULT_POLICY)
         sys = FracSystem(CHAIN["A"], CHAIN["B"], alpha=CHAIN["alpha"])
         traj = simulate(sys, np.array(STEERING["a"]), u, TimeGrid(0.0, STEERING["T"], 256))
-        want = f"caputo residual (interior): {caputo_residual(sys, traj, u):.15g}"
+        want = f"caputo residual (interior): {caputo_residual(sys, traj):.15g}"
         assert capsys.readouterr().out.splitlines()[1] == want
 
     def test_control_csv_reingestion(self, tmp_path, capsys):

@@ -83,6 +83,29 @@ class TestGridTypes:
             with pytest.raises(DomainError, match="outside grid"):
                 f(t)
 
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_array_of_times_is_the_scalar_calls_bit_for_bit(self, shape):
+        # one reader: an array of times gives the scalar calls, and both give
+        # the scalar interpolation of earlier versions, bit for bit
+        g = TimeGrid(0.0, 2.0, 7)
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal((8,) + shape)
+        f = GridFunction(g, vals)
+        ts = np.append(rng.uniform(0.0, 2.0, 50), [0.0, 3.0 * g.h, 2.0, 2.0 + 1e-13])
+        got = f(ts)
+        assert got.shape == ts.shape + shape
+        assert np.array_equal(got, np.array([f(t) for t in ts]))
+        for t, row in zip(ts, got):
+            x = np.clip((t - g.t0) / g.h, 0.0, g.steps)
+            i = min(int(x), g.steps - 1)
+            w = x - i
+            assert np.array_equal(row, (1.0 - w) * vals[i] + w * vals[i + 1])
+
+    def test_array_outside_grid_names_a_time(self):
+        f = grid_fn(lambda t: 3.0 * t, steps=4)
+        with pytest.raises(DomainError, match=r"t=1\.5 outside grid \[0\.0, 1\.0\]"):
+            f(np.array([0.5, 1.5, -1.0]))
+
 
 class TestFracIntegralLeft:
     def test_constant_half_order(self):

@@ -22,6 +22,7 @@ from fracctrl import (
     SampledControl,
     SteeringProblem,
     TimeGrid,
+    Trajectory,
     caputo_residual,
     simulate,
     state_transition,
@@ -105,6 +106,16 @@ class TestSimulate:
             simulate(example1_system, np.zeros(2),
                      constant_control(TimeGrid(0.0, 0.5, 32), 1.0), grid)
 
+    def test_span_check_is_the_samplers(self, example1_system):
+        # accepted exactly where the sampler reads every node: a control grid
+        # starting at 1e-12 T passed the old check, then the sampler refused t = 0
+        grid = TimeGrid(0.0, 10.0, 64)
+        late = constant_control(TimeGrid(1e-11, 10.0, 64), 1.0)
+        with pytest.raises(DomainError, match="must span"):
+            simulate(example1_system, np.zeros(2), late, grid)
+        within = constant_control(TimeGrid(0.99e-11, 10.0, 64), 1.0)
+        assert simulate(example1_system, np.zeros(2), within, grid).states.shape == (65, 2)
+
     @pytest.mark.parametrize("a, grid, width, exc", [
         (np.zeros(3), TimeGrid(0.0, 1.0, 64), 1, InvalidParams),
         (np.zeros(2), TimeGrid(0.5, 1.0, 64), 1, DomainError),
@@ -115,6 +126,16 @@ class TestSimulate:
         u = constant_control(TimeGrid(0.0, 1.0, 64), np.ones(width))
         with pytest.raises(exc):
             simulate(example1_system, a, u, grid)
+
+    def test_sampled_control_read_only_on_its_grid(self):
+        # past its grid a sampled control once held its end value silently
+        u = constant_control(TimeGrid(0.0, 1.0, 8), 1.0)
+        assert np.array_equal(u.sample(np.array([0.0, 1.0 + 1e-13])), np.ones((2, 1)))
+        for times in ([0.5, 1.0 + 1e-9], [-1e-9]):
+            with pytest.raises(DomainError, match="outside grid"):
+                u.sample(np.array(times))
+        with pytest.raises(DomainError, match="outside grid"):
+            u.evaluate(2.0)
 
     def test_one_dimensional_samples_are_one_column(self, example1_system):
         grid = TimeGrid(0.0, 1.0, 64)
@@ -293,7 +314,7 @@ class TestCuspTerminal:
             assert np.array_equal(traj.controls, u.sample(prob.grid.nodes))
             res = synth(prob)
             traj = simulate(sys, a, res.control, prob.grid)
-            want = caputo_residual(sys, traj, res.control)
+            want = caputo_residual(sys, traj)
             assert verify_steering(prob, res).caputo_residual == want
 
     def test_verify_samples_the_control_once(self, monkeypatch):
@@ -462,17 +483,26 @@ class TestKernelTable:
 
 
 class TestResidual:
+    def test_reads_the_recorded_control_samples(self, example1_system):
+        grid = TimeGrid(0.0, 1.0, 256)
+        traj = simulate(example1_system, np.zeros(2), constant_control(grid, 1.0), grid)
+        with pytest.raises(InvalidParams, match="no control samples"):
+            caputo_residual(example1_system, Trajectory(grid, traj.states))
+        res = caputo_residual(example1_system, traj)
+        traj.controls = traj.controls + 1.0  # A x + B u moves by B = e2
+        assert caputo_residual(example1_system, traj) != res
+
     def test_chain_system_constant_control(self, example1_system):
         grid = TimeGrid(0.0, 1.0, 2048)
         u = constant_control(grid, 1.0)
         traj = simulate(example1_system, np.array([1.0, 0.0]), u, grid)
-        assert caputo_residual(example1_system, traj, u) <= 5e-3
+        assert caputo_residual(example1_system, traj) <= 5e-3
 
     def test_zero_trajectory(self, example1_system):
         grid = TimeGrid(0.0, 1.0, 256)
         u = constant_control(grid, 0.0)
         traj = simulate(example1_system, np.zeros(2), u, grid)
-        assert caputo_residual(example1_system, traj, u) <= 1e-14
+        assert caputo_residual(example1_system, traj) <= 1e-14
 
     def test_classical_case(self):
         sys = FracSystem(np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -480,15 +510,15 @@ class TestResidual:
         grid = TimeGrid(0.0, 1.0, 2048)
         u = constant_control(grid, 1.0)
         traj = simulate(sys, np.zeros(2), u, grid)
-        assert caputo_residual(sys, traj, u) <= 1e-6
+        assert caputo_residual(sys, traj) <= 1e-6
 
     @pytest.mark.parametrize("steps", [2, 3, 64])
     def test_fixed_interior_keeps_a_node_and_drops_the_last(self, example1_system, steps):
         grid = TimeGrid(0.0, 1.0, steps)
         u = constant_control(grid, 1.0)
         traj = simulate(example1_system, np.zeros(2), u, grid)
-        res = caputo_residual(example1_system, traj, u)
+        res = caputo_residual(example1_system, traj)
         # the L1 derivative at a node reads no later node (up to FFT rounding)
         traj.states[-1] += 1e3
-        assert caputo_residual(example1_system, traj, u) == pytest.approx(res, rel=1e-9)
+        assert caputo_residual(example1_system, traj) == pytest.approx(res, rel=1e-9)
 

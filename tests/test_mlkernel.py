@@ -986,6 +986,27 @@ class TestFracTrig:
             fn(0.5, math.nan)
 
 
+class TestOverflowingScale:
+    # A t^alpha, t^alpha or the prefactor t^(beta-1) past the largest double:
+    # once a non-finite matrix (InvalidParams) or a bare OverflowError
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, what", [
+        (lambda: alpha_exp([[1e308]], 1.0, 10.0), "A t^alpha"),
+        (lambda: state_transition([[1e308]], 1.0, 10.0), "A t^alpha"),
+        (lambda: state_transition([[1e308, 0.0], [0.0, 1.0]], 0.5, 100.0), "A t^alpha"),
+        (lambda: alpha_exp([[0.0]], 0.001, 1e-320), "t^(beta-1) E_{alpha,beta}(A t^alpha)"),
+        (lambda: frac_sin(0.001, 1e-320), "t^(beta-1) E_{2 alpha,beta}(-t^(2 alpha))"),
+        (lambda: frac_cos(0.001, 1e-320), "t^(beta-1) E_{2 alpha,beta}(-t^(2 alpha))"),
+        (lambda: frac_sin(1.0, 1e308), "t^(2 alpha)"),
+        (lambda: frac_cos(1.0, 1e308), "t^(2 alpha)"),
+    ], ids=["exp-arg", "s0-arg", "s0-arg-2x2", "exp-prefactor", "sin-prefactor",
+            "cos-prefactor", "sin-arg", "cos-arg"])
+    def test_is_non_convergence_naming_the_value(self, call, what):
+        with pytest.raises(NonConvergence) as info:
+            call()
+        assert str(info.value).startswith(f"{what} overflows at t=")
+
+
 class TestClTruncation:
     def test_first_truncation(self):
         for t in (0.1, 0.5, 2.0):

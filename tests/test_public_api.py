@@ -34,7 +34,7 @@ PUBLIC = {
     "PinvControl": ["A", "B_pinv", "alpha", "T", "v", "policy"],
     "Trajectory": ["grid", "states", "outputs", "controls"],
     "simulate": ["sys", "a", "u", "grid", "policy"],
-    "caputo_residual": ["sys", "traj", "u"],
+    "caputo_residual": ["sys", "traj"],
     # mlkernel
     "MLParams": ["alpha", "beta"],
     "SeriesPolicy": ["rel_tol", "max_terms"],
