@@ -15,8 +15,7 @@ types built from it refuse (FracSystem, SteeringProblem, TimeGrid, ...):
   {
     "system":   {"alpha": 0.5, "A": [[0,1],[0,0]], "B": [[0],[1]], "C": null},
     "steering": {"a": [1,0], "b": [0,0], "T": 10.0},
-    "numerics": {"grid_steps": 1024, "series_rel_tol": 1e-14,
-                 "series_max_terms": 500, "quad_rel_tol": 1e-11},
+    "numerics": {"grid_steps": 1024, "series_rel_tol": 1e-14, "series_max_terms": 500},
     "control":  {"type": "constant", "value": [1.0]},
     "method":   "min-energy"
   }
@@ -37,9 +36,7 @@ import sys as _sys
 import numpy as np
 
 from .controlsyn import (
-    DEFAULT_QUAD,
     SINGULAR_GRAMIAN_RCOND,
-    QuadSettings,
     SteeringProblem,
     SteeringReport,
     SynthesisResult,
@@ -107,7 +104,6 @@ _FIELDS = {
         "grid_steps": (_INT, 1024),
         "series_rel_tol": (_NUM, SeriesPolicy.rel_tol),
         "series_max_terms": (_INT, SeriesPolicy.max_terms),
-        "quad_rel_tol": (_NUM, QuadSettings.rel_tol),
     },
     "control block": {"type": (_STR, _REQUIRED), "value": (_NUM + _LIST, None), "path": (_STR, None)},
 }
@@ -165,7 +161,6 @@ class Problem:
             grid = TimeGrid(0.0, steering["T"], numerics["grid_steps"])
             self.steering = SteeringProblem(self.system, grid=grid, **steering)
             self.policy = SeriesPolicy(numerics["series_rel_tol"], numerics["series_max_terms"])
-            self.quad = QuadSettings(numerics["quad_rel_tol"])
         except (FracctrlError, TypeError, ValueError) as exc:
             raise InputError(f"invalid problem data: {exc}") from exc
         self.control_spec, self.method = doc["control"], doc["method"]
@@ -355,7 +350,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_gramian(args) -> int:
     prob = _load_problem(args.problem)
-    g = gramian(prob.system, prob.steering.T, prob.quad, prob.policy)
+    g = gramian(prob.system, prob.steering.T, prob.policy)
     rd = kalman_rank(prob.system)
     n = prob.system.n
     rank_ok = rd.rank == n
@@ -392,8 +387,8 @@ def cmd_synthesize(args) -> int:
     if method not in _SYNTHESES:
         raise InputError(f"unknown method {method!r}")
     sp = prob.steering
-    result = _SYNTHESES[method](sp, quad=prob.quad, policy=prob.policy)
-    report = verify_steering(sp, result, prob.quad, prob.policy)
+    result = _SYNTHESES[method](sp, policy=prob.policy)
+    report = verify_steering(sp, result, prob.policy)
     print(f"method: {result.method}")
     print(f"modified energy: {_fmt(result.energy, 17)}")
     print(f"terminal error: abs {_fmt(report.terminal_error_abs)} "
@@ -465,7 +460,7 @@ def _example2_energy(L: int | None = None) -> float:
         G = np.stack([E[:, 0, 1], cos_v], axis=1)
         return G[:, :, None] * G[:, None, :]
 
-    Q = _adaptive_graded(integrand, T, DEFAULT_QUAD, "example 2 gramian")[0]
+    Q = _adaptive_graded(integrand, T, "example 2 gramian")[0]
     S0T = ml_matrix(MLParams(alphav, 1.0), A * T**alphav)
     f = S0T @ np.array([0.0, 1.0])  # b = 0
     return float(f @ np.linalg.solve(Q, f))

@@ -72,8 +72,6 @@ __all__ = [
     "GramianResult",
     "SynthesisResult",
     "RankData",
-    "QuadSettings",
-    "DEFAULT_QUAD",
     "SINGULAR_GRAMIAN_RCOND",
     "gramian",
     "kalman_rank",
@@ -90,32 +88,12 @@ __all__ = [
 # i.e. the system as practically uncontrollable
 SINGULAR_GRAMIAN_RCOND = 1e-10
 
-# a graded quadrature starts from _LEVELS panels of _ORDER Gauss nodes, and
-# deepens while its grading has at most _MAX_LEVELS levels
-_LEVELS, _ORDER, _MAX_LEVELS = 12, 16, 44
+# a graded quadrature starts from _LEVELS panels of _ORDER Gauss nodes and deepens,
+# while it has at most _MAX_LEVELS levels, until two gradings agree to _REL_TOL
+_LEVELS, _ORDER, _MAX_LEVELS, _REL_TOL = 12, 16, 44, 1e-11
 # the _ORDER-node Gauss-Legendre rule on [-1, 1], read-only
 _XG, _WG = leggauss(_ORDER)
 _XG.flags.writeable = _WG.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class QuadSettings:
-    """Composite Gauss-Legendre quadrature with geometric panel grading.
-
-    The shape is fixed: 12 panels of 16 nodes shrink by ratio 1/2 toward
-    s = 0, and nested adaptivity adds 4 levels at a time, while the grading
-    has at most 44, until two successive gradings agree to ``rel_tol``, the
-    one setting (relative, max-norm), else ``NonConvergence``.
-    """
-
-    rel_tol: float = 1e-11
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise InvalidParams(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-
-
-DEFAULT_QUAD = QuadSettings()
 
 
 @dataclass(frozen=True)
@@ -161,15 +139,14 @@ class RankData:
 
 @dataclass
 class SynthesisResult:
-    """A steering control plus its defect vector and modified energy, and the
-    quadrature that computed it (None for a closed form or a zero defect)."""
+    """A steering control plus its defect vector and modified energy: for
+    "pinv" and "rank-based", ``modified_energy`` of the control itself."""
 
     control: ControlSignal
     f_T: np.ndarray
     energy: float
     method: str
     gramian: Optional[GramianResult] = None
-    energy_quad: Optional[QuadSettings] = None
 
 
 @dataclass
@@ -198,10 +175,10 @@ def _graded_gauss_rule(T: float, levels: int):
     return (mid[:, None] + rad[:, None] * _XG).ravel(), (rad[:, None] * _WG).ravel()
 
 
-def _adaptive_graded(f, T: float, quad: QuadSettings, what: str):
+def _adaptive_graded(f, T: float, what: str):
     """Gauss-Legendre quadrature over [0, T] graded toward s = 0, deepened by
-    4 levels at a time until two successive gradings agree to
-    ``quad.rel_tol`` relative in max norm; returns (value, that relative
+    4 levels at a time until two successive gradings agree to 1e-11 relative
+    in max norm, else ``NonConvergence``; returns (value, that relative
     change).  ``f(s)`` is the integrand at the nodes s, stacked on the first
     axis.  A deepening splits the innermost panel into 5; the other panels
     keep their nodes bitwise (edges T 2^-j), so f sees each node once."""
@@ -217,11 +194,11 @@ def _adaptive_graded(f, T: float, quad: QuadSettings, what: str):
         if not np.isfinite(v1).all():
             raise NonConvergence(f"{what} quadrature overflows")
         err = float(np.abs(v1 - v0).max() / max(np.abs(v1).max(), 1e-300))
-        if err < quad.rel_tol:
+        if err < _REL_TOL:
             return v1, err
         v0 = v1
     raise NonConvergence(
-        f"{what} quadrature did not reach rel_tol={quad.rel_tol} within "
+        f"{what} quadrature did not reach rel_tol={_REL_TOL} within "
         f"{_MAX_LEVELS} grading levels"
     )
 
@@ -229,7 +206,6 @@ def _adaptive_graded(f, T: float, quad: QuadSettings, what: str):
 def gramian(
     sys: FracSystem,
     T: float,
-    quad: QuadSettings = DEFAULT_QUAD,
     policy: SeriesPolicy = DEFAULT_POLICY,
 ) -> GramianResult:
     """Modified controllability Gramian over [0, T].
@@ -237,15 +213,15 @@ def gramian(
     The neutralizer is cancelled analytically, so the integrand evaluated is
     the bounded E B B* E* product; ``quad_err`` is the change under the last
     panel-deepening step.  Raises ``NonConvergence`` if no grading deepened
-    from at most 44 levels meets ``quad.rel_tol``, and ``InvalidParams``
-    unless T is positive and finite.
+    from at most 44 levels meets 1e-11 relative, and ``InvalidParams`` unless
+    T is positive and finite.
     """
 
     def integrand(s):
         G = ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s, policy) @ sys.B
         return np.einsum("sij,skj->sik", G, G)
 
-    Q, err = _adaptive_graded(integrand, T, quad, "gramian")
+    Q, err = _adaptive_graded(integrand, T, "gramian")
     Q = 0.5 * (Q + Q.T)
     ev = np.linalg.eigvalsh(Q)
     rcond = float(max(ev.min(), 0.0) / ev.max()) if ev.max() > 0.0 else 0.0
@@ -286,7 +262,6 @@ def _solve_spd(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def synthesize_min_energy(
     prob: SteeringProblem,
-    quad: QuadSettings = DEFAULT_QUAD,
     policy: SeriesPolicy = DEFAULT_POLICY,
 ) -> SynthesisResult:
     """Minimum-modified-energy steering control.
@@ -298,7 +273,7 @@ def synthesize_min_energy(
     control trivially steers and is returned directly.
     """
     sys = prob.sys
-    gram = gramian(sys, prob.T, quad, policy)
+    gram = gramian(sys, prob.T, policy)
     f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
     if np.abs(f).max() == 0.0:
         control = MinEnergyControl(sys.A, sys.B, sys.alpha, prob.T,
@@ -317,7 +292,6 @@ def synthesize_min_energy(
 
 def synthesize_pinv(
     prob: SteeringProblem,
-    quad: QuadSettings = DEFAULT_QUAD,
     policy: SeriesPolicy = DEFAULT_POLICY,
 ) -> SynthesisResult:
     """Right-inverse steering control for systems with rank B = n.
@@ -335,9 +309,9 @@ def synthesize_pinv(
     f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
     control = PinvControl(sys.A, B_pinv, sys.alpha, prob.T, -f, policy)
     if np.abs(f).max() == 0.0:
-        return SynthesisResult(control, f, 0.0, "pinv", None)
-    energy = modified_energy(control, sys.alpha, prob.T, quad)
-    return SynthesisResult(control, f, energy, "pinv", None, quad)
+        return SynthesisResult(control, f, 0.0, "pinv")
+    energy = modified_energy(control, sys.alpha, prob.T)
+    return SynthesisResult(control, f, energy, "pinv")
 
 
 def default_shaping_density(grid: TimeGrid, alpha: float) -> GridFunction:
@@ -359,7 +333,6 @@ def default_shaping_density(grid: TimeGrid, alpha: float) -> GridFunction:
 def synthesize_rank_based(
     prob: SteeringProblem,
     phi: Optional[GridFunction] = None,
-    quad: QuadSettings = DEFAULT_QUAD,
     policy: SeriesPolicy = DEFAULT_POLICY,
 ) -> SynthesisResult:
     """Steering control from the Kalman right inverse and repeated
@@ -389,7 +362,7 @@ def synthesize_rank_based(
     f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
     if np.abs(f).max() == 0.0:
         zero = SampledControl(GridFunction(grid, np.zeros((grid.steps + 1, sys.m))))
-        return SynthesisResult(zero, f, 0.0, "rank-based", None)
+        return SynthesisResult(zero, f, 0.0, "rank-based")
     s = prob.T - grid.nodes
     Einv = _kernel_inverse_batch(sys.A, sys.alpha, s, policy)
     psi = (s ** (1.0 - sys.alpha))[:, None] * np.einsum("sij,j->si", Einv, -f)
@@ -400,11 +373,11 @@ def synthesize_rank_based(
         cur = rl_derivative_left(cur, sys.alpha)
         u_vals = u_vals + cur.values @ rd.K_blocks[j].T
     control = SampledControl(GridFunction(grid, u_vals))
-    energy = modified_energy(control, sys.alpha, prob.T, quad)
-    return SynthesisResult(control, f, energy, "rank-based", None, quad)
+    energy = modified_energy(control, sys.alpha, prob.T)
+    return SynthesisResult(control, f, energy, "rank-based")
 
 
-def _energy_bounded(u: CuspControl, alpha: float, T: float, quad: QuadSettings) -> float:
+def _energy_bounded(u: CuspControl, T: float) -> float:
     """Energy via the algebraically neutralized integrand |w(s)|^2 exposed by
     cusp controls (u(T-s) = s^(1-alpha) w(s)), graded toward s = 0 only: w is
     analytic in y = s^alpha, so nothing is singular at s = T."""
@@ -413,7 +386,7 @@ def _energy_bounded(u: CuspControl, alpha: float, T: float, quad: QuadSettings) 
         W = u.kernel_weight(s)
         return np.einsum("sj,sj->s", W, W)
 
-    return float(_adaptive_graded(integrand, T, quad, "energy")[0])
+    return float(_adaptive_graded(integrand, T, "energy")[0])
 
 
 def _power_moment(e: float, s1: float) -> float:
@@ -466,17 +439,19 @@ def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
     return total
 
 
-def modified_energy(
-    u: ControlSignal, alpha: float, T: float, quad: QuadSettings = DEFAULT_QUAD
-) -> float:
+def modified_energy(u: ControlSignal, alpha: float, T: float) -> float:
     """The weighted energy functional  integral_0^T |(T-t)^(alpha-1) u(t)|^2 dt.
 
     Cusp controls expose a bounded neutralized integrand, graded toward
-    T - t = 0; sampled controls are product-integrated exactly per panel.  Any
-    other control raises ``InvalidParams``.
+    T - t = 0, and raise ``DomainError`` unless alpha and T are their own (T
+    to 1e-12 relative); sampled controls are product-integrated exactly per
+    panel.  Any other control raises ``InvalidParams``.
     """
     if isinstance(u, CuspControl):
-        return _energy_bounded(u, alpha, T, quad)
+        if alpha != u.alpha or abs(T - u.T) > 1e-12 * u.T:
+            raise DomainError(f"a cusp control of (alpha, T) = ({u.alpha}, {u.T}) has no "
+                              f"energy rule at (alpha, T) = ({alpha}, {T})")
+        return _energy_bounded(u, T)
     if isinstance(u, SampledControl):
         return _energy_sampled(u, alpha, T)
     raise InvalidParams(f"no energy rule for control of type {type(u).__name__}")
@@ -485,21 +460,21 @@ def modified_energy(
 def verify_steering(
     prob: SteeringProblem,
     result: SynthesisResult,
-    quad: QuadSettings = DEFAULT_QUAD,
     policy: SeriesPolicy = DEFAULT_POLICY,
 ) -> SteeringReport:
     """End-to-end certificate: simulate the synthesized control, measure the
     terminal miss, take the energy by quadrature (``result.energy``, synthesized
-    for ``prob``, when ``result.energy_quad == quad``), and attach the Caputo
-    residual of the computed trajectory from the control samples simulate
-    recorded.  Inaccuracy shows up as large numbers in the report; simulated
-    states that overflow raise ``NonConvergence``."""
+    for ``prob``, when ``result.method`` is "pinv" or "rank-based", whose
+    energy is already that), and attach the Caputo residual of the computed
+    trajectory from the control samples simulate recorded.  Inaccuracy shows
+    up as large numbers in the report; simulated states that overflow raise
+    ``NonConvergence``."""
     sys = prob.sys
     traj = simulate(sys, prob.a, result.control, prob.grid, policy=policy)
     term_abs = float(np.abs(traj.states[-1] - prob.b).max())
     term_rel = term_abs / max(1.0, float(np.abs(prob.b).max()))
-    e_quad = (result.energy if result.energy_quad == quad
-              else modified_energy(result.control, sys.alpha, prob.T, quad))
+    e_quad = (result.energy if result.method in ("pinv", "rank-based")
+              else modified_energy(result.control, sys.alpha, prob.T))
     mismatch = (math.inf if math.isinf(e_quad) or math.isinf(result.energy)  # not inf - inf
                 else abs(e_quad - result.energy) / (1.0 + abs(result.energy)))
     return SteeringReport(

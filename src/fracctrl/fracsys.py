@@ -332,7 +332,8 @@ def _cusp_terminal(u: CuspControl, uf: np.ndarray, grid: TimeGrid, F: np.ndarray
 def caputo_residual(sys: FracSystem, traj: Trajectory) -> float:
     """Certificate that a trajectory satisfies the Caputo dynamics under the
     control samples ``traj.controls`` that ``simulate`` integrated; a
-    trajectory without them raises ``InvalidParams``.
+    trajectory without them, or with states or controls not of shape
+    (steps + 1, n) and (steps + 1, m), raises ``InvalidParams``.
 
     Returns max over interior nodes of || D^alpha x - (A x + B u) ||_inf,
     with the derivative taken by the L1 scheme (centered differences when
@@ -345,6 +346,10 @@ def caputo_residual(sys: FracSystem, traj: Trajectory) -> float:
     if traj.controls is None:
         raise InvalidParams("the trajectory has no control samples; take it from simulate")
     X, grid = traj.states, traj.grid
+    for name, arr, width in (("states", X, sys.n), ("controls", traj.controls, sys.m)):
+        if np.shape(arr) != (grid.steps + 1, width):
+            raise InvalidParams(f"trajectory {name} must have shape ({grid.steps + 1}, {width}), "
+                                f"got {np.shape(arr)}")
     lo, hi = int(np.ceil(0.05 * grid.steps)), int(np.floor(0.95 * grid.steps))
     if sys.alpha < 1.0:
         D = caputo_derivative(GridFunction(grid, X), sys.alpha).values

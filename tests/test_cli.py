@@ -277,7 +277,7 @@ class TestSimulate:
         {"grid_steps": 2.7}, {"grid_steps": 512.0}, {"refine": 1.5},
         {"quad_order": 0}, {"series_max_terms": True}, {"grid_steps": None},
         {"series_rel_tol": [1]}, {"quad_rel_tol": None}, {"series_rel_tol": True},
-        {"refine": None}, {"quad_levels": 12}, {"quad_order": 16},
+        {"refine": None}, {"quad_levels": 12}, {"quad_order": 16}, {"quad_rel_tol": 1e-11},
     ])
     def test_malformed_numerics_rejected(self, tmp_path, capsys, numerics):
         pf = write_problem(tmp_path / "p.json", numerics={"grid_steps": 512, **numerics})
@@ -285,7 +285,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
         # retired settings are unknown keys, even where simulate would not read them
-        retired = sorted({"refine", "quad_levels", "quad_order"} & set(numerics))
+        retired = sorted({"refine", "quad_levels", "quad_order", "quad_rel_tol"} & set(numerics))
         if retired:
             assert f"unknown keys in numerics block: {retired}" in err
 
@@ -743,7 +743,8 @@ FUZZ_FIELDS = (
     [(block,) for block in ("system", "steering", "numerics", "control", "method")]
     + [("system", key) for key in ("alpha", "A", "B", "C")]
     + [("steering", key) for key in ("a", "b", "T")]
-    # quad_levels and quad_order are retired: they probe the unknown-key refusal
+    # quad_rel_tol, quad_levels and quad_order are retired: they probe the
+    # unknown-key refusal
     + [("numerics", key) for key in ("grid_steps", "series_rel_tol", "series_max_terms",
                                      "quad_rel_tol", "quad_levels", "quad_order")]
     + [("control", key) for key in ("type", "value", "path")]

@@ -1,8 +1,8 @@
 """Synthesis tests: Gramian closed forms, rank analysis, the three steering
 laws, energy identities, minimality, and export round trips."""
 
-import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from scipy.special import gamma
 
 from fracctrl import (
     DEFAULT_POLICY,
-    DEFAULT_QUAD,
     ControlSignal,
     DomainError,
     FracSystem,
@@ -21,7 +20,6 @@ from fracctrl import (
     InvalidParams,
     NonConvergence,
     PinvControl,
-    QuadSettings,
     RankDeficient,
     RankDeficientB,
     SampledControl,
@@ -134,9 +132,8 @@ def counting(fn, sizes, nodes=None, at=0):
 
 class TestAdaptiveGraded:
     def test_each_node_evaluated_once(self):
-        T, quad = 3.0, QuadSettings()
-        sizes, nodes = [], []
-        value, _ = _adaptive_graded(counting(np.sqrt, sizes, nodes), T, quad, "test")
+        T, sizes, nodes = 3.0, [], []
+        value, _ = _adaptive_graded(counting(np.sqrt, sizes, nodes), T, "test")
         k = controlsyn._ORDER
         assert len(sizes) >= 2
         assert sizes == [controlsyn._LEVELS * k] + [5 * k] * (len(sizes) - 1)
@@ -148,9 +145,9 @@ class TestAdaptiveGraded:
 
     def test_nonconvergence_past_44_levels(self):
         # the integral of 1/s diverges: each deepening adds about 4 log 2
-        quad, sizes = QuadSettings(), []
-        with pytest.raises(NonConvergence, match="within 44 grading levels"):
-            _adaptive_graded(counting(lambda s: 1.0 / s, sizes), 1.0, quad, "test")
+        sizes = []
+        with pytest.raises(NonConvergence, match="rel_tol=1e-11 within 44 grading levels"):
+            _adaptive_graded(counting(lambda s: 1.0 / s, sizes), 1.0, "test")
         k, levels = controlsyn._ORDER, controlsyn._LEVELS
         assert sizes == [levels * k] + [5 * k] * ((44 - levels) // 4 + 1)
 
@@ -236,21 +233,6 @@ class TestGramian:
             assert np.abs(g.Q - g.Q.T).max() <= 1e-12 * max(np.abs(g.Q).max(), 1e-300)
             ev = np.linalg.eigvalsh(g.Q)
             assert ev.min() >= -1e-10 * np.abs(ev).max()
-
-    # The ids keep each case's name from when QuadSettings had more fields.
-    @pytest.mark.parametrize(
-        "field",
-        [
-            pytest.param({"rel_tol": 1.0}, id="field0"),
-            pytest.param({"rel_tol": 0.0}, id="field3"),
-        ],
-    )
-    def test_quad_settings_validated(self, field):
-        with pytest.raises(InvalidParams):
-            QuadSettings(**field)
-
-    def test_quad_settings_fields(self):
-        assert [f.name for f in dataclasses.fields(QuadSettings)] == ["rel_tol"]
 
     @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
     def test_nonpositive_horizon_refused(self, example1_system, T):
@@ -478,6 +460,22 @@ class TestModifiedEnergy:
         with pytest.raises(InvalidParams, match="Ramp"):
             modified_energy(Ramp(), 0.5, 1.0)
 
+    @pytest.mark.parametrize("B, synth", [([[0.0], [1.0]], synthesize_min_energy),
+                                          (np.eye(2), synthesize_pinv)])
+    @pytest.mark.parametrize("alpha, T", [(0.9, 1.0), (0.5, 2.0), (0.5, 0.5), (0.9, 2.0),
+                                          (0.3, 1.0), (0.5, 1.0 + 1e-9)])
+    def test_cusp_control_refused_at_another_order_or_horizon(self, B, synth, alpha, T):
+        # the chain system's minimum energy is 18; read at alpha 0.9 it gave
+        # 18.00000000005 (a sampled copy gives 7.888), at T = 2 it gave 121.41
+        sys = FracSystem([[0.0, 1.0], [0.0, 0.0]], B, alpha=0.5)
+        res = synth(problem(sys, [1.0, 0.0], [0.0, 0.0], 1.0, steps=64))
+        want = re.escape("(alpha, T) = (0.5, 1.0) has no energy rule at "
+                         f"(alpha, T) = ({alpha}, {T})")
+        with pytest.raises(DomainError, match=want):
+            modified_energy(res.control, alpha, T)
+        # a horizon within 1e-12 relative is the control's own
+        assert modified_energy(res.control, 0.5, 1.0 + 1e-13) == pytest.approx(res.energy, rel=1e-9)
+
 
 class TestVerifySteering:
     def test_chain_system_certificate(self, example1_system):
@@ -515,8 +513,9 @@ class TestVerifySteering:
 
 
 class TestEnergyReuse:
-    """verify_steering reuses a synthesized energy only when the same
-    quadrature computed it; the report is bitwise that of recomputing."""
+    """verify_steering reuses the energy of pinv and rank-based synthesis,
+    which is ``modified_energy`` of their control, and recomputes any other;
+    the report is bitwise that of recomputing."""
 
     @staticmethod
     def count_energy(monkeypatch):
@@ -534,41 +533,30 @@ class TestEnergyReuse:
         sys = FracSystem([[-0.6, 2.5], [0.0, 0.4]], [[0.3, 0.0], [1.0, -0.8]], alpha=alpha)
         prob = problem(sys, [1.0, -0.5], [-0.2, 0.4], 2.0, steps=512)
         res = synth(prob)
-        assert res.energy_quad == DEFAULT_QUAD
+        want = modified_energy(res.control, alpha, 2.0)
         calls = self.count_energy(monkeypatch)
         got = verify_steering(prob, res)
         assert calls == []
-        want = verify_steering(prob, dataclasses.replace(res, energy_quad=None))
-        assert len(calls) == 1 and got == want
+        assert np.float64(got.energy_quadrature).tobytes() == np.float64(want).tobytes()
         if alpha == 0.5:
             assert np.isinf(got.energy_reported) and np.isinf(got.energy_mismatch_rel)
         else:
             assert got.energy_mismatch_rel == 0.0
 
-    def test_other_quadrature_recomputes(self, monkeypatch, scalar_system):
-        prob = problem(scalar_system(0.5), [0.0], [1.0], 1.0, steps=256)
-        res = synthesize_pinv(prob)
-        calls = self.count_energy(monkeypatch)
-        quad = QuadSettings(rel_tol=1e-10)
-        rep = verify_steering(prob, res, quad)
-        assert len(calls) == 1 and calls[0][3] == quad
-        assert rep.energy_quadrature == modified_energy(res.control, 0.5, 1.0, quad)
-
     def test_min_energy_recomputes(self, monkeypatch, example1_system):
         prob = problem(example1_system, [1.0, 0.0], [0.0, 0.0], 2.0, steps=512)
         res = synthesize_min_energy(prob)
-        assert res.energy_quad is None
         calls = self.count_energy(monkeypatch)
         verify_steering(prob, res)
         assert len(calls) == 1
 
-    def test_zero_defect_recomputes(self, monkeypatch, scalar_system):
+    def test_zero_defect_reuses(self, monkeypatch, scalar_system):
         prob = problem(scalar_system(0.5), [0.5], [0.5], 1.0, steps=64)
         res = synthesize_pinv(prob)
-        assert res.energy == 0.0 and res.energy_quad is None
+        assert res.energy == 0.0 == modified_energy(res.control, 0.5, 1.0)
         calls = self.count_energy(monkeypatch)
         assert verify_steering(prob, res).energy_quadrature == 0.0
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestMinimality:

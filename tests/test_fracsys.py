@@ -1,6 +1,7 @@
 """Simulation tests: closed-form trajectories, superposition, convergence
 and the residual certificate."""
 
+import re
 from concurrent.futures import ThreadPoolExecutor
 from sys import getswitchinterval, setswitchinterval
 
@@ -491,6 +492,20 @@ class TestResidual:
         res = caputo_residual(example1_system, traj)
         traj.controls = traj.controls + 1.0  # A x + B u moves by B = e2
         assert caputo_residual(example1_system, traj) != res
+
+    @pytest.mark.parametrize("field, shape, want", [
+        pytest.param("controls", (65, 2), "controls must have shape (65, 1)", id="controls-width"),
+        pytest.param("controls", (9, 1), "controls must have shape (65, 1)", id="controls-length"),
+        pytest.param("controls", (65,), "controls must have shape (65, 1)", id="controls-1d"),
+        pytest.param("states", (65, 3), "states must have shape (65, 2)", id="states-width"),
+        pytest.param("states", (9, 2), "states must have shape (65, 2)", id="states-length"),
+    ])
+    def test_misshapen_trajectory_refused(self, example1_system, field, shape, want):
+        grid = TimeGrid(0.0, 1.0, 64)
+        traj = simulate(example1_system, np.zeros(2), constant_control(grid, 1.0), grid)
+        setattr(traj, field, np.ones(shape))
+        with pytest.raises(InvalidParams, match=re.escape(f"trajectory {want}, got {shape}")):
+            caputo_residual(example1_system, traj)
 
     def test_chain_system_constant_control(self, example1_system):
         grid = TimeGrid(0.0, 1.0, 2048)

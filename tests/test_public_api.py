@@ -52,18 +52,16 @@ PUBLIC = {
     # controlsyn
     "SteeringProblem": ["sys", "a", "b", "T", "grid"],
     "GramianResult": ["Q", "rcond", "quad_err"],
-    "SynthesisResult": ["control", "f_T", "energy", "method", "gramian", "energy_quad"],
+    "SynthesisResult": ["control", "f_T", "energy", "method", "gramian"],
     "RankData": ["kalman", "rank", "K_blocks"],
-    "QuadSettings": ["rel_tol"],
-    "DEFAULT_QUAD": "QuadSettings",
     "SINGULAR_GRAMIAN_RCOND": "float",
-    "gramian": ["sys", "T", "quad", "policy"],
+    "gramian": ["sys", "T", "policy"],
     "kalman_rank": ["sys"],
-    "synthesize_min_energy": ["prob", "quad", "policy"],
-    "synthesize_pinv": ["prob", "quad", "policy"],
-    "synthesize_rank_based": ["prob", "phi", "quad", "policy"],
-    "modified_energy": ["u", "alpha", "T", "quad"],
-    "verify_steering": ["prob", "result", "quad", "policy"],
+    "synthesize_min_energy": ["prob", "policy"],
+    "synthesize_pinv": ["prob", "policy"],
+    "synthesize_rank_based": ["prob", "phi", "policy"],
+    "modified_energy": ["u", "alpha", "T"],
+    "verify_steering": ["prob", "result", "policy"],
     "SteeringReport": ["terminal_error_abs", "terminal_error_rel", "energy_quadrature",
                        "energy_reported", "energy_mismatch_rel", "caputo_residual"],
     "default_shaping_density": ["grid", "alpha"],
