@@ -421,16 +421,15 @@ def _reproduce_example1() -> int:
     sys = FracSystem(A, B, alpha=0.5)
     all_ok = True
     for T in (1.0, 2.0, 10.0):
-        g = gramian(sys, T)
+        prob = SteeringProblem(sys, np.array([1.0, 0.0]), np.zeros(2), T,
+                               TimeGrid(0.0, T, 1024))
+        result = synthesize_min_energy(prob)
         Qref = np.array([
             [T**2 / 2.0, 2.0 * T**1.5 / (3.0 * np.sqrt(np.pi))],
             [2.0 * T**1.5 / (3.0 * np.sqrt(np.pi)), T / np.pi],
         ])
         all_ok &= _pass_fail(f"T={T:g} gramian entries (rel)",
-                             float(np.abs(g.Q / Qref - 1.0).max()), 1e-8)
-        prob = SteeringProblem(sys, np.array([1.0, 0.0]), np.zeros(2), T,
-                               TimeGrid(0.0, T, 1024))
-        result = synthesize_min_energy(prob)
+                             float(np.abs(result.gramian.Q / Qref - 1.0).max()), 1e-8)
         ts = np.linspace(0.0, T, 101)
         uref = -18.0 * (T - ts) / T**2 + 12.0 * np.sqrt(T - ts) / T**1.5
         uerr = float(np.abs(result.control.sample(ts)[:, 0] - uref).max())

@@ -401,13 +401,18 @@ def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
     s^(2 alpha - 2) weight.
 
     Returns ``inf`` when u(T) != 0 and alpha <= 1/2, where the modified
-    energy genuinely diverges.
+    energy genuinely diverges.  The grid may reach beyond [0, T], as in
+    ``simulate``; the panels are its nodes inside (0, T), with 0 and T as ends.
     """
-    g = u.data.grid
-    if g.t0 != 0.0 or not math.isclose(g.t1, T, rel_tol=1e-12):
+    g, nodes = u.data.grid, u.data.grid.nodes
+    tol = 1e-12 * (g.t1 - g.t0)  # the tolerance of its reader, GridFunction
+    if g.t0 - tol > 0.0 or g.t1 + tol < T:
         raise DomainError("sampled control grid must span [0, T]")
-    vals = u.data.values[::-1]          # as a function of s = T - t
-    snodes = (T - g.nodes)[::-1]
+    inner = (nodes > 0.0) & (nodes < T)
+    # the reader returns a sample exactly at t0, and at t1 only as its last one
+    end = u.data.values[-1] if g.t1 == T else u.data(T)
+    vals = np.vstack((u.data(0.0), u.data.values[inner], end))[::-1]  # in s = T - t
+    snodes = (T - np.concatenate(([0.0], nodes[inner], [T])))[::-1]
     e = 2.0 * alpha - 2.0
 
     # panel touching s = 0 (t = T) handled alone: moments may diverge there

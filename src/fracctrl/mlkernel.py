@@ -14,22 +14,20 @@ alternating terms at strongly negative arguments can exceed the limit by many
 orders of magnitude (e.g. the terms of E_{1,1}(-10) peak near 2.8e3 while the
 sum is 4.5e-5); plain double summation would lose up to eight digits there.
 Matrix series are summed in ordinary doubles, which is adequate at desk scale
-(series argument max-norms up to roughly 20), by one primitive that keeps the
-lags on the last, contiguous axis and returns ``s.shape + L.shape`` arrays.
+(series argument max-norms up to roughly 20), by one primitive that returns
+``s.shape + L.shape`` arrays.
 
-That primitive adds its terms late.  It records up to ``_BLOCK`` = 16 steps
-of L A^k and each live sequence's coefficients, and adds them before each
-stop decision that reads the sums and at the end: lag chunk by lag chunk,
-and term after term within a chunk, with s^(k alpha) built per chunk by the
-same sequential products.  The chunks have equal widths (to one lag) and
-hold ``_CHUNK`` = 65536 to twice as many sums (0.5-1 MB), so that a chunk and
-its product buffer stay in a 2 MB L2 cache.  Where a product has three or
-more rows and every chunk 128 or more lags, numpy's ufunc buffer size is set
-to the narrowest chunk's width, at most 8192: with a buffer wider than a
-chunk's rows, numpy's buffered iterator copies the broadcast L A^k row by
-row, 3-4x slower for the same bits.  The setting is scoped by
-``np.errstate()``, which restores it on exit, also on a raise; no summing
-reduction runs inside (max and min are exact).
+That primitive sums its terms in blocks of ``_BLOCK`` = 16 steps.  Once per
+call it takes A^j and the lag powers s^(j alpha) for j < 16, then A^16 and
+s^(16 alpha), by doubling.  A block of steps k0, ..., k0 + 15 costs one
+batched product for L A^k0 A^j, one reduction for their 16 max-norms, one
+update of the lag powers to s^((k0 + j) alpha), and per sequence one product
+(lags x 16) @ (16 x |L|) of those powers against the c_k-scaled L A^k, added
+into sums that keep the lags first.  The stop decisions run over Python
+floats, step by step, and a sequence's steps are added into its sums before
+a decision reads them.  The products go to BLAS gemm; a product with a unit
+dimension, which numpy would hand to gemv, whose sums depend on the number of
+BLAS threads, goes to ``np.einsum`` instead, so no sum depends on it.
 
 All functions are pure.  Shared state is immutable once built or swapped whole,
 so safe for concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and
@@ -38,9 +36,7 @@ so safe for concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and
 Decimal twice); ``fracsys._TABLES`` (simulate's last kernel table of
 read-only arrays, swapped under a lock); ``_CTX`` and the 44-digit
 ``_CTX44``, whose settings never change (their status flags are set but
-never read).  The matrix series' pending terms and buffers belong to one
-call, and numpy keeps its buffer size in a context variable, which each
-thread holds for itself.
+never read).  The matrix series' tables and buffers belong to one call.
 """
 
 from __future__ import annotations
@@ -130,10 +126,10 @@ class SeriesPolicy:
 
 DEFAULT_POLICY = SeriesPolicy()
 
-# _ml_series adds its terms in blocks of up to _BLOCK steps, over lag chunks
-# of _CHUNK to 2 _CHUNK sums (see the module docstring); the reductions are
-# bound once, as the ndarray methods add a Python call per stop decision
-_BLOCK, _CHUNK = 16, 65536
+# _ml_series sums its terms in blocks of _BLOCK steps (see the module
+# docstring); the reductions are bound once, as the ndarray methods add a
+# Python call per stop decision
+_BLOCK = 16
 _MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
 # below this singular-value ratio the Mittag-Leffler matrix of an inverse
@@ -329,13 +325,11 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     lags at once and exact when L A^k vanishes.  A right factor R goes
     through the transpose: E(A s^alpha) R = (R^T E(A^T s^alpha))^T.
 
-    Bit for bit the loop that added each term as it came: every stop
-    decision (the term norm, the bound, max|out|, which sequences live,
-    L A^k and its max-norm) is taken at the same step in the same order, and
-    every element of every sum sees the same products (s^(k alpha) c_k
-    rounded first, then L A^k times it) and adds, in the same order.  Arrays,
-    refusal messages and numpy warnings are the same; only the moment a term
-    is added moves, and every sum is complete before it is read.
+    Summed in blocks of 16 steps (see the module docstring) under the stop
+    rule of the loop that added each term as it came and read max|out| after
+    each.  Its L A^k (from block powers) and its sums (in another order)
+    round differently from that loop's, within the rounding bound of
+    summation in any order; each stacked sequence is bitwise its own call.
     """
     if not (s >= 0).all():
         raise DomainError("Mittag-Leffler kernels need lags s >= 0")
@@ -344,96 +338,83 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     coef = [(lambda j, b=b: b(np.arange(16 * j, 16 * j + 16)).tolist()) if callable(b)
             else functools.partial(_rgamma_floats, float(alpha), float(b))
             for b in (beta if isinstance(beta, list) else [beta])]
-    # Lags last: each term is L A^k broadcast against c = s^(k alpha) c_k.
-    # Rounding is monotone, so the term's max-norm is exactly max|L A^k|
-    # max|c|, with max|c| at the largest lag.  max|out| is computed only once
-    # the term falls below rel_tol times 2 (last max|out| + term norms since),
-    # a bound on it, so each stop decision is that of a per-term max|out|.
-    out = np.zeros((len(coef),) + L.shape + (s.size,))
-    rows = [out[i] for i in range(len(coef))]
-    P = L
+    q = len(coef)
+    out = np.zeros((q, s.size, L.size))  # lags first, each sum an S x |L| matrix
     sa = s.ravel() ** alpha
     sa_max = float(sa.max(initial=0.0))
-    acol = float(np.abs(A).sum(axis=0).max())  # max|P A| <= max|P| acol
-    spow_max = 1.0
-    pmax = float(np.abs(P).max())
-    bound = [0.0] * len(coef)
-    live = list(range(len(coef))) if s.size else []
-    # Terms are added late: todo lists each pending term as (L A^k with a
-    # lag axis, sequence, c_k, k) in the order the loop met them, and spow
-    # holds s^(kp alpha) for the step kp of the last term added.  A power is
-    # taken only for a step whose term passed the tnorm test, so it is at
-    # most spow_max and finite: unlike L A^k, it needs no overflow guard.
-    # The lags split into nc chunks of _CHUNK to 2 _CHUNK sums (or one chunk
-    # of fewer), widths within one.
-    nc = s.size * len(coef) * L.size // _CHUNK or 1
-    width = -(-s.size // nc)
-    spow, cbuf, T = np.ones(s.size), np.empty(width), np.empty(L.shape + (width,))
-    chunks = [(spow, sa, cbuf, T, rows)] if nc == 1 else [
-        (spow[a:b], sa[a:b], cbuf[:b - a], T[..., :b - a], [row[..., a:b] for row in rows])
-        for a, b in ((s.size * j // nc, s.size * (j + 1) // nc) for j in range(nc))]
-    todo, kp, Pv, rel_tol = [], 0, P[..., None], policy.rel_tol
+    # W[j] = s^(j alpha) and pw[j] = A^j for j < 16, then s16 = s^(16 alpha)
+    # and A16 = A^16, by doubling.  A power of a step never reached may
+    # overflow; a step reached refuses a non-finite term norm first.
+    W, pw = np.empty((_BLOCK, s.size)), np.empty((_BLOCK,) + A.shape)
+    W[0], pw[0] = 1.0, np.eye(len(A))
+    s16, A16 = sa, A
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in (1, 2, 4, 8):
+            np.multiply(W[:h], s16, out=W[h:2 * h])
+            np.matmul(pw[:h], A16, out=pw[h:2 * h])
+            s16, A16 = s16 * s16, A16 @ A16
+    # Block b holds steps k0 = 16 b, ..., k0 + 15: P = L A^k0, W[j] =
+    # s^((k0 + j) alpha), Pk[j] = L A^(k0 + j) flat and pn[j] its max-norm.
+    # A term's max-norm is taken as spow_max |c_k| pn[j], spow_max the largest
+    # lag's power.  max|out| is computed only once the term falls below
+    # rel_tol times 2 (last max|out| + term norms since), a bound on it, so
+    # each stop decision is that of a per-term max|out|.
+    P, buf = L, np.empty((s.size, L.size))
+    spow_max, bound, rel_tol = 1.0, [0.0] * q, policy.rel_tol
+    live = list(range(q)) if s.size else []
+    start = [_BLOCK] * q  # steps start[i], ... of the block are not yet in out[i]
+    # numpy takes a product with a unit dimension to BLAS gemv, whose sums
+    # depend on the number of BLAS threads; einsum's own loops do not
+    prod = np.matmul if min(s.size, L.size) > 1 else functools.partial(np.einsum, "sj,jl->sl")
 
-    def flush():
-        """Add the pending terms, lag chunk by lag chunk and term after term
-        within a chunk."""
-        nonlocal kp
-        mul = np.multiply
-        for sp, sa_c, c, tw, rs in chunks:
-            kc = kp
-            for Pk, i, rg, k in todo:
-                if k > kc:  # the terms' steps run on without a gap
-                    mul(sp, sa_c, sp)
-                    kc = k
-                mul(sp, rg, c)
-                mul(Pk, c, tw)
-                rs[i] += tw
-        if todo:
-            kp = todo[-1][3]
-            todo.clear()
+    def add(i, e):
+        """Add steps start[i], ..., e - 1 of the block to out[i]: one product
+        of the lag powers against the c_k-scaled L A^k."""
+        if e > start[i]:
+            prod(W[start[i]:e].T, Pk[start[i]:e] * cb[i, start[i]:e, None], out=buf)
+            out[i] += buf
+        start[i] = e
 
-    with np.errstate():
-        if L.size > 2 and s.size // nc >= 128:  # see the module docstring
-            np.setbufsize(16 * min(512, s.size // nc // 16))
-        for k in range(policy.max_terms + 1):
-            if not k % 16:
-                cs = [c(k // 16) for c in coef]
+    for k in range(policy.max_terms + 2):
+        j = k % _BLOCK
+        if not j:
             for i in live:
-                rg = cs[i][k % 16]
-                tnorm = spow_max * abs(rg) * pmax
-                if not math.isfinite(tnorm):
-                    raise NonConvergence("Mittag-Leffler matrix series terms overflow")
-                if tnorm < rel_tol * bound[i]:
-                    flush()
-                    ref = max(_MAX(rows[i], axis=None), -_MIN(rows[i], axis=None))
-                    if ref > 0.0 and tnorm < rel_tol * ref:
-                        live = [j for j in live if j != i]  # the loop goes on over the old list
-                        continue
-                    bound[i] = 2.0 * ref
-                todo.append((Pv, i, rg, k))
-                bound[i] += 2.0 * tnorm
-            if not live:
+                add(i, _BLOCK)
+            start = [0] * q
+            with np.errstate(over="ignore", invalid="ignore"):
+                if k:
+                    P = P @ A16
+                    np.multiply(W, s16, out=W)
+                Pk = (P @ pw).reshape(_BLOCK, -1)
+                pn = _MAX(np.abs(Pk), axis=1).tolist()
+            cs = [c(k // _BLOCK) for c in coef]
+            cb = np.array(cs)
+        pmax = pn[j]
+        if k:
+            if not pmax:  # L A^k vanishes: the sums are exact
                 break
-            if pmax * acol > 1e300:  # the next tnorm refuses an overflow
-                with np.errstate(over="ignore", invalid="ignore"):
-                    P = P @ A
-            else:
-                P = P @ A
-            pmax = float(_MAX(np.abs(P), axis=None))
-            if not pmax:
-                break
+            if k > policy.max_terms:
+                raise NonConvergence(
+                    f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms")
             spow_max = spow_max * sa_max
-            Pv = P[..., None]
-            if k - kp >= _BLOCK:  # the pending terms need _BLOCK powers
-                flush()
-        else:
-            raise NonConvergence(
-                f"Mittag-Leffler matrix series: no convergence in {policy.max_terms} terms"
-            )
-        flush()
-    del T, chunks  # peak memory: the sums and their lag-first copy, no term besides
-    out = out.transpose(0, -1, *range(1, out.ndim - 1))  # np.moveaxis(out, -1, 1), cheaper
-    out = np.ascontiguousarray(out).reshape((len(coef),) + s.shape + L.shape)
+        for i in live:
+            rg = cs[i][j]
+            tnorm = spow_max * abs(rg) * pmax
+            if not math.isfinite(tnorm):
+                raise NonConvergence("Mittag-Leffler matrix series terms overflow")
+            if tnorm < rel_tol * bound[i]:
+                add(i, j)
+                ref = max(_MAX(out[i], axis=None), -_MIN(out[i], axis=None))
+                if ref > 0.0 and tnorm < rel_tol * ref:
+                    live = [m for m in live if m != i]  # the loop goes on over the old list
+                    continue
+                bound[i] = 2.0 * ref
+            bound[i] += 2.0 * tnorm
+        if not live:
+            break
+    for i in live:
+        add(i, j)
+    out = out.reshape((q,) + s.shape + L.shape)
     return out if isinstance(beta, list) else out[0]
 
 

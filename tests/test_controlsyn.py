@@ -450,11 +450,30 @@ class TestModifiedEnergy:
         u = SampledControl(GridFunction(grid, np.ones((65, 1))))
         assert modified_energy(u, 0.5, 1.0) == np.inf
 
-    @pytest.mark.parametrize("t0, t1", [(0.0, 0.5), (0.5, 1.0), (0.0, 2.0)])
+    @pytest.mark.parametrize("t0, t1", [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0 - 1e-9)])
     def test_sampled_control_must_span_horizon(self, t0, t1):
         u = SampledControl(GridFunction(TimeGrid(t0, t1, 64), np.zeros((65, 1))))
         with pytest.raises(DomainError, match="must span"):
             modified_energy(u, 0.5, 1.0)
+
+    @pytest.mark.parametrize("t0, t1, steps", [
+        (0.0, 20.0, 128), (-1.0, 10.0, 64), (0.0, 10.0 * (1.0 - 1e-13), 64), (1e-13, 10.0, 64),
+    ])
+    def test_sampled_control_on_any_grid_simulate_reads(self, t0, t1, steps):
+        # T = 10: simulate reads these grids within [0, T]; the energy of the
+        # constant control is int_0^10 s^(2 alpha - 2) ds = 10^0.4 / 0.4
+        u = SampledControl(GridFunction(TimeGrid(t0, t1, steps), np.ones((steps + 1, 1))))
+        assert modified_energy(u, 0.7, 10.0) == pytest.approx(10.0**0.4 / 0.4, rel=1e-14)
+
+    def test_sampled_energy_reads_only_the_horizon(self):
+        # the nodes in [0, T] of a grid to 2T are those of the grid to T: the
+        # same panels, bit for bit
+        v = np.random.default_rng(3).uniform(-1.0, 1.0, (129, 2))
+        v[64] = 0.0
+        wide = SampledControl(GridFunction(TimeGrid(0.0, 20.0, 128), v))
+        exact = SampledControl(GridFunction(TimeGrid(0.0, 10.0, 64), v[:65]))
+        for alpha in (0.3, 0.7, 1.0):
+            assert modified_energy(wide, alpha, 10.0) == modified_energy(exact, alpha, 10.0)
 
     def test_other_control_types_refused(self):
         with pytest.raises(InvalidParams, match="Ramp"):

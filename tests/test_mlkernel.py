@@ -10,7 +10,9 @@ import sys
 import threading
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,11 +83,25 @@ def lag_first_series(A, alpha, beta, s, L, policy):
     )
 
 
+def abs_term_sum(A, alpha, beta, s, L, K):
+    """sum_{k <= K} |term_k| entrywise, the terms formed as ``lag_first_series``
+    forms them."""
+    total = np.zeros(s.shape + L.shape)
+    P, spow, sa = L, np.ones_like(s), s**alpha
+    for k in range(K + 1):
+        total += np.abs(np.multiply.outer(spow * _rgamma(k * alpha + beta), P))
+        P, spow = P @ A, spow * sa
+    return total
+
+
 def assert_same_series_outcome(A, alpha, beta, s, L, policy):
-    """``_ml_series`` returns ``lag_first_series``'s array byte for byte, or
-    raises the same exception type with the same message; returns the
-    refusal's type or None.  Only the reference runs with numpy's overflow
-    warnings off: the series itself must stay silent."""
+    """``_ml_series`` raises ``lag_first_series``'s exception type with the
+    same message, or stops at the same step K, with every entry within
+    (K + 2) 2^-53 sum_{k <= K} |term_k| of the reference: the bound of
+    recursive summation in any order (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 4.2), since the series sums in blocks.
+    Returns the refusal's type or None.  Only the reference runs with
+    numpy's overflow warnings off: the series itself must stay silent."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             want = lag_first_series(A, alpha, beta, s, L, policy)
@@ -95,7 +111,16 @@ def assert_same_series_outcome(A, alpha, beta, s, L, policy):
         assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return type(exc)
     got = _ml_series(A, alpha, beta, s, L, policy)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.shape == want.shape and got.flags.c_contiguous
+    # K is the least max_terms that each loop needs
+    K = stop_step(A, alpha, beta, s, L, policy.rel_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag_first_series(A, alpha, beta, s, L, SeriesPolicy(policy.rel_tol, K))
+        if K > 1:
+            with pytest.raises(NonConvergence):
+                lag_first_series(A, alpha, beta, s, L, SeriesPolicy(policy.rel_tol, K - 1))
+    bound = (K + 2) * 2.0**-53 * abs_term_sum(A, alpha, beta, s, L, K)
+    assert (np.abs(got - want) <= bound).all()
     return None
 
 
@@ -405,10 +430,7 @@ class TestSeriesPrimitive:
         for scale, beta in [(0.5, alpha), (2.0, alpha + 1.0), (1.0, 1.0)]:
             A = scale * rng.uniform(-1.0, 1.0, (3, 3))
             L = rng.uniform(-1.0, 1.0, (2, 3) if left == "matrix" else 3)
-            got = _ml_series(A, alpha, beta, s, L, DEFAULT_POLICY)
-            want = lag_first_series(A, alpha, beta, s, L, DEFAULT_POLICY)
-            assert got.flags.c_contiguous and got.shape == want.shape
-            assert np.array_equal(got, want)
+            assert assert_same_series_outcome(A, alpha, beta, s, L, DEFAULT_POLICY) is None
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     def test_stacked_sequences_equal_single_calls(self, alpha):
@@ -429,8 +451,7 @@ class TestSeriesPrimitive:
         A = np.triu(np.random.default_rng(5).uniform(-1.0, 1.0, (4, 4)), 1)
         s = np.linspace(0.0, 10.0, 1025)
         for L in (np.eye(4), np.ones(4)):
-            assert np.array_equal(_ml_series(A, 0.5, 1.5, s, L, DEFAULT_POLICY),
-                                  lag_first_series(A, 0.5, 1.5, s, L, DEFAULT_POLICY))
+            assert assert_same_series_outcome(A, 0.5, 1.5, s, L, DEFAULT_POLICY) is None
 
     @pytest.mark.parametrize("A, policy", [
         (50.0 * np.eye(2), DEFAULT_POLICY),
@@ -454,20 +475,18 @@ class TestSeriesPrimitive:
             _ml_series(np.array(A), 0.5, 1.0, np.array(s), np.eye(1), DEFAULT_POLICY)
         assert str(got.value) == "Mittag-Leffler matrix series terms overflow"
 
-    # The series adds its terms in blocks of up to 16 steps, lag chunk by lag
-    # chunk; the cases below put every edge of that schedule against the
-    # reference loop: chunk counts, stops and refusals inside a block, a
-    # nilpotent break after a block, stacked sequences and lag shapes.
+    # The series sums its terms in blocks of 16 steps, one BLAS product per
+    # block and sequence; the cases below put every edge of that schedule
+    # against the reference loop: wide lag sets, stops and refusals inside a
+    # block, a nilpotent break after a block, stacked sequences and lag shapes.
 
-    @pytest.mark.parametrize("n, left, lags, chunks", [
-        (3, "vector", 1000, 1),
-        (4, "eye", 2 * (mlkernel._CHUNK // 16), 2),
-        (8, "eye", 8193, 8),
-        (3, "vector", 50001, 2),
+    @pytest.mark.parametrize("n, left, lags", [
+        (3, "vector", 1000),
+        (4, "eye", 8192),
+        (8, "eye", 8193),
+        (3, "vector", 50001),
     ], ids=["J3-one", "J16-two", "J64-ragged", "J3-ragged"])
-    def test_lag_chunks_bitwise(self, n, left, lags, chunks):
-        J = n * n if left == "eye" else n
-        assert max(1, lags * J // mlkernel._CHUNK) == chunks
+    def test_lag_chunks_bitwise(self, n, left, lags):
         rng = np.random.default_rng(lags + n)
         A = rng.uniform(-1.0, 1.0, (n, n)) / np.sqrt(n)
         L = np.eye(n) if left == "eye" else rng.uniform(-1.0, 1.0, n)
@@ -492,28 +511,26 @@ class TestSeriesPrimitive:
         assert len(set(stops)) == 5 and len({k % 16 for k in stops} - {0}) >= 3
 
     def test_stacked_sequences_stop_apart_over_chunks(self):
-        # four sequences, numbers and coefficient functions, over four lag
-        # chunks; each stops at its own step and equals its own call
+        # four sequences, numbers and coefficient functions, over 10929 lags;
+        # each stops at its own step and equals its own call
         alpha = 0.6
         moment = lambda k: _rgamma(k * alpha + alpha) / (k * alpha + 2.0 * alpha + 1.0)
         betas = [alpha + 2.0, moment, 1.0, alpha]
         rng = np.random.default_rng(4)
         A = rng.uniform(-1.0, 1.0, (3, 3))
         L = rng.uniform(-1.0, 1.0, (2, 3))
-        lags = 4 * mlkernel._CHUNK // (len(betas) * L.size) + 7
-        assert lags * len(betas) * L.size // mlkernel._CHUNK == 4
-        s = np.linspace(0.0, 2.5, lags)
+        s = np.linspace(0.0, 2.5, 10929)
         got = _ml_series(A, alpha, betas, s, L, DEFAULT_POLICY)
         for g, beta in zip(got, betas):
             assert g.tobytes() == _ml_series(A, alpha, beta, s, L, DEFAULT_POLICY).tobytes()
             if not callable(beta):
-                assert g.tobytes() == lag_first_series(A, alpha, beta, s, L, DEFAULT_POLICY).tobytes()
+                assert assert_same_series_outcome(A, alpha, beta, s, L, DEFAULT_POLICY) is None
         stops = [stop_step(A, alpha, beta, s, L, DEFAULT_POLICY.rel_tol) for beta in betas]
         assert len(set(stops)) >= 3
 
     @pytest.mark.parametrize("n", [4, 20])
     def test_nilpotent_break_inside_a_block(self, n):
-        # L A^k vanishes at k = n, inside the first block or after a flush;
+        # L A^k vanishes at k = n, inside the first block or the second;
         # a tiny rel_tol keeps the stop rule from firing first
         rng = np.random.default_rng(n)
         A = np.diag(rng.uniform(0.5, 1.5, n - 1), 1)
@@ -552,9 +569,72 @@ class TestSeriesPrimitive:
                 assert not g.any()
 
 
+class TestSeriesAccuracy:
+    """The matrix series against the mpmath sums of ``tests/oracles.py``,
+    within the benchmark's cancellation rule: per lag, max|E - ref| <=
+    10 cond 2^-52 max|ref|, where cond is the sum of the term max-norms over
+    max|ref|."""
+
+    LAGS = np.array([0.05, 0.4, 1.3, 2.7, 5.0])
+
+    @staticmethod
+    def assert_within_rule(E, ref, absum):
+        scale = np.abs(ref).max(axis=(-2, -1))
+        err = np.abs(E - ref).max(axis=(-2, -1))
+        assert (err <= 10.0 * (absum / scale) * 2.0**-52 * scale).all(), err / (absum * 2.0**-52)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("beta", ["alpha", "1", "alpha+1"])
+    def test_diagonal_against_mpmath(self, alpha, beta):
+        beta = {"alpha": alpha, "1": 1.0, "alpha+1": alpha + 1.0}[beta]
+        lam = [-1.5, -0.4, 0.8]
+        a, b, terms = mp.mpf(alpha), mp.mpf(beta), int(90 / alpha)
+        z = [[mp.mpf(lam_i) * mp.mpf(s) ** a for lam_i in lam] for s in self.LAGS]
+        ref = np.array([np.diag([float(oracles.ml_series(a, b, zi, terms)) for zi in row]) for row in z])
+        # the terms' max-norms are those of the series at |lambda|max = 1.5
+        absum = np.array([float(oracles.ml_series(a, b, -row[0], terms)) for row in z])
+        self.assert_within_rule(ml_matrix_batch(np.diag(lam), alpha, beta, self.LAGS), ref, absum)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
+    def test_rotation_against_mpmath(self, alpha):
+        # E_{alpha,1}(A t^alpha) = c I + d A for A = [[0, 1], [-1, 0]]; A^k has
+        # max-norm 1, so the terms' max-norms sum to E_{alpha,1}(t^alpha)
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        a = mp.mpf(alpha)
+        cd = [oracles.skew_ml_coefficients(a, mp.mpf(s)) for s in self.LAGS]
+        ref = np.array([float(c) * np.eye(2) + float(d) * A for c, d in cd])
+        absum = np.array([float(oracles.ml_series(a, 1, mp.mpf(s) ** a, int(90 / alpha)))
+                          for s in self.LAGS])
+        self.assert_within_rule(ml_matrix_batch(A, alpha, 1.0, self.LAGS), ref, absum)
+
+
+class TestBlasThreads:
+    def test_sums_independent_of_blas_threads(self):
+        # the series sums through BLAS products; their bits must not depend
+        # on how many threads BLAS splits them over
+        code = ("import hashlib\n"
+                "import numpy as np\n"
+                "from fracctrl import ml_matrix_batch\n"
+                "rng, h = np.random.default_rng(11), hashlib.sha256()\n"
+                "for n in (1, 3, 8):\n"
+                "    A = rng.uniform(-1.0, 1.0, (n, n)) / np.sqrt(n)\n"
+                "    for lags in (1, 2049, 50001 if n < 8 else 8193):\n"
+                "        s = np.linspace(0.0, 2.0, lags)\n"
+                "        h.update(ml_matrix_batch(A, 0.7, 1.0, s).tobytes())\n"
+                "print(h.hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(mlkernel.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                 text=True, check=True, timeout=120, env=env)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
+
+
 class TestNumpyState:
-    """The series sets numpy's ufunc buffer size inside a ``np.errstate``
-    scope; a caller's buffer size and error state are what they were."""
+    """The series takes its powers inside ``np.errstate`` scopes; a caller's
+    buffer size and error state are what they were."""
 
     @staticmethod
     def kernel_calls():
