@@ -15,7 +15,7 @@ types built from it refuse (FracSystem, SteeringProblem, TimeGrid, ...):
   {
     "system":   {"alpha": 0.5, "A": [[0,1],[0,0]], "B": [[0],[1]], "C": null},
     "steering": {"a": [1,0], "b": [0,0], "T": 10.0},
-    "numerics": {"grid_steps": 1024, "series_rel_tol": 1e-14, "series_max_terms": 500},
+    "numerics": {"grid_steps": 1024},
     "control":  {"type": "constant", "value": [1.0]},
     "method":   "min-energy"
   }
@@ -100,11 +100,7 @@ _FIELDS = {
     "system block": {"alpha": (_NUM, _REQUIRED), "A": (_LIST, _REQUIRED),
                      "B": (_LIST, _REQUIRED), "C": (_LIST, None)},
     "steering block": {"a": (_LIST, _REQUIRED), "b": (_LIST, _REQUIRED), "T": (_NUM, _REQUIRED)},
-    "numerics block": {
-        "grid_steps": (_INT, 1024),
-        "series_rel_tol": (_NUM, SeriesPolicy.rel_tol),
-        "series_max_terms": (_INT, SeriesPolicy.max_terms),
-    },
+    "numerics block": {"grid_steps": (_INT, 1024)},
     "control block": {"type": (_STR, _REQUIRED), "value": (_NUM + _LIST, None), "path": (_STR, None)},
 }
 _CONTROL_NEEDS = {"constant": "value", "csv": "path", "synthesized": "path"}
@@ -160,7 +156,6 @@ class Problem:
             self.system = FracSystem(**system)
             grid = TimeGrid(0.0, steering["T"], numerics["grid_steps"])
             self.steering = SteeringProblem(self.system, grid=grid, **steering)
-            self.policy = SeriesPolicy(numerics["series_rel_tol"], numerics["series_max_terms"])
         except (FracctrlError, TypeError, ValueError) as exc:
             raise InputError(f"invalid problem data: {exc}") from exc
         self.control_spec, self.method = doc["control"], doc["method"]
@@ -187,7 +182,7 @@ class Problem:
         with open(spec["path"]) as fh:
             doc = json.load(fh)
         try:
-            return _control_from_dict(doc, self.policy)
+            return _control_from_dict(doc)
         except (KeyError, TypeError, FracctrlError) as exc:
             raise InputError(f"malformed synthesis document: {exc!r}") from None
 
@@ -222,11 +217,10 @@ def _synthesis_to_dict(result: SynthesisResult, report: SteeringReport, sys: Fra
     }
 
 
-def _control_from_dict(doc: dict, policy: SeriesPolicy) -> ControlSignal:
-    """Rebuild the exact control ``_synthesis_to_dict`` exported, under the
-    series ``policy`` it was synthesized with.  Its numbers must be JSON
-    numbers (``TypeError``), its system a ``FracSystem`` and its control
-    arrays finite; a missing key raises ``KeyError``."""
+def _control_from_dict(doc: dict) -> ControlSignal:
+    """Rebuild the exact control ``_synthesis_to_dict`` exported.  Its
+    numbers must be JSON numbers (``TypeError``), its system a ``FracSystem``
+    and its control arrays finite; a missing key raises ``KeyError``."""
     def arr(block, key):
         return _number(block[key], f"each entry of {key}", nested=True)
 
@@ -235,9 +229,9 @@ def _control_from_dict(doc: dict, policy: SeriesPolicy) -> ControlSignal:
     T = _number(doc["T"], "horizon T")
     kind = spec["type"]
     if kind == "min-energy":
-        return MinEnergyControl(sys.A, sys.B, sys.alpha, T, arr(spec, "coeff"), policy)
+        return MinEnergyControl(sys.A, sys.B, sys.alpha, T, arr(spec, "coeff"))
     if kind == "pinv":
-        return PinvControl(sys.A, arr(spec, "B_pinv"), sys.alpha, T, arr(spec, "v"), policy)
+        return PinvControl(sys.A, arr(spec, "B_pinv"), sys.alpha, T, arr(spec, "v"))
     if kind == "sampled":
         g = spec["grid"]
         grid = TimeGrid(_number(g["t0"], "grid t0"), _number(g["t1"], "grid t1"), g["steps"])
@@ -337,7 +331,7 @@ def cmd_ml(args) -> int:
 def cmd_simulate(args) -> int:
     prob = _load_problem(args.problem)
     control = prob.control()
-    traj = simulate(prob.system, prob.steering.a, control, prob.steering.grid, policy=prob.policy)
+    traj = simulate(prob.system, prob.steering.a, control, prob.steering.grid)
     if args.out:
         _write_csv(args.out, traj.grid.nodes, x=traj.states, y=traj.outputs)
     res = caputo_residual(prob.system, traj)
@@ -350,7 +344,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_gramian(args) -> int:
     prob = _load_problem(args.problem)
-    g = gramian(prob.system, prob.steering.T, prob.policy)
+    g = gramian(prob.system, prob.steering.T)
     rd = kalman_rank(prob.system)
     n = prob.system.n
     rank_ok = rd.rank == n
@@ -387,8 +381,8 @@ def cmd_synthesize(args) -> int:
     if method not in _SYNTHESES:
         raise InputError(f"unknown method {method!r}")
     sp = prob.steering
-    result = _SYNTHESES[method](sp, policy=prob.policy)
-    report = verify_steering(sp, result, prob.policy)
+    result = _SYNTHESES[method](sp)
+    report = verify_steering(sp, result)
     print(f"method: {result.method}")
     print(f"modified energy: {_fmt(result.energy, 17)}")
     print(f"terminal error: abs {_fmt(report.terminal_error_abs)} "

@@ -58,14 +58,7 @@ from .fracsys import (
     caputo_residual,
     simulate,
 )
-from .mlkernel import (
-    DEFAULT_POLICY,
-    SeriesPolicy,
-    _finite,
-    _kernel_inverse_batch,
-    ml_matrix_batch,
-    state_transition,
-)
+from .mlkernel import _finite, _kernel_inverse_batch, ml_matrix_batch, state_transition
 
 __all__ = [
     "SteeringProblem",
@@ -81,7 +74,6 @@ __all__ = [
     "modified_energy",
     "verify_steering",
     "SteeringReport",
-    "default_shaping_density",
 ]
 
 # below this reciprocal condition estimate the Gramian is treated as singular,
@@ -153,7 +145,7 @@ class SynthesisResult:
 class SteeringReport:
     """verify_steering output; inaccuracy is reported, not raised.
     ``energy_mismatch_rel`` is inf where an energy diverges, and otherwise 0.0
-    for pinv and rank-based synthesis: no check."""
+    for pinv synthesis: no check."""
 
     terminal_error_abs: float
     terminal_error_rel: float
@@ -203,11 +195,7 @@ def _adaptive_graded(f, T: float, what: str):
     )
 
 
-def gramian(
-    sys: FracSystem,
-    T: float,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> GramianResult:
+def gramian(sys: FracSystem, T: float) -> GramianResult:
     """Modified controllability Gramian over [0, T].
 
     The neutralizer is cancelled analytically, so the integrand evaluated is
@@ -218,7 +206,7 @@ def gramian(
     """
 
     def integrand(s):
-        G = ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s, policy) @ sys.B
+        G = ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s) @ sys.B
         return np.einsum("sij,skj->sik", G, G)
 
     Q, err = _adaptive_graded(integrand, T, "gramian")
@@ -260,10 +248,7 @@ def _solve_spd(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.linalg.solve(U, np.linalg.solve(U.T, f))
 
 
-def synthesize_min_energy(
-    prob: SteeringProblem,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> SynthesisResult:
+def synthesize_min_energy(prob: SteeringProblem) -> SynthesisResult:
     """Minimum-modified-energy steering control.
 
     Returns the closed-form control with coefficient c = Q_T^{-1} f_T and
@@ -273,11 +258,10 @@ def synthesize_min_energy(
     control trivially steers and is returned directly.
     """
     sys = prob.sys
-    gram = gramian(sys, prob.T, policy)
-    f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
+    gram = gramian(sys, prob.T)
+    f = state_transition(sys.A, sys.alpha, prob.T) @ prob.a - prob.b
     if np.abs(f).max() == 0.0:
-        control = MinEnergyControl(sys.A, sys.B, sys.alpha, prob.T,
-                                   np.zeros(sys.n), policy)
+        control = MinEnergyControl(sys.A, sys.B, sys.alpha, prob.T, np.zeros(sys.n))
         return SynthesisResult(control, f, 0.0, "min-energy", gram)
     if gram.rcond < SINGULAR_GRAMIAN_RCOND:
         raise SingularGramian(
@@ -285,15 +269,12 @@ def synthesize_min_energy(
             "system is practically uncontrollable on this horizon"
         )
     c = _solve_spd(gram.Q, f)
-    control = MinEnergyControl(sys.A, sys.B, sys.alpha, prob.T, c, policy)
+    control = MinEnergyControl(sys.A, sys.B, sys.alpha, prob.T, c)
     energy = float(c @ f)
     return SynthesisResult(control, f, energy, "min-energy", gram)
 
 
-def synthesize_pinv(
-    prob: SteeringProblem,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> SynthesisResult:
+def synthesize_pinv(prob: SteeringProblem) -> SynthesisResult:
     """Right-inverse steering control for systems with rank B = n.
 
     The control (1/T) B^+ g(T-t)(b - S0(T) a) cancels the kernel pointwise;
@@ -306,15 +287,15 @@ def synthesize_pinv(
     if rankB < sys.n:
         raise RankDeficientB(f"rank B = {rankB} < n = {sys.n}; no right inverse")
     B_pinv = np.linalg.pinv(sys.B)
-    f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
-    control = PinvControl(sys.A, B_pinv, sys.alpha, prob.T, -f, policy)
+    f = state_transition(sys.A, sys.alpha, prob.T) @ prob.a - prob.b
+    control = PinvControl(sys.A, B_pinv, sys.alpha, prob.T, -f)
     if np.abs(f).max() == 0.0:
         return SynthesisResult(control, f, 0.0, "pinv")
     energy = modified_energy(control, sys.alpha, prob.T)
     return SynthesisResult(control, f, energy, "pinv")
 
 
-def default_shaping_density(grid: TimeGrid, alpha: float) -> GridFunction:
+def _default_shaping_density(grid: TimeGrid, alpha: float) -> GridFunction:
     """phi(t) = c t^g (T-t)^g with g = alpha + 1, c fixed so the integral is
     exactly 1 (via the Beta function).
 
@@ -330,18 +311,15 @@ def default_shaping_density(grid: TimeGrid, alpha: float) -> GridFunction:
     return GridFunction(grid, c * t**g * (T - t) ** g)
 
 
-def synthesize_rank_based(
-    prob: SteeringProblem,
-    phi: Optional[GridFunction] = None,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> SynthesisResult:
+def synthesize_rank_based(prob: SteeringProblem,
+                          phi: Optional[GridFunction] = None) -> SynthesisResult:
     """Steering control from the Kalman right inverse and repeated
     Riemann-Liouville differentiation of psi(t) = g(T-t)(b - S0(T) a) phi(t).
 
-    ``phi`` defaults to ``default_shaping_density``; a user-supplied density
-    is renormalized so its trapezoid integral is exactly 1.  Requires
-    alpha < 1 (the construction differentiates in the Riemann-Liouville
-    sense) and Kalman rank n.
+    ``phi`` defaults to c t^(alpha+1) (T-t)^(alpha+1) with unit integral; a
+    user-supplied density is renormalized so its trapezoid integral is
+    exactly 1.  Requires alpha < 1 (the construction differentiates in the
+    Riemann-Liouville sense) and Kalman rank n.
     """
     sys = prob.sys
     if not sys.alpha < 1.0:
@@ -351,7 +329,7 @@ def synthesize_rank_based(
         raise RankDeficient(f"Kalman rank {rd.rank} < n = {sys.n}")
     grid = prob.grid
     if phi is None:
-        phi = default_shaping_density(grid, sys.alpha)
+        phi = _default_shaping_density(grid, sys.alpha)
     else:
         if phi.grid != grid:
             raise InvalidParams("phi must be sampled on the problem grid")
@@ -359,12 +337,12 @@ def synthesize_rank_based(
         if abs(mass) < 1e-300:
             raise InvalidParams("phi must have nonzero integral")
         phi = GridFunction(grid, phi.values / mass)
-    f = state_transition(sys.A, sys.alpha, prob.T, policy) @ prob.a - prob.b
+    f = state_transition(sys.A, sys.alpha, prob.T) @ prob.a - prob.b
     if np.abs(f).max() == 0.0:
         zero = SampledControl(GridFunction(grid, np.zeros((grid.steps + 1, sys.m))))
         return SynthesisResult(zero, f, 0.0, "rank-based")
     s = prob.T - grid.nodes
-    Einv = _kernel_inverse_batch(sys.A, sys.alpha, s, policy)
+    Einv = _kernel_inverse_batch(sys.A, sys.alpha, s)
     psi = (s ** (1.0 - sys.alpha))[:, None] * np.einsum("sij,j->si", Einv, -f)
     psi = psi * phi.values[:, None]
     u_vals = psi @ rd.K_blocks[0].T
@@ -441,7 +419,15 @@ def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
         + 2.0 * np.einsum("ij,ij,i->", a0v, a1v, M1)
         + np.einsum("ij,ij,i->", a1v, a1v, M2)
     )
-    return total
+    return float(total)  # the first panel's moments are numpy scalars
+
+
+def _check_own_horizon(u: CuspControl, alpha: float, T: float) -> None:
+    """``DomainError`` unless alpha and T are the cusp control's own (T to
+    1e-12 relative): its energy rule holds there only."""
+    if alpha != u.alpha or abs(T - u.T) > 1e-12 * u.T:
+        raise DomainError(f"a cusp control of (alpha, T) = ({u.alpha}, {u.T}) has no "
+                          f"energy rule at (alpha, T) = ({alpha}, {T})")
 
 
 def modified_energy(u: ControlSignal, alpha: float, T: float) -> float:
@@ -453,33 +439,30 @@ def modified_energy(u: ControlSignal, alpha: float, T: float) -> float:
     panel.  Any other control raises ``InvalidParams``.
     """
     if isinstance(u, CuspControl):
-        if alpha != u.alpha or abs(T - u.T) > 1e-12 * u.T:
-            raise DomainError(f"a cusp control of (alpha, T) = ({u.alpha}, {u.T}) has no "
-                              f"energy rule at (alpha, T) = ({alpha}, {T})")
+        _check_own_horizon(u, alpha, T)
         return _energy_bounded(u, T)
     if isinstance(u, SampledControl):
         return _energy_sampled(u, alpha, T)
     raise InvalidParams(f"no energy rule for control of type {type(u).__name__}")
 
 
-def verify_steering(
-    prob: SteeringProblem,
-    result: SynthesisResult,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> SteeringReport:
+def verify_steering(prob: SteeringProblem, result: SynthesisResult) -> SteeringReport:
     """End-to-end certificate: simulate the synthesized control, measure the
-    terminal miss, take the energy by quadrature (``result.energy``, synthesized
-    for ``prob``, when ``result.method`` is "pinv" or "rank-based", whose
-    energy is already that), and attach the Caputo residual of the computed
-    trajectory from the control samples simulate recorded.  Inaccuracy shows
-    up as large numbers in the report; simulated states that overflow raise
-    ``NonConvergence``."""
-    sys = prob.sys
-    traj = simulate(sys, prob.a, result.control, prob.grid, policy=policy)
+    terminal miss, take the energy by quadrature, and attach the Caputo
+    residual of the computed trajectory from the control samples simulate
+    recorded.  A pinv result's energy is already that quadrature and is
+    reused once prob's alpha and T pass ``modified_energy``'s check
+    (``DomainError``).  Inaccuracy shows up as large numbers in the report;
+    simulated states that overflow raise ``NonConvergence``."""
+    sys, u = prob.sys, result.control
+    traj = simulate(sys, prob.a, u, prob.grid)
     term_abs = float(np.abs(traj.states[-1] - prob.b).max())
     term_rel = term_abs / max(1.0, float(np.abs(prob.b).max()))
-    e_quad = (result.energy if result.method in ("pinv", "rank-based")
-              else modified_energy(result.control, sys.alpha, prob.T))
+    if result.method == "pinv":
+        _check_own_horizon(u, sys.alpha, prob.T)
+        e_quad = result.energy
+    else:
+        e_quad = modified_energy(u, sys.alpha, prob.T)
     mismatch = (math.inf if math.isinf(e_quad) or math.isinf(result.energy)  # not inf - inf
                 else abs(e_quad - result.energy) / (1.0 + abs(result.energy)))
     return SteeringReport(

@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidParams, NonConvergence
 from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, caputo_derivative
-from .mlkernel import (DEFAULT_POLICY, SeriesPolicy, _as_square, _check_order, _finite,
-                       _kernel_inverse_batch, _ml_series, _rgamma_floats)
+from .mlkernel import (_as_square, _check_order, _finite, _kernel_inverse_batch, _ml_series,
+                       _rgamma_floats)
 
 __all__ = [
     "FracSystem",
@@ -122,12 +122,11 @@ class CuspControl(ControlSignal):
     that is not positive and finite raise ``InvalidParams``.
     """
 
-    def __init__(self, A, alpha: float, T: float, policy: SeriesPolicy):
+    def __init__(self, A, alpha: float, T: float):
         self.A = _as_square(A)
         _check_order(alpha)
         self.alpha = float(alpha)
         self.T = float(T)
-        self.policy = policy
         if not 0.0 < self.T < np.inf:
             raise InvalidParams(f"control horizon must be positive and finite, got {T}")
 
@@ -151,10 +150,9 @@ class MinEnergyControl(CuspControl):
     alpha = 1 the natural (nonzero) terminal value is kept.
     """
 
-    def __init__(self, A, B, alpha: float, T: float, coeff: np.ndarray,
-                 policy: SeriesPolicy = DEFAULT_POLICY):
+    def __init__(self, A, B, alpha: float, T: float, coeff: np.ndarray):
         sys = FracSystem(A, B, alpha=alpha)
-        super().__init__(sys.A, alpha, T, policy)
+        super().__init__(sys.A, alpha, T)
         self.B = sys.B
         self.coeff = _finite(coeff, "coeff")
         if self.coeff.shape != (sys.n,):
@@ -163,7 +161,7 @@ class MinEnergyControl(CuspControl):
 
     def kernel_weight(self, s: np.ndarray) -> np.ndarray:
         """w(s) = -B^T E_{alpha,alpha}(A s^alpha)^T c."""
-        cE = _ml_series(self.A, self.alpha, self.alpha, np.asarray(s, float), self.coeff, self.policy)
+        cE = _ml_series(self.A, self.alpha, self.alpha, np.asarray(s, float), self.coeff)
         return -(cE @ self.B)
 
 
@@ -178,9 +176,8 @@ class PinvControl(CuspControl):
     must have shape (n,) and ``B_pinv`` n columns.
     """
 
-    def __init__(self, A, B_pinv: np.ndarray, alpha: float, T: float, v: np.ndarray,
-                 policy: SeriesPolicy = DEFAULT_POLICY):
-        super().__init__(A, alpha, T, policy)
+    def __init__(self, A, B_pinv: np.ndarray, alpha: float, T: float, v: np.ndarray):
+        super().__init__(A, alpha, T)
         self.B_pinv = _finite(B_pinv, "B_pinv")
         self.v = _finite(v, "v")
         n = self.A.shape[0]
@@ -193,7 +190,7 @@ class PinvControl(CuspControl):
 
     def kernel_weight(self, s: np.ndarray) -> np.ndarray:
         """w(s) = (1/T) B^+ E_{alpha,alpha}(A s^alpha)^(-1) v."""
-        Einv = _kernel_inverse_batch(self.A, self.alpha, np.asarray(s, float), self.policy)
+        Einv = _kernel_inverse_batch(self.A, self.alpha, np.asarray(s, float))
         return np.einsum("sij,j->si", Einv, self.v) @ self.B_pinv.T / self.T
 
 
@@ -207,13 +204,7 @@ class Trajectory:
     controls: Optional[np.ndarray] = None
 
 
-def simulate(
-    sys: FracSystem,
-    a: np.ndarray,
-    u: ControlSignal,
-    grid: TimeGrid,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> Trajectory:
+def simulate(sys: FracSystem, a: np.ndarray, u: ControlSignal, grid: TimeGrid) -> Trajectory:
     """Forward trajectory of the system from x(0) = a under the control u.
 
     The convolution integrates the control, sampled on ``grid`` and read as
@@ -222,7 +213,7 @@ def simulate(
     state under a cusp control ending at T is integrated in y = s^alpha
     instead, exactly when w is quadratic in y.  ``NonConvergence`` is raised
     when the states overflow.  Kernel work that u does not enter is kept for
-    the last (sys, grid, a, policy); ``states`` is always a new array.
+    the last (sys, grid, a); ``states`` is always a new array.
     """
     a = _finite(a, "a")
     if a.shape != (sys.n,):
@@ -240,7 +231,7 @@ def simulate(
         raise InvalidParams(f"control sample shape {uf.shape} does not match m={sys.m}")
     cusp = (isinstance(u, CuspControl) and u.alpha == sys.alpha
             and abs(u.T - grid.t1) <= 1e-12 * grid.t1)
-    tab = _kernel_table(sys, grid, a, policy, cusp)
+    tab = _kernel_table(sys, grid, a, cusp)
     with np.errstate(all="ignore"):
         conv = np.zeros((grid.steps + 1, sys.n))
         conv[1:] = uf[0] @ tab["first"]
@@ -260,13 +251,12 @@ _TABLES: dict = {}  # simulate's most recent kernel table, {key: table}, under t
 _TABLES_LOCK = threading.Lock()
 
 
-def _kernel_table(sys: FracSystem, grid: TimeGrid, a: np.ndarray, policy: SeriesPolicy,
-                  moments: bool) -> dict:
+def _kernel_table(sys: FracSystem, grid: TimeGrid, a: np.ndarray, moments: bool) -> dict:
     """simulate's control-free work, read-only: hat weights ``W``, the half hat
     ``first`` at t = 0, the free response ``x`` and, once a cusp control needs
     them, the moments ``F``.  Keyed by value: arrays mutated in place miss."""
     key = (sys.A.tobytes(), sys.A.shape, sys.B.tobytes(), sys.B.shape, sys.alpha, grid,
-           a.tobytes(), policy)
+           a.tobytes())
     with _TABLES_LOCK:  # a miss: clear() (which returns None) drops the old table first
         tab = _TABLES.get(key) or _TABLES.clear()
     if tab is not None and ("F" in tab or not moments):
@@ -281,17 +271,17 @@ def _kernel_table(sys: FracSystem, grid: TimeGrid, a: np.ndarray, policy: Series
             # (lag, channel, state).  With D the first differences of G2 over h, the
             # hat function at lag d*h integrates to D[d] - D[d-1] (D[-1] = 0), and
             # the half hat at t = 0 to G1 - D, needed at the output lags only.
-            S = _ml_series(At, alpha, [alpha + 2.0, alpha + 1.0], lags, Bt, policy)
+            S = _ml_series(At, alpha, [alpha + 2.0, alpha + 1.0], lags, Bt)
             D = np.diff(S[0] * (lags ** (alpha + 1.0))[:, None, None], axis=0)
             D /= grid.h
             tab["first"] = S[1, 1:] * (lags[1:] ** alpha)[:, None, None]
             tab["first"] -= D
             tab["W"] = np.diff(D, axis=0, prepend=0.0)
             del D, S
-            tab["x"] = _ml_series(At, alpha, 1.0, grid.nodes, a, policy)
+            tab["x"] = _ml_series(At, alpha, 1.0, grid.nodes, a)
         if moments:
             ends = np.append(np.arange(0, N, 2), N)
-            tab["F"] = _ml_series(At, alpha, _moment_coefs(alpha), lags[ends], Bt, policy)
+            tab["F"] = _ml_series(At, alpha, _moment_coefs(alpha), lags[ends], Bt)
             tab["F"] *= (lags[ends] ** (np.arange(3)[:, None] * alpha + 1.0))[..., None, None]
     for v in tab.values():
         v.setflags(write=False)

@@ -312,7 +312,7 @@ def ml_matrix_batch(
 
 
 def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
-               L: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
+               L: np.ndarray, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
     """L E_{alpha,beta}(A s^alpha) = sum_k L A^k s^(k alpha) / Gamma(k alpha + beta)
     over lags s >= 0, for L of shape (p, n) or (n,); shape ``s.shape + L.shape``.
     A list ``beta`` of q numbers or coefficient functions, which map an
@@ -535,7 +535,7 @@ def inverse_kernel(
 
 
 def _kernel_inverse_batch(A: np.ndarray, alpha: float, s: np.ndarray,
-                          policy: SeriesPolicy) -> np.ndarray:
+                          policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
     """E_{alpha,alpha}(A s^alpha)^(-1) over an array of lags; ``SingularKernel``
     where its singular-value ratio falls below ``SINGULAR_KERNEL_RCOND``, with
     the SVD computed only where the Frobenius certificate of

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracctrl import (DEFAULT_POLICY, FracSystem, GridFunction, MLParams, MinEnergyControl,
+from fracctrl import (FracSystem, GridFunction, MLParams, MinEnergyControl,
                       SampledControl, TimeGrid, caputo_residual, ml_matrix, simulate)
 import fracctrl.cli as cli
 from fracctrl.cli import _ML_PRINT_POLICY, _example2_energy, main
@@ -278,6 +278,7 @@ class TestSimulate:
         {"quad_order": 0}, {"series_max_terms": True}, {"grid_steps": None},
         {"series_rel_tol": [1]}, {"quad_rel_tol": None}, {"series_rel_tol": True},
         {"refine": None}, {"quad_levels": 12}, {"quad_order": 16}, {"quad_rel_tol": 1e-11},
+        {"series_rel_tol": 1e-14},
     ])
     def test_malformed_numerics_rejected(self, tmp_path, capsys, numerics):
         pf = write_problem(tmp_path / "p.json", numerics={"grid_steps": 512, **numerics})
@@ -285,7 +286,8 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
         # retired settings are unknown keys, even where simulate would not read them
-        retired = sorted({"refine", "quad_levels", "quad_order", "quad_rel_tol"} & set(numerics))
+        retired = sorted({"refine", "quad_levels", "quad_order", "quad_rel_tol", "series_rel_tol",
+                          "series_max_terms"} & set(numerics))
         if retired:
             assert f"unknown keys in numerics block: {retired}" in err
 
@@ -645,23 +647,6 @@ class TestSynthesize:
         terminal_err = max(abs(v) for v in vals)  # b = 0
         assert abs(terminal_err - reported) <= 1e-10
 
-    def test_reingested_control_keeps_the_series_policy(self, tmp_path, capsys):
-        # a truncation loose enough to move the rotation's miss: simulate
-        # rebuilds the control under the problem file's series settings
-        problem = {"system": {**CHAIN, "A": [[0.0, 1.0], [-1.0, 0.0]]},
-                   "steering": {**STEERING, "a": [0.0, 1.0]},
-                   "numerics": {"grid_steps": 256, "series_rel_tol": 1e-6}}
-        ctrl = tmp_path / "ctrl.json"
-        pf = write_problem(tmp_path / "p.json", **problem)
-        assert main(["synthesize", pf, "--out", str(ctrl)]) == 0
-        reported = json.loads(ctrl.read_text())["report"]["terminal_error_abs"]
-        pf2 = write_problem(tmp_path / "p2.json", **problem,
-                            control={"type": "synthesized", "path": str(ctrl)})
-        capsys.readouterr()
-        assert main(["simulate", pf2]) == 0
-        vals = capsys.readouterr().out.splitlines()[0].split(":")[1].split()
-        assert max(abs(float(v)) for v in vals) == reported  # b = 0
-
     def test_simulate_samples_the_control_once(self, tmp_path, capsys, monkeypatch):
         # the residual reads the samples simulate recorded, and equals
         # caputo_residual of a fresh simulate
@@ -678,7 +663,7 @@ class TestSynthesize:
         assert main(["simulate", pf2]) == 0
         assert calls == [257]
         monkeypatch.undo()
-        u = cli._control_from_dict(json.loads(ctrl.read_text()), DEFAULT_POLICY)
+        u = cli._control_from_dict(json.loads(ctrl.read_text()))
         sys = FracSystem(CHAIN["A"], CHAIN["B"], alpha=CHAIN["alpha"])
         traj = simulate(sys, np.array(STEERING["a"]), u, TimeGrid(0.0, STEERING["T"], 256))
         want = f"caputo residual (interior): {caputo_residual(sys, traj):.15g}"
@@ -743,8 +728,8 @@ FUZZ_FIELDS = (
     [(block,) for block in ("system", "steering", "numerics", "control", "method")]
     + [("system", key) for key in ("alpha", "A", "B", "C")]
     + [("steering", key) for key in ("a", "b", "T")]
-    # quad_rel_tol, quad_levels and quad_order are retired: they probe the
-    # unknown-key refusal
+    # series_rel_tol, series_max_terms, quad_rel_tol, quad_levels and quad_order
+    # are retired: they probe the unknown-key refusal
     + [("numerics", key) for key in ("grid_steps", "series_rel_tol", "series_max_terms",
                                      "quad_rel_tol", "quad_levels", "quad_order")]
     + [("control", key) for key in ("type", "value", "path")]

@@ -11,7 +11,6 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gamma
 
 from fracctrl import (
-    DEFAULT_POLICY,
     ControlSignal,
     DomainError,
     FracSystem,
@@ -532,9 +531,10 @@ class TestVerifySteering:
 
 
 class TestEnergyReuse:
-    """verify_steering reuses the energy of pinv and rank-based synthesis,
-    which is ``modified_energy`` of their control, and recomputes any other;
-    the report is bitwise that of recomputing."""
+    """verify_steering reuses the energy of pinv synthesis, which is
+    ``modified_energy`` of its control, where alpha and T are the control's
+    own, and recomputes any other; the report is bitwise that of
+    recomputing."""
 
     @staticmethod
     def count_energy(monkeypatch):
@@ -555,8 +555,9 @@ class TestEnergyReuse:
         want = modified_energy(res.control, alpha, 2.0)
         calls = self.count_energy(monkeypatch)
         got = verify_steering(prob, res)
-        assert calls == []
+        assert len(calls) == (synth is synthesize_rank_based)
         assert np.float64(got.energy_quadrature).tobytes() == np.float64(want).tobytes()
+        assert type(res.energy) is float and type(got.energy_quadrature) is float
         if alpha == 0.5:
             assert np.isinf(got.energy_reported) and np.isinf(got.energy_mismatch_rel)
         else:
@@ -576,6 +577,25 @@ class TestEnergyReuse:
         calls = self.count_energy(monkeypatch)
         assert verify_steering(prob, res).energy_quadrature == 0.0
         assert calls == []
+
+    @pytest.mark.parametrize("alpha, T", [(0.6, 0.5), (0.7, 1.0)])
+    def test_pinv_elsewhere_refused(self, alpha, T):
+        # a pinv result for (0.6, 1) has no energy rule at another alpha or T
+        A, B = [[-0.6, 2.5], [0.0, 0.4]], [[0.3, 0.0], [1.0, -0.8]]
+        res = synthesize_pinv(problem(FracSystem(A, B, alpha=0.6), [1.0, -0.5], [-0.2, 0.4],
+                                      1.0, steps=256))
+        prob = problem(FracSystem(A, B, alpha=alpha), [1.0, -0.5], [-0.2, 0.4], T, steps=256)
+        with pytest.raises(DomainError, match="no energy rule"):
+            verify_steering(prob, res)
+
+    def test_rank_based_elsewhere_recomputes(self):
+        # a rank-based control for T = 1 verified on [0, 0.5]: the energy is
+        # that of the control over [0, 0.5], not the synthesized one
+        sys = FracSystem([[-0.6, 2.5], [0.0, 0.4]], [[0.3, 0.0], [1.0, -0.8]], alpha=0.6)
+        res = synthesize_rank_based(problem(sys, [1.0, -0.5], [-0.2, 0.4], 1.0, steps=256))
+        got = verify_steering(problem(sys, [1.0, -0.5], [-0.2, 0.4], 0.5, steps=128), res)
+        assert got.energy_quadrature == modified_energy(res.control, 0.6, 0.5)
+        assert got.energy_mismatch_rel > 1e-3
 
 
 class TestMinimality:
@@ -626,7 +646,7 @@ class TestExport:
         doc = self.export(res, prob)
         assert doc["method"] == "min-energy"
         assert doc["gramian"] is not None and len(doc["gramian"]) == 4
-        rebuilt = cli._control_from_dict(doc, DEFAULT_POLICY)
+        rebuilt = cli._control_from_dict(doc)
         ts = np.linspace(0.0, T, 57)
         assert np.array_equal(rebuilt.sample(ts), res.control.sample(ts))
 
@@ -634,7 +654,7 @@ class TestExport:
         T = 1.0
         prob = problem(example1_system, [1.0, 0.0], [0.0, 0.0], T, steps=256)
         res = synthesize_rank_based(prob)
-        rebuilt = cli._control_from_dict(self.export(res, prob), DEFAULT_POLICY)
+        rebuilt = cli._control_from_dict(self.export(res, prob))
         ts = np.linspace(0.0, T, 33)
         assert np.array_equal(rebuilt.sample(ts), res.control.sample(ts))
 
@@ -646,7 +666,7 @@ class TestExport:
         doc = self.export(res, prob)
         assert doc["method"] == "pinv" and doc["control"]["type"] == "pinv"
         assert len(doc["control_samples"]["t"]) == 201
-        rebuilt = cli._control_from_dict(doc, DEFAULT_POLICY)
+        rebuilt = cli._control_from_dict(doc)
         assert isinstance(rebuilt, PinvControl)
         ts = np.linspace(0.0, T, 57)
         assert np.array_equal(rebuilt.sample(ts), res.control.sample(ts))
@@ -659,4 +679,4 @@ class TestExport:
         doc = self.export(synthesize_min_energy(prob), prob)
         doc["control"]["type"] = "bang-bang"
         with pytest.raises(InvalidParams, match="unknown control type 'bang-bang'"):
-            cli._control_from_dict(doc, DEFAULT_POLICY)
+            cli._control_from_dict(doc)

@@ -235,7 +235,7 @@ class QuadraticInY(CuspControl):
     """u(T-s) = s^(1-alpha) w(s) with w = c0 + c1 y + c2 y^2, y = s^alpha."""
 
     def __init__(self, alpha, T, c):
-        super().__init__(np.zeros((1, 1)), alpha, T, DEFAULT_POLICY)
+        super().__init__(np.zeros((1, 1)), alpha, T)
         self.c = c
         self.m = 1
 

@@ -29,11 +29,11 @@ PUBLIC = {
     "FracSystem": ["A", "B", "C", "alpha"],
     "ControlSignal": [],
     "SampledControl": ["values"],
-    "CuspControl": ["A", "alpha", "T", "policy"],
-    "MinEnergyControl": ["A", "B", "alpha", "T", "coeff", "policy"],
-    "PinvControl": ["A", "B_pinv", "alpha", "T", "v", "policy"],
+    "CuspControl": ["A", "alpha", "T"],
+    "MinEnergyControl": ["A", "B", "alpha", "T", "coeff"],
+    "PinvControl": ["A", "B_pinv", "alpha", "T", "v"],
     "Trajectory": ["grid", "states", "outputs", "controls"],
-    "simulate": ["sys", "a", "u", "grid", "policy"],
+    "simulate": ["sys", "a", "u", "grid"],
     "caputo_residual": ["sys", "traj"],
     # mlkernel
     "MLParams": ["alpha", "beta"],
@@ -55,16 +55,15 @@ PUBLIC = {
     "SynthesisResult": ["control", "f_T", "energy", "method", "gramian"],
     "RankData": ["kalman", "rank", "K_blocks"],
     "SINGULAR_GRAMIAN_RCOND": "float",
-    "gramian": ["sys", "T", "policy"],
+    "gramian": ["sys", "T"],
     "kalman_rank": ["sys"],
-    "synthesize_min_energy": ["prob", "policy"],
-    "synthesize_pinv": ["prob", "policy"],
-    "synthesize_rank_based": ["prob", "phi", "policy"],
+    "synthesize_min_energy": ["prob"],
+    "synthesize_pinv": ["prob"],
+    "synthesize_rank_based": ["prob", "phi"],
     "modified_energy": ["u", "alpha", "T"],
-    "verify_steering": ["prob", "result", "policy"],
+    "verify_steering": ["prob", "result"],
     "SteeringReport": ["terminal_error_abs", "terminal_error_rel", "energy_quadrature",
                        "energy_reported", "energy_mismatch_rel", "caputo_residual"],
-    "default_shaping_density": ["grid", "alpha"],
 }
 
 
