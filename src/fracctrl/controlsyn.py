@@ -31,6 +31,7 @@ Only the command-line front end saves a synthesis to a file and reads it back.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -55,6 +56,7 @@ from .fracsys import (
     MinEnergyControl,
     PinvControl,
     SampledControl,
+    _last_memo,
     caputo_residual,
     simulate,
 )
@@ -81,8 +83,10 @@ __all__ = [
 SINGULAR_GRAMIAN_RCOND = 1e-10
 
 # a graded quadrature starts from _LEVELS panels of _ORDER Gauss nodes and deepens,
-# while it has at most _MAX_LEVELS levels, until two gradings agree to _REL_TOL
+# while it has at most _MAX_LEVELS levels, until two gradings agree to _REL_TOL;
+# one integrand call takes the new nodes of each grading of a group
 _LEVELS, _ORDER, _MAX_LEVELS, _REL_TOL = 12, 16, 44, 1e-11
+_GROUPS = ((12, 16, 20, 24), (28, 32, 36), (40, 44, 48))
 # the _ORDER-node Gauss-Legendre rule on [-1, 1], read-only
 _XG, _WG = leggauss(_ORDER)
 _XG.flags.writeable = _WG.flags.writeable = False
@@ -155,40 +159,59 @@ class SteeringReport:
     caputo_residual: float
 
 
+@functools.lru_cache(maxsize=128)
 def _graded_gauss_rule(T: float, levels: int):
     """Composite Gauss-Legendre rule over [0, T]: 16 nodes on each of
     ``levels`` panels that halve toward s = 0.  Returns (nodes, weights),
-    nodes ascending."""
+    nodes ascending, read-only and built once per (T, levels)."""
     if not 0.0 < T < math.inf:
         raise InvalidParams(f"horizon must be positive and finite, got {T}")
     edges = np.append(0.0, T * 0.5 ** np.arange(levels)[::-1])
     lo, hi = edges[:-1], edges[1:]
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return (mid[:, None] + rad[:, None] * _XG).ravel(), (rad[:, None] * _WG).ravel()
+    s, w = (mid[:, None] + rad[:, None] * _XG).ravel(), (rad[:, None] * _WG).ravel()
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
-def _adaptive_graded(f, T: float, what: str):
+_KERNELS: dict = {}  # the last (A, alpha, T)'s S0(T) and graded E_{alpha,alpha}(A s^alpha)
+
+
+def _memo(A: np.ndarray, alpha: float, T: float, name, make) -> np.ndarray:
+    """Value ``name`` of the kernel memo of (A, alpha, T), ``make()`` on a miss."""
+    key = (A.tobytes(), A.shape, alpha, T)
+    return _last_memo(_KERNELS, key, name, lambda: {name: make()})[name]
+
+
+def _adaptive_graded(f, T: float, what: str, kernel=None):
     """Gauss-Legendre quadrature over [0, T] graded toward s = 0, deepened by
     4 levels at a time until two successive gradings agree to 1e-11 relative
     in max norm, else ``NonConvergence``; returns (value, that relative
     change).  ``f(s)`` is the integrand at the nodes s, stacked on the first
-    axis.  A deepening splits the innermost panel into 5; the other panels
-    keep their nodes bitwise (edges T 2^-j), so f sees each node once."""
-    lv, k = _LEVELS, _ORDER
-    s, w = _graded_gauss_rule(T, lv)
-    F = f(s)
-    v0 = np.einsum("s,s...->...", w, F)
-    while lv <= _MAX_LEVELS:
-        lv += 4
-        s, w = _graded_gauss_rule(T, lv)
-        F = np.concatenate([f(s[:5 * k]), F[k:]])
-        v1 = np.einsum("s,s...->...", w, F)
-        if not np.isfinite(v1).all():
-            raise NonConvergence(f"{what} quadrature overflows")
-        err = float(np.abs(v1 - v0).max() / max(np.abs(v1).max(), 1e-300))
-        if err < _REL_TOL:
-            return v1, err
-        v0 = v1
+    axis, or ``f(s, E)`` given ``kernel`` = (A, alpha), E = the memo's
+    E_{alpha,alpha}(A s^alpha) at s.  A deepening splits the innermost panel
+    into 5; the other panels keep their nodes bitwise (edges T 2^-j), so f
+    sees each node once.  f looks ahead: one call takes the new nodes of the
+    gradings of 12 to 24 levels (432), each later one those of three more."""
+    k, v0 = _ORDER, None
+    for g, group in enumerate(_GROUPS):
+        parts = [_graded_gauss_rule(T, lv)[0][:5 * k if lv > _LEVELS else None] for lv in group]
+        s = np.concatenate(parts)
+        if kernel is None:
+            vals = f(s)
+        else:  # kernel = (A, alpha)
+            vals = f(s, _memo(*kernel, T, g, lambda: ml_matrix_batch(*kernel, kernel[1], s)))
+        for lv, p in zip(group, parts):
+            new, vals = vals[:p.size], vals[p.size:]
+            F = new if v0 is None else np.concatenate([new, F[k:]])
+            v1 = np.einsum("s,s...->...", _graded_gauss_rule(T, lv)[1], F)
+            if v0 is not None:
+                if not np.isfinite(v1).all():
+                    raise NonConvergence(f"{what} quadrature overflows")
+                err = float(np.abs(v1 - v0).max() / max(np.abs(v1).max(), 1e-300))
+                if err < _REL_TOL:
+                    return v1, err
+            v0 = v1
     raise NonConvergence(
         f"{what} quadrature did not reach rel_tol={_REL_TOL} within "
         f"{_MAX_LEVELS} grading levels"
@@ -205,11 +228,11 @@ def gramian(sys: FracSystem, T: float) -> GramianResult:
     T is positive and finite.
     """
 
-    def integrand(s):
-        G = ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s) @ sys.B
+    def integrand(s, E):
+        G = E @ sys.B
         return np.einsum("sij,skj->sik", G, G)
 
-    Q, err = _adaptive_graded(integrand, T, "gramian")
+    Q, err = _adaptive_graded(integrand, T, "gramian", (sys.A, sys.alpha))
     Q = 0.5 * (Q + Q.T)
     ev = np.linalg.eigvalsh(Q)
     rcond = float(max(ev.min(), 0.0) / ev.max()) if ev.max() > 0.0 else 0.0
@@ -248,6 +271,12 @@ def _solve_spd(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.linalg.solve(U, np.linalg.solve(U.T, f))
 
 
+def _defect(prob: SteeringProblem) -> np.ndarray:
+    """f_T = S0(T) a - b, with S0(T) = E_{alpha,1}(A T^alpha) from the memo."""
+    A, alpha, T = prob.sys.A, prob.sys.alpha, prob.T
+    return _memo(A, alpha, T, "S0", lambda: state_transition(A, alpha, T)) @ prob.a - prob.b
+
+
 def synthesize_min_energy(prob: SteeringProblem) -> SynthesisResult:
     """Minimum-modified-energy steering control.
 
@@ -259,7 +288,7 @@ def synthesize_min_energy(prob: SteeringProblem) -> SynthesisResult:
     """
     sys = prob.sys
     gram = gramian(sys, prob.T)
-    f = state_transition(sys.A, sys.alpha, prob.T) @ prob.a - prob.b
+    f = _defect(prob)
     if np.abs(f).max() == 0.0:
         control = MinEnergyControl(sys.A, sys.B, sys.alpha, prob.T, np.zeros(sys.n))
         return SynthesisResult(control, f, 0.0, "min-energy", gram)
@@ -287,7 +316,7 @@ def synthesize_pinv(prob: SteeringProblem) -> SynthesisResult:
     if rankB < sys.n:
         raise RankDeficientB(f"rank B = {rankB} < n = {sys.n}; no right inverse")
     B_pinv = np.linalg.pinv(sys.B)
-    f = state_transition(sys.A, sys.alpha, prob.T) @ prob.a - prob.b
+    f = _defect(prob)
     control = PinvControl(sys.A, B_pinv, sys.alpha, prob.T, -f)
     if np.abs(f).max() == 0.0:
         return SynthesisResult(control, f, 0.0, "pinv")
@@ -337,7 +366,7 @@ def synthesize_rank_based(prob: SteeringProblem,
         if abs(mass) < 1e-300:
             raise InvalidParams("phi must have nonzero integral")
         phi = GridFunction(grid, phi.values / mass)
-    f = state_transition(sys.A, sys.alpha, prob.T) @ prob.a - prob.b
+    f = _defect(prob)
     if np.abs(f).max() == 0.0:
         zero = SampledControl(GridFunction(grid, np.zeros((grid.steps + 1, sys.m))))
         return SynthesisResult(zero, f, 0.0, "rank-based")
@@ -360,11 +389,11 @@ def _energy_bounded(u: CuspControl, T: float) -> float:
     cusp controls (u(T-s) = s^(1-alpha) w(s)), graded toward s = 0 only: w is
     analytic in y = s^alpha, so nothing is singular at s = T."""
 
-    def integrand(s):
-        W = u.kernel_weight(s)
+    def integrand(s, E):
+        W = u._weight(s, E)
         return np.einsum("sj,sj->s", W, W)
 
-    return float(_adaptive_graded(integrand, T, "energy")[0])
+    return float(_adaptive_graded(integrand, T, "energy", (u.A, u.alpha))[0])
 
 
 def _power_moment(e: float, s1: float) -> float:

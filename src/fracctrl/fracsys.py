@@ -32,10 +32,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import mlkernel
 from .errors import DomainError, InvalidParams, NonConvergence
 from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, caputo_derivative
-from .mlkernel import (_as_square, _check_order, _finite, _kernel_inverse_batch, _ml_series,
-                       _rgamma_floats)
+from .mlkernel import (_as_square, _check_order, _finite, _ml_series, _rgamma_floats,
+                       ml_matrix_batch)
 
 __all__ = [
     "FracSystem",
@@ -134,6 +135,10 @@ class CuspControl(ControlSignal):
         """The bounded factor w at the lags s = T - t, shape (len(s), m)."""
         raise NotImplementedError
 
+    def _weight(self, s: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """w at the lags s from E = E_{alpha,alpha}(A s^alpha) there, if it needs E."""
+        return self.kernel_weight(s)
+
     def sample(self, times: np.ndarray) -> np.ndarray:
         s = self.T - np.asarray(times, float)
         if (s < -1e-12 * self.T).any():
@@ -164,6 +169,9 @@ class MinEnergyControl(CuspControl):
         cE = _ml_series(self.A, self.alpha, self.alpha, np.asarray(s, float), self.coeff)
         return -(cE @ self.B)
 
+    def _weight(self, s: np.ndarray, E: np.ndarray) -> np.ndarray:
+        return -(np.einsum("i,sij->sj", self.coeff, E) @ self.B)
+
 
 class PinvControl(CuspControl):
     """Right-inverse control u(t) = (1/T) B^+ g(T-t) v built from the inverse
@@ -190,7 +198,10 @@ class PinvControl(CuspControl):
 
     def kernel_weight(self, s: np.ndarray) -> np.ndarray:
         """w(s) = (1/T) B^+ E_{alpha,alpha}(A s^alpha)^(-1) v."""
-        Einv = _kernel_inverse_batch(self.A, self.alpha, np.asarray(s, float))
+        return self._weight(s, ml_matrix_batch(self.A, self.alpha, self.alpha, s))
+
+    def _weight(self, s: np.ndarray, E: np.ndarray) -> np.ndarray:
+        Einv = mlkernel._checked_inverse(E, mlkernel.SINGULAR_KERNEL_RCOND)
         return np.einsum("sij,j->si", Einv, self.v) @ self.B_pinv.T / self.T
 
 
@@ -247,48 +258,55 @@ def simulate(sys: FracSystem, a: np.ndarray, u: ControlSignal, grid: TimeGrid) -
     return Trajectory(grid=grid, states=states, outputs=outputs, controls=uf)
 
 
-_TABLES: dict = {}  # simulate's most recent kernel table, {key: table}, under the lock
-_TABLES_LOCK = threading.Lock()
+_TABLES: dict = {}  # simulate's most recent kernel table, {key: table}
+_MEMO_LOCK = threading.Lock()
+
+
+def _last_memo(store: dict, key, name: str, make) -> dict:
+    """``store``'s entry for ``key`` once it holds ``name``, adding the arrays of
+    ``make()`` on a miss.  A store keeps one key, a value (arrays mutated in place
+    miss); its entries are read-only and swapped whole under one lock."""
+    with _MEMO_LOCK:  # a new key: clear() (which returns None) drops the old entry first
+        memo = store.get(key) or store.clear() or {}
+    if name not in memo:
+        memo = {**memo, **make()}
+        for v in memo.values():
+            v.setflags(write=False)
+        with _MEMO_LOCK:
+            store.clear()
+            store[key] = memo
+    return memo
 
 
 def _kernel_table(sys: FracSystem, grid: TimeGrid, a: np.ndarray, moments: bool) -> dict:
     """simulate's control-free work, read-only: hat weights ``W``, the half hat
     ``first`` at t = 0, the free response ``x`` and, once a cusp control needs
-    them, the moments ``F``.  Keyed by value: arrays mutated in place miss."""
+    them, the moments ``F``."""
     key = (sys.A.tobytes(), sys.A.shape, sys.B.tobytes(), sys.B.shape, sys.alpha, grid,
            a.tobytes())
-    with _TABLES_LOCK:  # a miss: clear() (which returns None) drops the old table first
-        tab = _TABLES.get(key) or _TABLES.clear()
-    if tab is not None and ("F" in tab or not moments):
-        return tab
-    tab, At, Bt, alpha, N = dict(tab or {}), sys.A.T, sys.B.T, sys.alpha, grid.steps
-    lags = np.arange(N + 1) * grid.h
+    At, Bt, alpha, N = sys.A.T, sys.B.T, sys.alpha, grid.steps
+    lags, ends = np.arange(N + 1) * grid.h, np.append(np.arange(0, N, 2), N)
+
+    def hats():
+        # The kernel s^(alpha-1) E_{alpha,alpha}(A s^alpha) B has the
+        # antiderivatives G1(s) = s^alpha E_{alpha,alpha+1}(A s^alpha) B and
+        # G2(s) = s^(alpha+1) E_{alpha,alpha+2}(A s^alpha) B, kept transposed
+        # (lag, channel, state).  With D the first differences of G2 over h, the
+        # hat function at lag d*h integrates to D[d] - D[d-1] (D[-1] = 0), and
+        # the half hat at t = 0 to G1 - D, needed at the output lags only.
+        S = _ml_series(At, alpha, [alpha + 2.0, alpha + 1.0], lags, Bt)
+        D = np.diff(S[0] * (lags ** (alpha + 1.0))[:, None, None], axis=0) / grid.h
+        return {"first": S[1, 1:] * (lags[1:] ** alpha)[:, None, None] - D,
+                "W": np.diff(D, axis=0, prepend=0.0),
+                "x": _ml_series(At, alpha, 1.0, grid.nodes, a)}
+
+    def cusp_moments():
+        F = _ml_series(At, alpha, _moment_coefs(alpha), lags[ends], Bt)
+        return {"F": F * (lags[ends] ** (np.arange(3)[:, None] * alpha + 1.0))[..., None, None]}
+
     with np.errstate(all="ignore"):
-        if "x" not in tab:
-            # The kernel s^(alpha-1) E_{alpha,alpha}(A s^alpha) B has the
-            # antiderivatives G1(s) = s^alpha E_{alpha,alpha+1}(A s^alpha) B and
-            # G2(s) = s^(alpha+1) E_{alpha,alpha+2}(A s^alpha) B, kept transposed
-            # (lag, channel, state).  With D the first differences of G2 over h, the
-            # hat function at lag d*h integrates to D[d] - D[d-1] (D[-1] = 0), and
-            # the half hat at t = 0 to G1 - D, needed at the output lags only.
-            S = _ml_series(At, alpha, [alpha + 2.0, alpha + 1.0], lags, Bt)
-            D = np.diff(S[0] * (lags ** (alpha + 1.0))[:, None, None], axis=0)
-            D /= grid.h
-            tab["first"] = S[1, 1:] * (lags[1:] ** alpha)[:, None, None]
-            tab["first"] -= D
-            tab["W"] = np.diff(D, axis=0, prepend=0.0)
-            del D, S
-            tab["x"] = _ml_series(At, alpha, 1.0, grid.nodes, a)
-        if moments:
-            ends = np.append(np.arange(0, N, 2), N)
-            tab["F"] = _ml_series(At, alpha, _moment_coefs(alpha), lags[ends], Bt)
-            tab["F"] *= (lags[ends] ** (np.arange(3)[:, None] * alpha + 1.0))[..., None, None]
-    for v in tab.values():
-        v.setflags(write=False)
-    with _TABLES_LOCK:
-        _TABLES.clear()
-        _TABLES[key] = tab  # a new dict: a table handed out never changes
-    return tab
+        tab = _last_memo(_TABLES, key, "x", hats)
+        return _last_memo(_TABLES, key, "F", cusp_moments) if moments else tab
 
 
 def _moment_coefs(alpha: float) -> list:
@@ -316,7 +334,7 @@ def _cusp_terminal(u: CuspControl, uf: np.ndarray, grid: TimeGrid, F: np.ndarray
     dF = F[:, 1:] - F[:, :-1]
     I1 = dF[1] - y0[..., None] * dF[0]
     I2 = dF[2] - (y0 + y1)[..., None] * dF[1] + (y0 * y1)[..., None] * dF[0]
-    return np.einsum("qpm,qpmn->n", np.stack([w[n0], d1, d2]), np.stack([dF[0], I1, I2]))
+    return sum(np.einsum("qm,qmn->n", c, d) for c, d in ((w[n0], dF[0]), (d1, I1), (d2, I2)))
 
 
 def caputo_residual(sys: FracSystem, traj: Trajectory) -> float:

@@ -34,7 +34,9 @@ so safe for concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and
 ``_rgamma_floats`` (a race builds a row twice, bitwise the same), ``_ln_int``
 (ln m at 44 digits, correctly rounded, so a race stores the same immutable
 Decimal twice); ``fracsys._TABLES`` (simulate's last kernel table of
-read-only arrays, swapped under a lock); ``_CTX`` and the 44-digit
+read-only arrays, swapped under a lock) and ``controlsyn._KERNELS`` (the
+same for S0(T) and the graded kernel values), the read-only rules of
+``controlsyn._graded_gauss_rule``'s cache; ``_CTX`` and the 44-digit
 ``_CTX44``, whose settings never change (their status flags are set but
 never read).  The matrix series' tables and buffers belong to one call.
 """
@@ -330,6 +332,7 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     each.  Its L A^k (from block powers) and its sums (in another order)
     round differently from that loop's, within the rounding bound of
     summation in any order; each stacked sequence is bitwise its own call.
+    Where every lag is 0 the sums are 0 + c_0 L, bitwise that loop's, without it.
     """
     if not (s >= 0).all():
         raise DomainError("Mittag-Leffler kernels need lags s >= 0")
@@ -339,6 +342,15 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
             else functools.partial(_rgamma_floats, float(alpha), float(b))
             for b in (beta if isinstance(beta, list) else [beta])]
     q = len(coef)
+    if s.size and L.size and not s.any():  # every lag 0: where the loop stops at step 1
+        c01 = np.array([c(0)[:2] for c in coef])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.zeros((q, s.size, L.size)) + np.multiply.outer(c01[:, 0], L.ravel())[:, None]
+            ref, la = np.abs(out).max(axis=(1, 2)), np.abs(L @ A).max()
+            stop = not la or np.isfinite(la * c01[:, 1]).all() and (policy.rel_tol * ref > 0).all()
+        if np.isfinite(ref).all() and stop:
+            out = out.reshape((q,) + s.shape + L.shape)
+            return out if isinstance(beta, list) else out[0]
     out = np.zeros((q, s.size, L.size))  # lags first, each sum an S x |L| matrix
     sa = s.ravel() ** alpha
     sa_max = float(sa.max(initial=0.0))

@@ -3,6 +3,8 @@ laws, energy identities, minimality, and export round trips."""
 
 import json
 import re
+from concurrent.futures import ThreadPoolExecutor
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from fracctrl import (
     verify_steering,
 )
 import fracctrl.controlsyn as controlsyn
+import fracctrl.fracsys as fracsys
 from fracctrl import cli
 import fracctrl.mlkernel as mlkernel
 from fracctrl.controlsyn import _adaptive_graded, _graded_gauss_rule, _solve_spd
@@ -129,34 +132,39 @@ def counting(fn, sizes, nodes=None, at=0):
     return wrapped
 
 
+# the look-ahead schedule of the graded driver: the new nodes of the gradings
+# of 12 to 24 levels in one call, then those of three deepenings per call
+LOOKAHEAD = [controlsyn._LEVELS * 16 + 3 * 5 * 16, 3 * 5 * 16, 3 * 5 * 16]
+
+
 class TestAdaptiveGraded:
     def test_each_node_evaluated_once(self):
         T, sizes, nodes = 3.0, [], []
         value, _ = _adaptive_graded(counting(np.sqrt, sizes, nodes), T, "test")
-        k = controlsyn._ORDER
-        assert len(sizes) >= 2
-        assert sizes == [controlsyn._LEVELS * k] + [5 * k] * (len(sizes) - 1)
+        assert 1 <= len(sizes) and sizes == LOOKAHEAD[:len(sizes)]
         seen = np.concatenate(nodes)
         assert np.unique(seen).size == seen.size
-        final = _graded_gauss_rule(T, controlsyn._LEVELS + 4 * (len(sizes) - 1))[0]
+        final = _graded_gauss_rule(T, controlsyn._GROUPS[len(sizes) - 1][-1])[0]
         assert np.isin(final, seen).all()
         assert value == pytest.approx(2.0 * T**1.5 / 3.0, rel=1e-10)
 
     def test_nonconvergence_past_44_levels(self):
         # the integral of 1/s diverges: each deepening adds about 4 log 2
-        sizes = []
+        sizes, nodes = [], []
         with pytest.raises(NonConvergence, match="rel_tol=1e-11 within 44 grading levels"):
-            _adaptive_graded(counting(lambda s: 1.0 / s, sizes), 1.0, "test")
-        k, levels = controlsyn._ORDER, controlsyn._LEVELS
-        assert sizes == [levels * k] + [5 * k] * ((44 - levels) // 4 + 1)
+            _adaptive_graded(counting(lambda s: 1.0 / s, sizes, nodes), 1.0, "test")
+        assert sizes == LOOKAHEAD
+        seen = np.concatenate(nodes)
+        assert np.unique(seen).size == seen.size
+        assert np.isin(_graded_gauss_rule(1.0, 48)[0], seen).all()
 
     def test_gramian_and_cusp_energy_grade_one_end(self, monkeypatch, example2_system):
-        # one graded end: levels * order nodes, then 5 * order per deepening
+        # one graded end: the look-ahead schedule of nodes
         def one_end(sizes):
-            k = controlsyn._ORDER
-            return len(sizes) >= 2 and sizes == [controlsyn._LEVELS * k] + [5 * k] * (len(sizes) - 1)
+            return len(sizes) >= 1 and sizes == LOOKAHEAD[:len(sizes)]
 
         sizes = []
+        controlsyn._KERNELS.clear()
         monkeypatch.setattr(controlsyn, "ml_matrix_batch",
                             counting(controlsyn.ml_matrix_batch, sizes, at=3))
         controlsyn.gramian(example2_system, 10.0)
@@ -164,9 +172,64 @@ class TestAdaptiveGraded:
         monkeypatch.undo()
         res = synthesize_min_energy(problem(example2_system, [0.0, 1.0], [0.0, 0.0], 10.0))
         sizes = []
-        res.control.kernel_weight = counting(res.control.kernel_weight, sizes)
+        res.control._weight = counting(res.control._weight, sizes)
         assert modified_energy(res.control, 0.5, 10.0) == pytest.approx(res.energy, rel=1e-9)
         assert one_end(sizes)
+
+
+class TestKernelMemo:
+    """One memo of kernel values per (A, alpha, T): S0(T) and the graded
+    E_{alpha,alpha}(A s^alpha) that the Gramian and both energies read."""
+
+    @staticmethod
+    def steer(prob):
+        out = []
+        for synth in (synthesize_min_energy, synthesize_pinv):
+            res = synth(prob)
+            Q = res.gramian.Q.tobytes() if res.gramian else None
+            out.append((res.f_T.tobytes(), res.energy, Q, verify_steering(prob, res)))
+        return out
+
+    def test_call_budget_of_a_steering_op(self, monkeypatch):
+        # without the memo the graded nodes were summed three times, 192 then
+        # 80 per deepening, and S0(T) twice: 15 calls with nonzero lags here
+        sys = FracSystem(np.array([[-0.4, 0.9], [-0.7, 0.2]]), np.eye(2), alpha=0.7)
+        prob = problem(sys, [1.0, -0.5], [0.2, 0.4], 2.0, steps=2048)
+        controlsyn._KERNELS.clear()
+        fracsys._TABLES.clear()
+        lags, series = [], mlkernel._ml_series
+
+        def counted(A, alpha, beta, s, *args):
+            lags.append(np.size(s) if np.any(s) else 0)
+            return series(A, alpha, beta, s, *args)
+
+        monkeypatch.setattr(mlkernel, "_ml_series", counted)
+        monkeypatch.setattr(fracsys, "_ml_series", counted)
+        self.steer(prob)
+        nonzero = [n for n in lags if n]
+        assert len(nonzero) <= 7 and nonzero.count(432) == 1 and nonzero.count(1) == 1
+        assert lags.count(0) == 2  # w(0) of each control, summed by no loop
+
+    def test_threads_match_serial(self):
+        probs = [problem(FracSystem(A, np.eye(2), alpha=alpha), [1.0, -0.5], [0.2, 0.4], T,
+                         steps=256)
+                 for A, alpha, T in ((np.array([[-0.4, 0.9], [-0.7, 0.2]]), 0.7, 2.0),
+                                     (np.array([[0.3, -1.0], [0.5, -0.6]]), 0.4, 1.0))]
+        want = []
+        for prob in probs:
+            controlsyn._KERNELS.clear()
+            want.append(self.steer(prob))
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)  # switch threads between lookup, build and store
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(lambda p: [self.steer(p) for _ in range(3)], p)
+                           for p in probs]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            setswitchinterval(interval)
+        for g, w in zip(got, want):
+            assert all(run == w for run in g)
 
 
 class TestSolveSpd:
