@@ -62,7 +62,6 @@ from .mlkernel import (
     frac_cos,
     frac_sin,
     ml_matrix,
-    ml_matrix_batch,
     ml_scalar,
     state_transition,
 )
@@ -442,10 +441,9 @@ def _example2_energy(L: int | None = None) -> float:
     alphav = 0.5
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    def integrand(s):
+    def integrand(s, E):
         # E_{1/2,1/2}(A s^(1/2)) = s^(1/2) [[cos, sin], [-sin, cos]] in the
         # fractional sine and cosine, so the neutralizer s^(1/2) is already in
-        E = ml_matrix_batch(A, alphav, alphav, s)
         if L is None:
             cos_v = E[:, 0, 0]
         else:
@@ -453,7 +451,7 @@ def _example2_energy(L: int | None = None) -> float:
         G = np.stack([E[:, 0, 1], cos_v], axis=1)
         return G[:, :, None] * G[:, None, :]
 
-    Q = _adaptive_graded(integrand, T, "example 2 gramian")[0]
+    Q = _adaptive_graded(integrand, T, "example 2 gramian", (A, alphav))[0]
     S0T = ml_matrix(MLParams(alphav, 1.0), A * T**alphav)
     f = S0T @ np.array([0.0, 1.0])  # b = 0
     return float(f @ np.linalg.solve(Q, f))

@@ -83,10 +83,10 @@ __all__ = [
 SINGULAR_GRAMIAN_RCOND = 1e-10
 
 # a graded quadrature starts from _LEVELS panels of _ORDER Gauss nodes and deepens,
-# while it has at most _MAX_LEVELS levels, until two gradings agree to _REL_TOL;
-# one integrand call takes the new nodes of each grading of a group
+# while it has at most _MAX_LEVELS levels, until two gradings agree to _REL_TOL,
+# its integrand called once per group of gradings
 _LEVELS, _ORDER, _MAX_LEVELS, _REL_TOL = 12, 16, 44, 1e-11
-_GROUPS = ((12, 16, 20, 24), (28, 32, 36), (40, 44, 48))
+_GROUPS = ((12, 16), (20, 24, 28), (32, 36, 40, 44, 48))
 # the _ORDER-node Gauss-Legendre rule on [-1, 1], read-only
 _XG, _WG = leggauss(_ORDER)
 _XG.flags.writeable = _WG.flags.writeable = False
@@ -178,29 +178,26 @@ _KERNELS: dict = {}  # the last (A, alpha, T)'s S0(T) and graded E_{alpha,alpha}
 
 
 def _memo(A: np.ndarray, alpha: float, T: float, name, make) -> np.ndarray:
-    """Value ``name`` of the kernel memo of (A, alpha, T), ``make()`` on a miss."""
+    """The kernel memo's ``name`` for (A, alpha, T), ``make(A, alpha, T)`` on a miss."""
     key = (A.tobytes(), A.shape, alpha, T)
-    return _last_memo(_KERNELS, key, name, lambda: {name: make()})[name]
+    return _last_memo(_KERNELS, key, name, lambda: {name: make(A, alpha, T)})[name]
 
 
-def _adaptive_graded(f, T: float, what: str, kernel=None):
+def _adaptive_graded(f, T: float, what: str, kernel):
     """Gauss-Legendre quadrature over [0, T] graded toward s = 0, deepened by
     4 levels at a time until two successive gradings agree to 1e-11 relative
     in max norm, else ``NonConvergence``; returns (value, that relative
-    change).  ``f(s)`` is the integrand at the nodes s, stacked on the first
-    axis, or ``f(s, E)`` given ``kernel`` = (A, alpha), E = the memo's
-    E_{alpha,alpha}(A s^alpha) at s.  A deepening splits the innermost panel
-    into 5; the other panels keep their nodes bitwise (edges T 2^-j), so f
-    sees each node once.  f looks ahead: one call takes the new nodes of the
-    gradings of 12 to 24 levels (432), each later one those of three more."""
+    change).  ``f(s, E)`` is the integrand at the nodes s, stacked on the
+    first axis, given the memo's E = E_{alpha,alpha}(A s^alpha) there for
+    ``kernel`` = (A, alpha).  A deepening splits the innermost panel into 5;
+    the other panels keep their nodes bitwise (edges T 2^-j), so f sees each
+    node once.  f looks ahead: one call takes the new nodes of the gradings
+    of 12 and 16 levels (272), the next those of 20 to 28, the last the rest."""
     k, v0 = _ORDER, None
     for g, group in enumerate(_GROUPS):
         parts = [_graded_gauss_rule(T, lv)[0][:5 * k if lv > _LEVELS else None] for lv in group]
         s = np.concatenate(parts)
-        if kernel is None:
-            vals = f(s)
-        else:  # kernel = (A, alpha)
-            vals = f(s, _memo(*kernel, T, g, lambda: ml_matrix_batch(*kernel, kernel[1], s)))
+        vals = f(s, _memo(*kernel, T, g, lambda A, a, T: ml_matrix_batch(A, a, a, s)))
         for lv, p in zip(group, parts):
             new, vals = vals[:p.size], vals[p.size:]
             F = new if v0 is None else np.concatenate([new, F[k:]])
@@ -271,12 +268,6 @@ def _solve_spd(Q: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.linalg.solve(U, np.linalg.solve(U.T, f))
 
 
-def _defect(prob: SteeringProblem) -> np.ndarray:
-    """f_T = S0(T) a - b, with S0(T) = E_{alpha,1}(A T^alpha) from the memo."""
-    A, alpha, T = prob.sys.A, prob.sys.alpha, prob.T
-    return _memo(A, alpha, T, "S0", lambda: state_transition(A, alpha, T)) @ prob.a - prob.b
-
-
 def synthesize_min_energy(prob: SteeringProblem) -> SynthesisResult:
     """Minimum-modified-energy steering control.
 
@@ -288,7 +279,7 @@ def synthesize_min_energy(prob: SteeringProblem) -> SynthesisResult:
     """
     sys = prob.sys
     gram = gramian(sys, prob.T)
-    f = _defect(prob)
+    f = _memo(sys.A, sys.alpha, prob.T, "S0", state_transition) @ prob.a - prob.b
     if np.abs(f).max() == 0.0:
         control = MinEnergyControl(sys.A, sys.B, sys.alpha, prob.T, np.zeros(sys.n))
         return SynthesisResult(control, f, 0.0, "min-energy", gram)
@@ -316,7 +307,7 @@ def synthesize_pinv(prob: SteeringProblem) -> SynthesisResult:
     if rankB < sys.n:
         raise RankDeficientB(f"rank B = {rankB} < n = {sys.n}; no right inverse")
     B_pinv = np.linalg.pinv(sys.B)
-    f = _defect(prob)
+    f = _memo(sys.A, sys.alpha, prob.T, "S0", state_transition) @ prob.a - prob.b
     control = PinvControl(sys.A, B_pinv, sys.alpha, prob.T, -f)
     if np.abs(f).max() == 0.0:
         return SynthesisResult(control, f, 0.0, "pinv")
@@ -366,7 +357,7 @@ def synthesize_rank_based(prob: SteeringProblem,
         if abs(mass) < 1e-300:
             raise InvalidParams("phi must have nonzero integral")
         phi = GridFunction(grid, phi.values / mass)
-    f = _defect(prob)
+    f = _memo(sys.A, sys.alpha, prob.T, "S0", state_transition) @ prob.a - prob.b
     if np.abs(f).max() == 0.0:
         zero = SampledControl(GridFunction(grid, np.zeros((grid.steps + 1, sys.m))))
         return SynthesisResult(zero, f, 0.0, "rank-based")

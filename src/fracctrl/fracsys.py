@@ -32,11 +32,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import mlkernel
 from .errors import DomainError, InvalidParams, NonConvergence
 from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, caputo_derivative
-from .mlkernel import (_as_square, _check_order, _finite, _ml_series, _rgamma_floats,
-                       ml_matrix_batch)
+from .mlkernel import (_as_square, _check_order, _checked_inverse, _finite, _ml_series,
+                       _rgamma_floats, ml_matrix_batch)
 
 __all__ = [
     "FracSystem",
@@ -201,8 +200,7 @@ class PinvControl(CuspControl):
         return self._weight(s, ml_matrix_batch(self.A, self.alpha, self.alpha, s))
 
     def _weight(self, s: np.ndarray, E: np.ndarray) -> np.ndarray:
-        Einv = mlkernel._checked_inverse(E, mlkernel.SINGULAR_KERNEL_RCOND)
-        return np.einsum("sij,j->si", Einv, self.v) @ self.B_pinv.T / self.T
+        return np.einsum("sij,j->si", _checked_inverse(E), self.v) @ self.B_pinv.T / self.T
 
 
 @dataclass
@@ -321,20 +319,22 @@ def _cusp_terminal(u: CuspControl, uf: np.ndarray, grid: TimeGrid, F: np.ndarray
     sampled as ``uf`` on ``grid``, with w quadratic in y on each panel pair
     in Newton form (for odd N, the last panel's through its last three
     nodes), against the exact moments ``F`` at the panel-pair ends."""
-    # in lag order, divided by the same s as u.sample multiplied; w(0) directly
+    # in lag order, divided by the same s as u.sample multiplied; w(0) from E(0) = I/Gamma(alpha)
     s = np.maximum(u.T - grid.nodes[::-1], 0.0)
     w = uf[::-1] / (s ** (1.0 - u.alpha))[:, None]
-    w[0] = u.kernel_weight(np.zeros(1))[0]
+    E0 = np.eye(len(u.A))[None] * _rgamma_floats(u.alpha, u.alpha, 0)[0]
+    w[0] = u._weight(np.zeros(1), E0)[0]
     y, N = (np.arange(grid.steps + 1) * grid.h) ** u.alpha, grid.steps
     ends = np.append(np.arange(0, N, 2), N)
     n0 = np.minimum(ends[:-1], N - 2)
     y0, y1, y2 = y[n0, None], y[n0 + 1, None], y[n0 + 2, None]
     d1 = (w[n0 + 1] - w[n0]) / (y1 - y0)
     d2 = ((w[n0 + 2] - w[n0 + 1]) / (y2 - y1) - d1) / (y2 - y0)
-    dF = F[:, 1:] - F[:, :-1]
-    I1 = dF[1] - y0[..., None] * dF[0]
-    I2 = dF[2] - (y0 + y1)[..., None] * dF[1] + (y0 * y1)[..., None] * dF[0]
-    return sum(np.einsum("qm,qmn->n", c, d) for c, d in ((w[n0], dF[0]), (d1, I1), (d2, I2)))
+    dF = F[:, 1:] - F[:, :-1]  # then, in place, the moments that d1 and d2 multiply
+    dF[2] -= (y0 + y1)[..., None] * dF[1]
+    dF[2] += (y0 * y1)[..., None] * dF[0]
+    dF[1] -= y0[..., None] * dF[0]
+    return np.einsum("qpm,qpmn->n", np.stack([w[n0], d1, d2]), dF)
 
 
 def caputo_residual(sys: FracSystem, traj: Trajectory) -> float:

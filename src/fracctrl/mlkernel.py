@@ -332,7 +332,6 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     each.  Its L A^k (from block powers) and its sums (in another order)
     round differently from that loop's, within the rounding bound of
     summation in any order; each stacked sequence is bitwise its own call.
-    Where every lag is 0 the sums are 0 + c_0 L, bitwise that loop's, without it.
     """
     if not (s >= 0).all():
         raise DomainError("Mittag-Leffler kernels need lags s >= 0")
@@ -342,15 +341,6 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
             else functools.partial(_rgamma_floats, float(alpha), float(b))
             for b in (beta if isinstance(beta, list) else [beta])]
     q = len(coef)
-    if s.size and L.size and not s.any():  # every lag 0: where the loop stops at step 1
-        c01 = np.array([c(0)[:2] for c in coef])
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.zeros((q, s.size, L.size)) + np.multiply.outer(c01[:, 0], L.ravel())[:, None]
-            ref, la = np.abs(out).max(axis=(1, 2)), np.abs(L @ A).max()
-            stop = not la or np.isfinite(la * c01[:, 1]).all() and (policy.rel_tol * ref > 0).all()
-        if np.isfinite(ref).all() and stop:
-            out = out.reshape((q,) + s.shape + L.shape)
-            return out if isinstance(beta, list) else out[0]
     out = np.zeros((q, s.size, L.size))  # lags first, each sum an S x |L| matrix
     sa = s.ravel() ** alpha
     sa_max = float(sa.max(initial=0.0))
@@ -552,16 +542,17 @@ def _kernel_inverse_batch(A: np.ndarray, alpha: float, s: np.ndarray,
     where its singular-value ratio falls below ``SINGULAR_KERNEL_RCOND``, with
     the SVD computed only where the Frobenius certificate of
     ``_checked_inverse`` does not hold."""
-    return _checked_inverse(ml_matrix_batch(A, alpha, alpha, s, policy), SINGULAR_KERNEL_RCOND)
+    return _checked_inverse(ml_matrix_batch(A, alpha, alpha, s, policy))
 
 
-def _checked_inverse(E: np.ndarray, rcond_threshold: float) -> np.ndarray:
-    """``np.linalg.inv(E)`` over a stack of n x n matrices, refused as in
-    ``_kernel_inverse_batch``.  The SVD runs only where the Frobenius
-    certificate fails: r = max |E|_F |E^-1|_F >= sigma_max/sigma_min, so
-    r <= 1/(2 rcond_threshold) passes the rule with a factor 2 to spare, and
-    r <= 1/(64 n eps), the rank rule's margin, keeps the rounding of inv
-    (about n eps cond) far inside that factor."""
+def _checked_inverse(E: np.ndarray, rcond_threshold: float | None = None) -> np.ndarray:
+    """``np.linalg.inv(E)`` over a stack of n x n matrices, refused below
+    ``rcond_threshold`` (default ``SINGULAR_KERNEL_RCOND`` at call time).  The
+    SVD runs only where the Frobenius certificate fails: r = max |E|_F |E^-1|_F
+    >= sigma_max/sigma_min, so r <= 1/(2 rcond_threshold) passes the rule with
+    a factor 2 to spare, and r <= 1/(64 n eps), the rank rule's margin, keeps
+    the rounding of inv (about n eps cond) far inside that factor."""
+    rcond_threshold = SINGULAR_KERNEL_RCOND if rcond_threshold is None else rcond_threshold
     try:
         Einv = np.linalg.inv(E)
     except np.linalg.LinAlgError:

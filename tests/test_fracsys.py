@@ -418,8 +418,9 @@ class TestKernelTable:
 
         monkeypatch.setattr(fracsys, "_ml_series", counted)
         simulate(prob.sys, prob.a, controls["min-energy"], prob.grid)
-        # the control's samples and w(0); the moments once; no D/G1 kernel
-        assert sorted(kinds) == ["moments", "single", "single"]
+        # the control's samples; the moments once; no D/G1 kernel, and w(0)
+        # is E(0) = I/Gamma(alpha) with no series
+        assert sorted(kinds) == ["moments", "single"]
         kinds.clear()
         simulate(prob.sys, prob.a, controls["pinv"], prob.grid)
         simulate(prob.sys, prob.a, controls["sampled"], prob.grid)

@@ -568,36 +568,6 @@ class TestSeriesPrimitive:
             else:
                 assert not g.any()
 
-    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2)])
-    def test_zero_lags_exit_bitwise(self, shape):
-        # every lag 0 returns 0 + c_0 L without the loop: the loop's lag-0 row,
-        # read where a nonzero lag keeps the loop running, adds only products
-        # with s^(k alpha) = 0 to it, and turns -0.0 into +0.0 as the exit does
-        rng = np.random.default_rng(len(shape))
-        A = rng.uniform(-1.0, 1.0, (3, 3))
-        moment = lambda k: _rgamma(k * 0.7 + 0.7) / (k * 0.7 + 1.7)
-        zeros, probe = np.zeros(shape), np.array([0.0, 0.9])
-        lefts = (np.array([[0.3, -0.0, 1.2], [-0.5, 0.0, -0.0]]), np.eye(3), np.array([-0.0, 2.0, 0.4]))
-        for L in lefts:
-            for beta in (0.7, 1.0, moment, [1.7, moment, 0.7]):
-                got = _ml_series(A, 0.7, beta, zeros, L, DEFAULT_POLICY)
-                row = _ml_series(A, 0.7, beta, probe, L, DEFAULT_POLICY)
-                row = row[:, 0] if isinstance(beta, list) else row[0]
-                lead = (len(beta),) if isinstance(beta, list) else ()
-                want = np.broadcast_to(row.reshape(lead + (1,) * len(shape) + L.shape),
-                                       lead + shape + L.shape)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                assert not np.signbit(got[got == 0.0]).any()
-                if not isinstance(beta, list) and not callable(beta):
-                    want = lag_first_series(A, 0.7, beta, zeros, L, DEFAULT_POLICY)
-                    assert got.tobytes() == want.tobytes()
-        # where the loop would not stop at step 1, it runs and refuses as before
-        L, policy = np.array([1e308, 1.0]), SeriesPolicy(max_terms=40)
-        with pytest.raises(NonConvergence, match="terms overflow"):
-            _ml_series(A[:2, :2], 0.5, lambda k: np.full(k.shape, 10.0), zeros, L, policy)
-        with pytest.raises(NonConvergence, match="no convergence in 40 terms"):
-            _ml_series(A[:2, :2], 0.5, lambda k: (k > 0) * 1.0, zeros, np.ones(2), policy)
-
 
 class TestSeriesAccuracy:
     """The matrix series against the mpmath sums of ``tests/oracles.py``,
