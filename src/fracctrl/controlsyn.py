@@ -60,7 +60,7 @@ from .fracsys import (
     caputo_residual,
     simulate,
 )
-from .mlkernel import _finite, _kernel_inverse_batch, ml_matrix_batch, state_transition
+from .mlkernel import _checked_inverse, _finite, ml_matrix_batch, state_transition
 
 __all__ = [
     "SteeringProblem",
@@ -362,7 +362,7 @@ def synthesize_rank_based(prob: SteeringProblem,
         zero = SampledControl(GridFunction(grid, np.zeros((grid.steps + 1, sys.m))))
         return SynthesisResult(zero, f, 0.0, "rank-based")
     s = prob.T - grid.nodes
-    Einv = _kernel_inverse_batch(sys.A, sys.alpha, s)
+    Einv = _checked_inverse(ml_matrix_batch(sys.A, sys.alpha, sys.alpha, s))
     psi = (s ** (1.0 - sys.alpha))[:, None] * np.einsum("sij,j->si", Einv, -f)
     psi = psi * phi.values[:, None]
     u_vals = psi @ rd.K_blocks[0].T

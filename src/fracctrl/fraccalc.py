@@ -18,6 +18,7 @@ Accuracy caveats, documented rather than patched:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -113,6 +114,25 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a, nf, axis=0) * np.fft.rfft(b, nf, axis=0), nf, axis=0)[:n]
 
 
+def _spectrum(a: np.ndarray) -> np.ndarray:
+    """Real-FFT spectrum along axis 0 of a's N rows, padded for a convolution with N rows."""
+    return np.fft.rfft(a, _next_fast_len(2 * a.shape[0] - 1), axis=0)
+
+
+def _convolved(spec: np.ndarray, N: int) -> np.ndarray:
+    """The first N rows of the convolution of two N-row arrays from the product of their spectra."""
+    return np.fft.irfft(spec, _next_fast_len(2 * N - 1), axis=0)[:N]
+
+
+@functools.lru_cache(maxsize=32)
+def _l1_weights(alpha: float, N: int) -> tuple:
+    """The L1 weights' spectrum and 1/Gamma(2-alpha), read-only, built once per (alpha, N)."""
+    k, rg = np.arange(N), _rgamma(2.0 - alpha)
+    spec = _spectrum(((k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha))[:, None])
+    spec.flags.writeable = rg.flags.writeable = False
+    return spec, rg
+
+
 def _frac_integral_values(values: np.ndarray, beta: float, h: float) -> np.ndarray:
     """Left fractional integral of order beta > 0 at every node (distances
     measured from the grid start, which keeps tau^(beta+1) in range for large
@@ -163,14 +183,11 @@ def caputo_derivative(f: GridFunction, alpha: float) -> GridFunction:
     O(h^(2-alpha)) on smooth data.
     """
     _check_unit_order(alpha)
-    vals = f.values
-    N = vals.shape[0] - 1
-    h = f.grid.h
-    k = np.arange(N)
-    b = (k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)
-    df = np.diff(vals.reshape(N + 1, -1), axis=0)
-    out = np.zeros((N + 1, df.shape[1]))
-    out[1:] = _fft_convolve(b[:, None], df)[:N] * (_rgamma(2.0 - alpha) / h**alpha)
+    vals, N = f.values, f.grid.steps
+    spec, rg = _l1_weights(float(alpha), N)
+    out = np.zeros((N + 1, vals.size // (N + 1)))
+    out[1:] = _convolved(spec * _spectrum(np.diff(vals.reshape(N + 1, -1), axis=0)), N)
+    out[1:] *= rg / f.grid.h**alpha
     return GridFunction(f.grid, out.reshape(vals.shape))
 
 

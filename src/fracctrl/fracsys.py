@@ -5,23 +5,23 @@ A system is the quadruple (A, B, C, alpha) of the Caputo-order-alpha dynamics
     D^alpha x(t) = A x(t) + B u(t),   y = C x(t),   x(0) = a,
 
 whose explicit solution is the fractional variation-of-constants formula:
-the free response through E_{alpha,1}(A t^alpha) plus the weakly singular
+the free response E_{alpha,1}(A t^alpha) a plus the weakly singular
 convolution of the alpha-exponential kernel with B u.
 
 ``simulate`` evaluates that convolution as one product integration against
 the full kernel: the sampled control is read as piecewise linear, and each
 hat function is integrated exactly against s^(alpha-1) E_{alpha,alpha}(A
-s^alpha) B through the kernel's antiderivatives, which are Mittag-Leffler
-functions themselves.  The weights form one discrete convolution, done by
-FFT once per input channel.  The kernel's non-smoothness never touches the
-quadrature, so the error is governed by how well the sampled control is
-resolved.  At the terminal node of a closed-form control u(T-s) = s^(1-alpha)
-w(s) the kernel's s^(alpha-1) cancels the cusp; w, analytic in y = s^alpha,
-is interpolated quadratically in y on each panel pair and integrated exactly
-against E_{alpha,alpha}(A s^alpha) B through its moments (product
-integration, as in Diethelm, *The Analysis of Fractional Differential
-Equations*).  Trajectories are written as CSV by the command-line front end
-only (``fracctrl simulate --out``).
+s^alpha) B through the kernel's antiderivatives, Mittag-Leffler functions
+summed in one pass with the free response.  The weights' spectra are kept;
+the control's channels are transformed once, summed in frequency space and
+transformed back by one inverse FFT.  The error is governed by how well the
+sampled control is resolved.  At the terminal node of a closed-form control
+u(T-s) = s^(1-alpha) w(s) the kernel's s^(alpha-1) cancels the cusp; w,
+analytic in y = s^alpha, is interpolated quadratically in y on each panel
+pair and integrated exactly against E_{alpha,alpha}(A s^alpha) B through its
+moments (product integration, as in Diethelm, *The Analysis of Fractional
+Differential Equations*).  Trajectories are written as CSV by the
+command-line front end only (``fracctrl simulate --out``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InvalidParams, NonConvergence
-from .fraccalc import GridFunction, TimeGrid, _centered_diff, _fft_convolve, caputo_derivative
+from .fraccalc import (GridFunction, TimeGrid, _centered_diff, _convolved, _spectrum,
+                       caputo_derivative)
 from .mlkernel import (_as_square, _check_order, _checked_inverse, _finite, _ml_series,
                        _rgamma_floats, ml_matrix_batch)
 
@@ -242,13 +243,11 @@ def simulate(sys: FracSystem, a: np.ndarray, u: ControlSignal, grid: TimeGrid) -
             and abs(u.T - grid.t1) <= 1e-12 * grid.t1)
     tab = _kernel_table(sys, grid, a, cusp)
     with np.errstate(all="ignore"):
-        conv = np.zeros((grid.steps + 1, sys.n))
-        conv[1:] = uf[0] @ tab["first"]
-        for c in range(sys.m):
-            conv[1:] += _fft_convolve(tab["W"][:, c], uf[1:, c, None])[:grid.steps]
-        states = tab["x"] + conv
+        states = tab["x"].copy()  # plus the half hat, and the channels summed in frequency space
+        states[1:] += np.einsum("c,dcn->dn", uf[0], tab["first"]) + _convolved(
+            np.einsum("fc,fcn->fn", _spectrum(uf[1:]), tab["Wf"]), grid.steps)
         if cusp:
-            states[-1] = tab["x"][-1] + _cusp_terminal(u, uf, grid, tab["F"])
+            states[-1] = tab["x"][-1] + _cusp_terminal(u, uf, grid, tab)
     if not np.isfinite(states).all():
         raise NonConvergence("simulated states overflow")
     states[0] = a
@@ -277,34 +276,44 @@ def _last_memo(store: dict, key, name: str, make) -> dict:
 
 
 def _kernel_table(sys: FracSystem, grid: TimeGrid, a: np.ndarray, moments: bool) -> dict:
-    """simulate's control-free work, read-only: hat weights ``W``, the half hat
-    ``first`` at t = 0, the free response ``x`` and, once a cusp control needs
-    them, the moments ``F``."""
+    """simulate's control-free work, read-only: the hat weights' spectra ``Wf``,
+    the half hat ``first`` at t = 0, the free response ``x`` and, once a cusp
+    control needs them, the Newton-form moment terms ``dF`` and y gaps ``dy``."""
     key = (sys.A.tobytes(), sys.A.shape, sys.B.tobytes(), sys.B.shape, sys.alpha, grid,
            a.tobytes())
-    At, Bt, alpha, N = sys.A.T, sys.B.T, sys.alpha, grid.steps
+    At, alpha, N = sys.A.T, sys.alpha, grid.steps
     lags, ends = np.arange(N + 1) * grid.h, np.append(np.arange(0, N, 2), N)
 
     def hats():
-        # The kernel s^(alpha-1) E_{alpha,alpha}(A s^alpha) B has the
-        # antiderivatives G1(s) = s^alpha E_{alpha,alpha+1}(A s^alpha) B and
-        # G2(s) = s^(alpha+1) E_{alpha,alpha+2}(A s^alpha) B, kept transposed
-        # (lag, channel, state).  With D the first differences of G2 over h, the
-        # hat function at lag d*h integrates to D[d] - D[d-1] (D[-1] = 0), and
-        # the half hat at t = 0 to G1 - D, needed at the output lags only.
-        S = _ml_series(At, alpha, [alpha + 2.0, alpha + 1.0], lags, Bt)
-        D = np.diff(S[0] * (lags ** (alpha + 1.0))[:, None, None], axis=0) / grid.h
-        return {"first": S[1, 1:] * (lags[1:] ** alpha)[:, None, None] - D,
-                "W": np.diff(D, axis=0, prepend=0.0),
-                "x": _ml_series(At, alpha, 1.0, grid.nodes, a)}
+        # The kernel s^(alpha-1) E_{alpha,alpha}(A s^alpha) B has antiderivatives
+        # G1(s) = s^alpha E_{alpha,alpha+1}(A s^alpha) B and G2(s) = s^(alpha+1)
+        # E_{alpha,alpha+2}(A s^alpha) B, kept transposed (lag, channel, state).
+        # With D the first differences of G2 over h, the hat at lag d*h integrates
+        # to D[d] - D[d-1] (D[-1] = 0), and the half hat at t = 0 to G1 - D.  The
+        # free response a + t^alpha E_{alpha,alpha+1}(A t^alpha) A a rides as a
+        # last row, scaled by 2^e to B's max-norm for the shared stop rule.
+        e = np.frexp(np.abs(sys.B).max())[1] - np.frexp(np.abs(sys.A @ a).max())[1]
+        L = np.vstack([sys.B.T, np.ldexp(sys.A @ a, e)])
+        S = _ml_series(At, alpha, [alpha + 2.0, alpha + 1.0], lags, L)
+        D = np.diff(S[0, :, :-1] * (lags ** (alpha + 1.0))[:, None, None], axis=0) / grid.h
+        return {"first": S[1, 1:, :-1] * (lags[1:] ** alpha)[:, None, None] - D,
+                "Wf": _spectrum(np.diff(D, axis=0, prepend=0.0)),
+                "x": a + (lags ** alpha)[:, None] * np.ldexp(S[1, :, -1], -e)}
 
     def cusp_moments():
-        F = _ml_series(At, alpha, _moment_coefs(alpha), lags[ends], Bt)
-        return {"F": F * (lags[ends] ** (np.arange(3)[:, None] * alpha + 1.0))[..., None, None]}
+        # the moments at the panel-pair ends, differenced and taken in place to the Newton terms
+        F = _ml_series(At, alpha, _moment_coefs(alpha), lags[ends], sys.B.T)
+        F *= (lags[ends] ** (np.arange(3)[:, None] * alpha + 1.0))[..., None, None]
+        y = lags[np.minimum(ends[:-1], N - 2) + np.arange(3)[:, None]] ** alpha
+        dF = F[:, 1:] - F[:, :-1]
+        dF[2] -= (y[0] + y[1])[:, None, None] * dF[1]
+        dF[2] += (y[0] * y[1])[:, None, None] * dF[0]
+        dF[1] -= y[0, :, None, None] * dF[0]
+        return {"dF": dF, "dy": np.stack([y[1] - y[0], y[2] - y[1], y[2] - y[0]])[..., None]}
 
     with np.errstate(all="ignore"):
         tab = _last_memo(_TABLES, key, "x", hats)
-        return _last_memo(_TABLES, key, "F", cusp_moments) if moments else tab
+        return _last_memo(_TABLES, key, "dF", cusp_moments) if moments else tab
 
 
 def _moment_coefs(alpha: float) -> list:
@@ -314,27 +323,19 @@ def _moment_coefs(alpha: float) -> list:
                                      k * alpha + p * alpha + 1.0) for p in range(3)]
 
 
-def _cusp_terminal(u: CuspControl, uf: np.ndarray, grid: TimeGrid, F: np.ndarray) -> np.ndarray:
-    """integral over [0, T] of B^T E_{alpha,alpha}(A^T s^alpha) w(s) ds from u
-    sampled as ``uf`` on ``grid``, with w quadratic in y on each panel pair
-    in Newton form (for odd N, the last panel's through its last three
-    nodes), against the exact moments ``F`` at the panel-pair ends."""
+def _cusp_terminal(u: CuspControl, uf: np.ndarray, grid: TimeGrid, tab: dict) -> np.ndarray:
+    """integral over [0, T] of B^T E_{alpha,alpha}(A^T s^alpha) w(s) ds from u sampled
+    as ``uf`` on ``grid``, with w quadratic in y on each panel pair in Newton form (for
+    odd N, the last panel's through its last three nodes), against the table's moments."""
     # in lag order, divided by the same s as u.sample multiplied; w(0) from E(0) = I/Gamma(alpha)
     s = np.maximum(u.T - grid.nodes[::-1], 0.0)
     w = uf[::-1] / (s ** (1.0 - u.alpha))[:, None]
     E0 = np.eye(len(u.A))[None] * _rgamma_floats(u.alpha, u.alpha, 0)[0]
     w[0] = u._weight(np.zeros(1), E0)[0]
-    y, N = (np.arange(grid.steps + 1) * grid.h) ** u.alpha, grid.steps
-    ends = np.append(np.arange(0, N, 2), N)
-    n0 = np.minimum(ends[:-1], N - 2)
-    y0, y1, y2 = y[n0, None], y[n0 + 1, None], y[n0 + 2, None]
-    d1 = (w[n0 + 1] - w[n0]) / (y1 - y0)
-    d2 = ((w[n0 + 2] - w[n0 + 1]) / (y2 - y1) - d1) / (y2 - y0)
-    dF = F[:, 1:] - F[:, :-1]  # then, in place, the moments that d1 and d2 multiply
-    dF[2] -= (y0 + y1)[..., None] * dF[1]
-    dF[2] += (y0 * y1)[..., None] * dF[0]
-    dF[1] -= y0[..., None] * dF[0]
-    return np.einsum("qpm,qpmn->n", np.stack([w[n0], d1, d2]), dF)
+    n0, dy = np.minimum(np.arange(0, grid.steps, 2), grid.steps - 2), tab["dy"]
+    d1 = (w[n0 + 1] - w[n0]) / dy[0]
+    d2 = ((w[n0 + 2] - w[n0 + 1]) / dy[1] - d1) / dy[2]
+    return np.einsum("qpm,qpmn->n", np.stack([w[n0], d1, d2]), tab["dF"])
 
 
 def caputo_residual(sys: FracSystem, traj: Trajectory) -> float:

@@ -33,12 +33,12 @@ All functions are pure.  Shared state is immutable once built or swapped whole,
 so safe for concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and
 ``_rgamma_floats`` (a race builds a row twice, bitwise the same), ``_ln_int``
 (ln m at 44 digits, correctly rounded, so a race stores the same immutable
-Decimal twice); ``fracsys._TABLES`` (simulate's last kernel table of
-read-only arrays, swapped under a lock) and ``controlsyn._KERNELS`` (the
-same for S0(T) and the graded kernel values), the read-only rules of
-``controlsyn._graded_gauss_rule``'s cache; ``_CTX`` and the 44-digit
-``_CTX44``, whose settings never change (their status flags are set but
-never read).  The matrix series' tables and buffers belong to one call.
+Decimal twice); ``fracsys._TABLES`` (simulate's last kernel table of read-only
+arrays, swapped under a lock) and ``controlsyn._KERNELS`` (the same for S0(T)
+and the graded kernel values); the read-only arrays cached by
+``controlsyn._graded_gauss_rule`` and ``fraccalc._l1_weights``; ``_CTX`` and
+the 44-digit ``_CTX44``, whose settings never change (their status flags are
+set but never read).  The matrix series' tables and buffers belong to one call.
 """
 
 from __future__ import annotations
@@ -533,16 +533,8 @@ def inverse_kernel(
     _check_order(alpha)
     if not t > 0.0:
         raise DomainError(f"inverse_kernel requires t > 0, got {t}")
-    return t ** (1.0 - alpha) * _kernel_inverse_batch(A, alpha, np.array([t]), policy)[0]
-
-
-def _kernel_inverse_batch(A: np.ndarray, alpha: float, s: np.ndarray,
-                          policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """E_{alpha,alpha}(A s^alpha)^(-1) over an array of lags; ``SingularKernel``
-    where its singular-value ratio falls below ``SINGULAR_KERNEL_RCOND``, with
-    the SVD computed only where the Frobenius certificate of
-    ``_checked_inverse`` does not hold."""
-    return _checked_inverse(ml_matrix_batch(A, alpha, alpha, s, policy))
+    E = ml_matrix_batch(A, alpha, alpha, np.array([t]), policy)
+    return t ** (1.0 - alpha) * _checked_inverse(E)[0]
 
 
 def _checked_inverse(E: np.ndarray, rcond_threshold: float | None = None) -> np.ndarray:

@@ -198,8 +198,9 @@ class TestKernelMemo:
         # without the memo the graded nodes were summed three times, 192 then
         # 80 per deepening, and S0(T) twice: 15 calls with nonzero lags here.
         # Now one call per look-ahead group the deepest quadrature reaches (two
-        # here: the Gramian stops at 20 levels), one for S0(T), and five for
-        # simulate's table, its moments and the two controls' samples
+        # here: the Gramian stops at 20 levels), one for S0(T), and four for
+        # simulate's table (the hat weights and the free response in one
+        # pass), its moments and the two controls' samples
         sys = FracSystem(np.array([[-0.4, 0.9], [-0.7, 0.2]]), np.eye(2), alpha=0.7)
         prob = problem(sys, [1.0, -0.5], [0.2, 0.4], 2.0, steps=2048)
         controlsyn._KERNELS.clear()
@@ -214,7 +215,7 @@ class TestKernelMemo:
         monkeypatch.setattr(fracsys, "_ml_series", counted)
         self.steer(prob)
         nonzero = [n for n in lags if n]
-        assert nonzero[:3] == [272, 240, 1] and len(nonzero) == 8
+        assert nonzero[:3] == [272, 240, 1] and len(nonzero) == 7
         assert 0 not in lags  # w(0) of each control is E(0) = I/Gamma(alpha), summed by no loop
 
     def test_threads_match_serial(self):

@@ -32,7 +32,7 @@ from fracctrl import (
     verify_steering,
 )
 from fracctrl import fracsys
-from fracctrl.fraccalc import _frac_integral_values
+from fracctrl.fraccalc import _fft_convolve, _frac_integral_values, _l1_weights
 from fracctrl.fracsys import _moment_coefs
 from fracctrl.mlkernel import _ml_series, _rgamma
 
@@ -399,9 +399,11 @@ class TestKernelTable:
         want = []
         for res in results:
             fracsys._TABLES.clear()
+            _l1_weights.cache_clear()  # and the residual's L1 weights
             want.append(verify_steering(prob, res))
         fracsys._TABLES.clear()
         assert [verify_steering(prob, res) for res in results] == want
+        assert _l1_weights.cache_info().hits
         assert [verify_steering(prob, res) for res in results[::-1]] == want[::-1]
 
     def test_moments_added_once_and_kernel_reused(self, monkeypatch):
@@ -482,6 +484,120 @@ class TestKernelTable:
             setswitchinterval(interval)
         for g, w in zip(got, want):
             assert all(_same_trajectory(x, y) for x, y in zip(g, w))
+
+
+def _recorded_series(monkeypatch):
+    """Route fracsys's series calls through a recorder of (args, result)."""
+    calls, series = [], fracsys._ml_series
+
+    def recorded(*args):
+        calls.append((args, series(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fracsys, "_ml_series", recorded)
+    return calls
+
+
+FOLD_CASES = {  # (A, alpha); the rotation at alpha 0.8, as its kernel at 0.35 cancels (cond 2e7)
+    "stable": (np.array([[-1.2, 0.4], [0.3, -0.8]]), 0.35),
+    "unstable": (np.array([[0.9, 0.5], [-0.2, 1.3]]), 0.35),
+    "oscillatory": (np.array([[0.0, 2.0], [-2.0, 0.0]]), 0.8),
+    "nilpotent": (np.array([[0.0, 1.5], [0.0, 0.0]]), 0.35),
+    "classical": (np.array([[0.9, 0.5], [-0.2, 1.3]]), 1.0),
+}
+
+
+class TestFreeResponseFold:
+    """The free response rides as a scaled row of the hat weights' series:
+    E_{alpha,1}(A t^alpha) a = a + t^alpha E_{alpha,alpha+1}(A t^alpha) A a."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**30, 2.0**-30], ids=["B", "B*2^30", "B*2^-30"])
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_zero_control_is_the_state_transition(self, monkeypatch, case, scale):
+        A, alpha = FOLD_CASES[case]
+        B = scale * np.array([[0.5], [-1.0]])
+        grid, a = TimeGrid(0.0, 2.0, 256), np.array([0.7, -1.1])
+        calls = _recorded_series(monkeypatch)
+        fracsys._TABLES.clear()
+        traj = simulate(FracSystem(A, B, alpha=alpha), a, constant_control(grid, 0.0), grid)
+        want = np.array([state_transition(A, alpha, t) @ a for t in grid.nodes])
+        scale_x = np.maximum(1.0, np.abs(want).max(axis=1))
+        assert (np.abs(traj.states - want).max(axis=1) <= 2e-13 * scale_x).all()
+        # the B rows of the folded call against a B-only series: the power-of-two
+        # scaling of A a keeps the shared stop rule's relative precision
+        (At, _, betas, lags, L), S = calls[0]
+        assert L.shape == (2, 2) and np.array_equal(L[0], B[:, 0])
+        ref = _ml_series(A.T, alpha, betas, lags, B.T, DEFAULT_POLICY)
+        assert np.abs(S[:, :, :1] - ref).max() <= 2e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("B, a", [
+        pytest.param([[0.0], [2.0**30]], [1.0, 0.0], id="B*2^30-on-the-fast-mode"),
+        pytest.param([[2.0**-30], [0.0]], [0.0, 1.0], id="B*2^-30-on-the-slow-mode"),
+    ])
+    def test_scaling_keeps_each_rows_precision(self, monkeypatch, B, a):
+        # unscaled, the larger row's stop would leave the other row's slower
+        # terms (mode 2: E(2 s^0.8) against mode 0.1) at 1e-14 of the larger row
+        A, B, a, alpha = np.diag([2.0, 0.1]), np.array(B), np.array(a), 0.8
+        grid = TimeGrid(0.0, 2.0, 256)
+        calls = _recorded_series(monkeypatch)
+        fracsys._TABLES.clear()
+        traj = simulate(FracSystem(A, B, alpha=alpha), a, constant_control(grid, 0.0), grid)
+        want = np.array([state_transition(A, alpha, t) @ a for t in grid.nodes])
+        assert np.abs(traj.states - want).max() <= 2e-14 * np.abs(want).max()
+        (At, _, betas, lags, L), S = calls[0]
+        ref = _ml_series(A.T, alpha, betas, lags, B.T, DEFAULT_POLICY)
+        assert np.abs(S[:, :, :1] - ref).max() <= 2e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_zero_state_stays_zero(self, case):
+        A, alpha = FOLD_CASES[case]
+        grid = TimeGrid(0.0, 2.0, 64)
+        fracsys._TABLES.clear()
+        sys = FracSystem(A, np.array([[0.5], [-1.0]]), alpha=alpha)
+        assert not simulate(sys, np.zeros(2), constant_control(grid, 0.0), grid).states.any()
+
+
+def _per_channel_convolution(sys, uf, grid):
+    """simulate from x(0) = 0 of piecewise-linear samples ``uf``, as one FFT
+    convolution per channel against hat weights from their own series."""
+    N, h, alpha = grid.steps, grid.h, sys.alpha
+    lags = np.arange(N + 1) * h
+    S = _ml_series(sys.A.T, alpha, [alpha + 2.0, alpha + 1.0], lags, sys.B.T, DEFAULT_POLICY)
+    D = np.diff(S[0] * (lags ** (alpha + 1.0))[:, None, None], axis=0) / h
+    first, W = S[1, 1:] * (lags[1:] ** alpha)[:, None, None] - D, np.diff(D, axis=0, prepend=0.0)
+    conv = np.zeros((N + 1, sys.n))
+    conv[1:] = uf[0] @ first
+    for c in range(sys.m):
+        conv[1:] += _fft_convolve(W[:, c], uf[1:, c, None])[:N]
+    return conv
+
+
+class TestSpectralConvolution:
+    """simulate sums its channels in frequency space against the hat
+    weights' spectra kept in the kernel table."""
+
+    @pytest.mark.parametrize("steps", [2, 3, 7, 2048])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_per_channel_convolution(self, m, steps):
+        rng = np.random.default_rng(10 * m + steps)
+        A = np.array([[-0.6, 1.1, 0.0], [-0.9, 0.2, 0.4], [0.3, 0.0, -0.5]])
+        sys = FracSystem(A, rng.uniform(-1.0, 1.0, (3, m)), alpha=0.6)
+        grid = TimeGrid(0.0, 1.5, steps)
+        u = SampledControl(GridFunction(grid, rng.uniform(-1.0, 1.0, (steps + 1, m))))
+        fracsys._TABLES.clear()
+        got = simulate(sys, np.zeros(3), u, grid).states  # x = 0 exactly: the convolution alone
+        want = _per_channel_convolution(sys, u.data.values, grid)
+        assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+
+    def test_cached_arrays_are_read_only(self):
+        spec, rg = _l1_weights(0.6, 64)
+        prob, controls = _steering_case(steps=64)
+        simulate(prob.sys, prob.a, controls["min-energy"], prob.grid)
+        table = next(iter(fracsys._TABLES.values()))
+        assert {"Wf", "first", "x", "dF", "dy"} <= set(table)
+        for arr in [spec, rg, *table.values()]:
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 class TestResidual:

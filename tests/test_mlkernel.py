@@ -44,7 +44,7 @@ from fracctrl import (
 )
 from fracctrl import mlkernel
 from fracctrl.cli import _ML_PRINT_POLICY
-from fracctrl.mlkernel import _checked_inverse, _kernel_inverse_batch, _ml_series, _rgamma
+from fracctrl.mlkernel import _checked_inverse, _ml_series, _rgamma
 
 # frozen 50-digit oracle values (independent fixed-precision summation of the
 # defining series; see tests/oracles.py to regenerate)
@@ -947,7 +947,7 @@ class TestCheckedInverse:
             raise AssertionError("SVD computed for a certified batch")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        got = _kernel_inverse_batch(A, 0.6, s, DEFAULT_POLICY)
+        got = _checked_inverse(mlkernel.ml_matrix_batch(A, 0.6, 0.6, s, DEFAULT_POLICY))
         assert np.array_equal(got, want)
 
 
