@@ -32,6 +32,7 @@ import dataclasses
 import json
 import math
 import sys as _sys
+import warnings
 
 import numpy as np
 
@@ -256,7 +257,11 @@ def _write_csv(path: str, t: np.ndarray, **blocks) -> None:
 
 
 def _control_from_csv(path: str, m: int) -> SampledControl:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # numpy warns of a file without data rows; refused below
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.size == 0:
+        raise InputError("control CSV has no data rows")
     if data.shape[1] != m + 1:
         raise InputError(f"control CSV must have 1+{m} columns")
     t = data[:, 0]

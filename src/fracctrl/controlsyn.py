@@ -85,8 +85,8 @@ SINGULAR_GRAMIAN_RCOND = 1e-10
 # a graded quadrature starts from _LEVELS panels of _ORDER Gauss nodes and deepens,
 # while it has at most _MAX_LEVELS levels, until two gradings agree to _REL_TOL,
 # its integrand called once per group of gradings
-_LEVELS, _ORDER, _MAX_LEVELS, _REL_TOL = 12, 16, 44, 1e-11
 _GROUPS = ((12, 16), (20, 24, 28), (32, 36, 40, 44, 48))
+_LEVELS, _ORDER, _MAX_LEVELS, _REL_TOL = _GROUPS[0][0], 16, _GROUPS[-1][-2], 1e-11
 # the _ORDER-node Gauss-Legendre rule on [-1, 1], read-only
 _XG, _WG = leggauss(_ORDER)
 _XG.flags.writeable = _WG.flags.writeable = False
@@ -163,7 +163,7 @@ class SteeringReport:
 def _graded_gauss_rule(T: float, levels: int):
     """Composite Gauss-Legendre rule over [0, T]: 16 nodes on each of
     ``levels`` panels that halve toward s = 0.  Returns (nodes, weights),
-    nodes ascending, read-only and built once per (T, levels)."""
+    nodes ascending, read-only and built once per (T, levels), so shared by threads."""
     if not 0.0 < T < math.inf:
         raise InvalidParams(f"horizon must be positive and finite, got {T}")
     edges = np.append(0.0, T * 0.5 ** np.arange(levels)[::-1])
@@ -174,7 +174,9 @@ def _graded_gauss_rule(T: float, levels: int):
     return s, w
 
 
-_KERNELS: dict = {}  # the last (A, alpha, T)'s S0(T) and graded E_{alpha,alpha}(A s^alpha)
+# the last (A, alpha, T)'s S0(T) and graded E_{alpha,alpha}(A s^alpha): read-only arrays
+# swapped whole under fracsys's lock, so shared by threads
+_KERNELS: dict = {}
 
 
 def _memo(A: np.ndarray, alpha: float, T: float, name, make) -> np.ndarray:
@@ -403,8 +405,7 @@ def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
     ``simulate``; the panels are its nodes inside (0, T), with 0 and T as ends.
     """
     g, nodes = u.data.grid, u.data.grid.nodes
-    tol = 1e-12 * (g.t1 - g.t0)  # the tolerance of its reader, GridFunction
-    if g.t0 - tol > 0.0 or g.t1 + tol < T:
+    if u.data._outside(np.array([0.0, T])).any():
         raise DomainError("sampled control grid must span [0, T]")
     inner = (nodes > 0.0) & (nodes < T)
     # the reader returns a sample exactly at t0, and at t1 only as its last one
@@ -445,7 +446,7 @@ def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
 def _check_own_horizon(u: CuspControl, alpha: float, T: float) -> None:
     """``DomainError`` unless alpha and T are the cusp control's own (T to
     1e-12 relative): its energy rule holds there only."""
-    if alpha != u.alpha or abs(T - u.T) > 1e-12 * u.T:
+    if not u._is_own(alpha, T):
         raise DomainError(f"a cusp control of (alpha, T) = ({u.alpha}, {u.T}) has no "
                           f"energy rule at (alpha, T) = ({alpha}, {T})")
 

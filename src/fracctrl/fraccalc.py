@@ -83,13 +83,20 @@ class GridFunction:
         """Piecewise-linear evaluation at a time or an array of times of
         [t0, t1]; the times' axes come first."""
         g, t = self.grid, np.asarray(t, dtype=float)
-        out = ~((g.t0 - 1e-12 * (g.t1 - g.t0) <= t) & (t <= g.t1 + 1e-12 * (g.t1 - g.t0)))
+        out = self._outside(t)
         if out.any():
             raise DomainError(f"t={t[out][0]} outside grid [{g.t0}, {g.t1}]")
         x = np.clip((t - g.t0) / g.h, 0.0, g.steps)
         i = np.minimum(x.astype(int), g.steps - 1)
         w = np.reshape(x - i, t.shape + (1,) * (self.values.ndim - 1))
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+
+    def _outside(self, t) -> np.ndarray:
+        """Where the times t fall outside [t0, t1] by more than the reader's
+        tolerance, 1e-12 of the grid's length."""
+        g, t = self.grid, np.asarray(t, dtype=float)
+        tol = 1e-12 * (g.t1 - g.t0)
+        return ~((g.t0 - tol <= t) & (t <= g.t1 + tol))
 
 
 def _next_fast_len(n: int) -> int:
@@ -104,16 +111,6 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a and b along axis 0, other axes broadcast,
-    by ``numpy.fft`` real transforms of a 2,3,5-smooth length."""
-    if a.shape[0] == 1 or b.shape[0] == 1:
-        return a * b
-    n = a.shape[0] + b.shape[0] - 1
-    nf = _next_fast_len(n)
-    return np.fft.irfft(np.fft.rfft(a, nf, axis=0) * np.fft.rfft(b, nf, axis=0), nf, axis=0)[:n]
-
-
 def _spectrum(a: np.ndarray) -> np.ndarray:
     """Real-FFT spectrum along axis 0 of a's N rows, padded for a convolution with N rows."""
     return np.fft.rfft(a, _next_fast_len(2 * a.shape[0] - 1), axis=0)
@@ -126,7 +123,8 @@ def _convolved(spec: np.ndarray, N: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _l1_weights(alpha: float, N: int) -> tuple:
-    """The L1 weights' spectrum and 1/Gamma(2-alpha), read-only, built once per (alpha, N)."""
+    """The L1 weights' spectrum and 1/Gamma(2-alpha), built once per (alpha, N) and
+    read-only, so that threads share them."""
     k, rg = np.arange(N), _rgamma(2.0 - alpha)
     spec = _spectrum(((k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha))[:, None])
     spec.flags.writeable = rg.flags.writeable = False
@@ -146,7 +144,7 @@ def _frac_integral_values(values: np.ndarray, beta: float, h: float) -> np.ndarr
     if N >= 2:
         # interior weights tau_{d+1}^{b+1} - 2 tau_d^{b+1} + tau_{d-1}^{b+1}
         w = tb1[2:] - 2.0 * tb1[1:-1] + tb1[:-2]
-        acc[1:] += _fft_convolve(w[:, None], uu[1:])[: N - 1]
+        acc[1:] += _convolved(_spectrum(w[:, None]) * _spectrum(uu[1:N]), N - 1)
     out = np.zeros_like(uu)
     out[1:] = (_rgamma(beta + 2.0) / h) * acc
     return out.reshape(values.shape)
@@ -212,12 +210,12 @@ def singular_convolution(
     if alpha <= 0.0:
         raise InvalidOrder(f"convolution order must be > 0, got {alpha}")
     g = u.grid
-    eps = 1e-12 * (g.t1 - g.t0)
-    if not (g.t0 < t_eval <= g.t1 + eps):
+    if not g.t0 < t_eval or u._outside(t_eval):
         raise DomainError(f"t_eval={t_eval} outside ({g.t0}, {g.t1}]")
     t_eval = min(t_eval, g.t1)
     nodes = g.nodes
-    k = int((nodes < t_eval - eps).sum())
+    # a node closer below t_eval than the reader's tolerance merges into it
+    k = int((nodes < t_eval - 1e-12 * (g.t1 - g.t0)).sum())
     taus = np.append(nodes[:k], t_eval)
     U = np.vstack([u.values[:k].reshape(k, -1), np.reshape(u(t_eval), (1, -1))])
     kern = _real(kernel_smooth(t_eval - taus), "kernel")

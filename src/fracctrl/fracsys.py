@@ -135,6 +135,11 @@ class CuspControl(ControlSignal):
         """The bounded factor w at the lags s = T - t, shape (len(s), m)."""
         raise NotImplementedError
 
+    def _is_own(self, alpha: float, T: float) -> bool:
+        """Whether (alpha, T) is the control's own, T to 1e-12 of its own T: the
+        cusp rules of simulate and the energy hold there only."""
+        return alpha == self.alpha and abs(T - self.T) <= 1e-12 * self.T
+
     def _weight(self, s: np.ndarray, E: np.ndarray) -> np.ndarray:
         """w at the lags s from E = E_{alpha,alpha}(A s^alpha) there, if it needs E."""
         return self.kernel_weight(s)
@@ -230,17 +235,14 @@ def simulate(sys: FracSystem, a: np.ndarray, u: ControlSignal, grid: TimeGrid) -
         raise InvalidParams(f"initial state must have shape ({sys.n},)")
     if grid.t0 != 0.0:
         raise DomainError("simulation grids start at t = 0")
-    if isinstance(u, SampledControl):
-        g, T = u.data.grid, grid.t1
-        tol = 1e-12 * (g.t1 - g.t0)  # the tolerance of its reader, GridFunction
-        if g.t0 - tol > 0.0 or g.t1 + tol < T:
-            raise DomainError(f"sampled control must span [0, T] = [0, {T:g}], "
-                              f"got [{g.t0:g}, {g.t1:g}]")
+    if isinstance(u, SampledControl) and u.data._outside(np.array([0.0, grid.t1])).any():
+        g = u.data.grid
+        raise DomainError(f"sampled control must span [0, T] = [0, {grid.t1:g}], "
+                          f"got [{g.t0:g}, {g.t1:g}]")
     uf = u.sample(grid.nodes)
     if uf.shape != (grid.steps + 1, sys.m):
         raise InvalidParams(f"control sample shape {uf.shape} does not match m={sys.m}")
-    cusp = (isinstance(u, CuspControl) and u.alpha == sys.alpha
-            and abs(u.T - grid.t1) <= 1e-12 * grid.t1)
+    cusp = isinstance(u, CuspControl) and u._is_own(sys.alpha, grid.t1)
     tab = _kernel_table(sys, grid, a, cusp)
     with np.errstate(all="ignore"):
         states = tab["x"].copy()  # plus the half hat, and the channels summed in frequency space
@@ -255,7 +257,7 @@ def simulate(sys: FracSystem, a: np.ndarray, u: ControlSignal, grid: TimeGrid) -
     return Trajectory(grid=grid, states=states, outputs=outputs, controls=uf)
 
 
-_TABLES: dict = {}  # simulate's most recent kernel table, {key: table}
+_TABLES: dict = {}  # simulate's most recent kernel table, {key: table}, shared by threads
 _MEMO_LOCK = threading.Lock()
 
 

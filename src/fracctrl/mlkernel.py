@@ -7,7 +7,7 @@ Evaluates the scalar and matrix series
 the alpha-exponential matrix  t^(alpha-1) E_{alpha,alpha}(A t^alpha)  that
 plays the role of the matrix exponential in fractional variation-of-constants
 formulas, the fractional sine/cosine series of rotation-type systems, and the
-pointwise inverse kernel g(t) = t^(1-alpha) E_{alpha,alpha}(A t^alpha)^(-1).
+conditioning rule under which the steering controls invert E_{alpha,alpha}.
 
 Scalar series are summed in one 34-digit ``decimal`` context, because the
 alternating terms at strongly negative arguments can exceed the limit by many
@@ -29,15 +29,11 @@ a decision reads them.  The products go to BLAS gemm; a product with a unit
 dimension, which numpy would hand to gemv, whose sums depend on the number of
 BLAS threads, goes to ``np.einsum`` instead, so no sum depends on it.
 
-All functions are pure.  Shared state is immutable once built or swapped whole,
-so safe for concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and
-``_rgamma_floats`` (a race builds a row twice, bitwise the same), ``_ln_int``
-(ln m at 44 digits, correctly rounded, so a race stores the same immutable
-Decimal twice); ``fracsys._TABLES`` (simulate's last kernel table of read-only
-arrays, swapped under a lock) and ``controlsyn._KERNELS`` (the same for S0(T)
-and the graded kernel values); the read-only arrays cached by
-``controlsyn._graded_gauss_rule`` and ``fraccalc._l1_weights``; ``_CTX`` and
-the 44-digit ``_CTX44``, whose settings never change (their status flags are
+All functions are pure.  Shared state is immutable once built, so safe for
+concurrent callers: the ``lru_cache``s ``_rgamma_chunk`` and ``_rgamma_floats``
+(a race builds a row twice, bitwise the same), ``_ln_int`` (ln m at 44 digits,
+correctly rounded, so a race stores the same immutable Decimal twice); ``_CTX``
+and the 44-digit ``_CTX44``, whose settings never change (their status flags are
 set but never read).  The matrix series' tables and buffers belong to one call.
 """
 
@@ -67,7 +63,6 @@ __all__ = [
     "frac_sin",
     "frac_cos",
     "cl_truncation",
-    "inverse_kernel",
 ]
 
 
@@ -512,29 +507,6 @@ def cl_truncation(L: int, t: float) -> float:
         prod *= 2 * k - 1
         acc -= 2.0**k * t ** (2 * k - 1) / prod
     return acc / np.sqrt(np.pi * t)
-
-
-def inverse_kernel(
-    A: np.ndarray,
-    alpha: float,
-    t: float,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
-    """The unique g(t) = t^(1-alpha) E_{alpha,alpha}(A t^alpha)^(-1) with
-    alpha_exp(A, alpha, t) @ g(t) = I for t > 0.
-
-    The one-lag case of the batched inverse of the pinv and rank-based
-    controls, under the same rule: ``SingularKernel`` when the
-    Mittag-Leffler matrix's singular-value ratio at t falls below
-    ``SINGULAR_KERNEL_RCOND``; existence pointwise does not guarantee good
-    conditioning at every t.
-    """
-    A = _as_square(A)
-    _check_order(alpha)
-    if not t > 0.0:
-        raise DomainError(f"inverse_kernel requires t > 0, got {t}")
-    E = ml_matrix_batch(A, alpha, alpha, np.array([t]), policy)
-    return t ** (1.0 - alpha) * _checked_inverse(E)[0]
 
 
 def _checked_inverse(E: np.ndarray, rcond_threshold: float | None = None) -> np.ndarray:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fracctrl import FracSystem, kalman_rank
+from fracctrl import FracSystem, kalman_rank, ml_matrix_batch
+from fracctrl.mlkernel import _checked_inverse
 
 # Pinned battery seed: chosen so that no controllable draw lands inside the
 # numerical gray zone around the Gramian rcond threshold (1e-8) at either
@@ -12,6 +13,12 @@ from fracctrl import FracSystem, kalman_rank
 BATTERY_SEED = 18
 ALPHAS = (0.3, 0.5, 0.7, 0.9)
 HORIZONS = (1.0, 5.0)
+
+
+def inverse_kernel(A, alpha, t):
+    """The inverse kernel g(t) = t^(1-alpha) E_{alpha,alpha}(A t^alpha)^(-1) at
+    one lag t > 0, under the conditioning rule of the pinv and rank-based controls."""
+    return t ** (1 - alpha) * _checked_inverse(ml_matrix_batch(A, alpha, alpha, np.array([t])))[0]
 
 
 def make_battery(count=20, seed=BATTERY_SEED):

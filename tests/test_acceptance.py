@@ -25,7 +25,6 @@ from fracctrl import (
     alpha_exp,
     frac_sin,
     gramian,
-    inverse_kernel,
     kalman_rank,
     ml_matrix_batch,
     ml_scalar,
@@ -40,7 +39,7 @@ from fracctrl import (
 )
 from fracctrl.cli import _example2_energy
 
-from conftest import make_battery, make_uncontrollable
+from conftest import inverse_kernel, make_battery, make_uncontrollable
 
 A1 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B1 = np.array([[0.0], [1.0]])

@@ -355,6 +355,7 @@ class TestSimulate:
         ("t,u1\n" + "".join(f"{t},1\n" for t in (0.0, 2.0, 5.0, 10.0)), "uniform grid"),
         ("t,u1\n0.0,1\n10.0,1\n", "uniform grid"),
         ("t,u1\n" + "".join(f"{t},1\n" for t in (0.0, 2.5, "nan", 7.5, 10.0)), "uniform grid"),
+        ("t,u1\n", "no data rows"),  # refused without numpy's empty-input warning
     ])
     def test_malformed_control_csv_rejected(self, tmp_path, capsys, rows, message):
         csvp = tmp_path / "ctrl.csv"

@@ -8,6 +8,7 @@ from sys import getswitchinterval, setswitchinterval
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.signal import fftconvolve
 from scipy.special import gamma
 
 from fracctrl import (
@@ -32,7 +33,7 @@ from fracctrl import (
     verify_steering,
 )
 from fracctrl import fracsys
-from fracctrl.fraccalc import _fft_convolve, _frac_integral_values, _l1_weights
+from fracctrl.fraccalc import _frac_integral_values, _l1_weights
 from fracctrl.fracsys import _moment_coefs
 from fracctrl.mlkernel import _ml_series, _rgamma
 
@@ -568,7 +569,7 @@ def _per_channel_convolution(sys, uf, grid):
     conv = np.zeros((N + 1, sys.n))
     conv[1:] = uf[0] @ first
     for c in range(sys.m):
-        conv[1:] += _fft_convolve(W[:, c], uf[1:, c, None])[:N]
+        conv[1:] += fftconvolve(W[:, c], uf[1:, c, None], axes=0)[:N]
     return conv
 
 

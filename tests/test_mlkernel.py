@@ -36,7 +36,6 @@ from fracctrl import (
     cl_truncation,
     frac_cos,
     frac_sin,
-    inverse_kernel,
     ml_matrix,
     ml_matrix_batch,
     ml_scalar,
@@ -45,6 +44,8 @@ from fracctrl import (
 from fracctrl import mlkernel
 from fracctrl.cli import _ML_PRINT_POLICY
 from fracctrl.mlkernel import _checked_inverse, _ml_series, _rgamma
+
+from conftest import inverse_kernel
 
 # frozen 50-digit oracle values (independent fixed-precision summation of the
 # defining series; see tests/oracles.py to regenerate)
@@ -1113,6 +1114,8 @@ class TestClTruncation:
 
 
 class TestInverseKernel:
+    """The one-lag inverse kernel by the batched kernel and the controls' conditioning rule."""
+
     def test_scalar_closed_form(self):
         for alpha in (0.3, 0.5, 0.9):
             for t in (0.5, 2.0):
@@ -1160,11 +1163,3 @@ class TestInverseKernel:
         g = inverse_kernel(A, 0.5, 1.0)
         u = PinvControl(A, np.eye(2), 0.5, 1.0, np.array([1.0, 0.0]))
         assert np.allclose(u.sample(np.array([0.0]))[0], g[:, 0], rtol=1e-14)
-
-    def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            inverse_kernel(np.eye(2), 0.5, 0.0)
-
-    def test_nan_time_refused(self):
-        with pytest.raises(DomainError, match="inverse_kernel requires t > 0, got nan"):
-            inverse_kernel(np.eye(2) * 0.5, 0.5, math.nan)

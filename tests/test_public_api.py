@@ -2,7 +2,9 @@
 parameter names of each public function and class constructor.  Adding a
 knob, or dropping a public name, shows up here as an edit to the table."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import fracctrl
 
@@ -48,7 +50,6 @@ PUBLIC = {
     "frac_sin": ["alpha", "t", "policy"],
     "frac_cos": ["alpha", "t", "policy"],
     "cl_truncation": ["L", "t"],
-    "inverse_kernel": ["A", "alpha", "t", "policy"],
     # controlsyn
     "SteeringProblem": ["sys", "a", "b", "T", "grid"],
     "GramianResult": ["Q", "rcond", "quad_err"],
@@ -78,3 +79,37 @@ def describe(obj):
 def test_public_names_and_parameters_match_the_table():
     assert len(set(fracctrl.__all__)) == len(fracctrl.__all__)
     assert {name: describe(getattr(fracctrl, name)) for name in fracctrl.__all__} == PUBLIC
+
+
+# a public name that nothing in the package uses yet: the benchmark's kernel-eval
+# workload and probe call it, so it goes with a change to the benchmark (ROADMAP
+# item 12)
+UNUSED_ALLOWED = {"singular_convolution"}
+
+
+def test_every_definition_is_used_in_the_package():
+    """Each module-level function or class, and each name in a module's
+    ``__all__``, is read somewhere in the package outside its own definition."""
+    spans, checked, reads = {}, set(), []
+    for path in sorted(Path(fracctrl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                checked.add(node.name)
+                spans[node.name] = (path, node.lineno, node.end_lineno)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        spans[target.id] = (path, node.lineno, node.end_lineno)
+                if ast.unparse(node.targets[0]) == "__all__" and path.name != "__init__.py":
+                    checked.update(ast.literal_eval(node.value))
+        reads += [(node.id if isinstance(node, ast.Name) else node.attr, path, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+
+    def outside(name, path, line):
+        where, first, last = spans[name]
+        return path != where or not first <= line <= last
+
+    used = {name for name, path, line in reads if name in checked and outside(name, path, line)}
+    assert checked - used == UNUSED_ALLOWED
