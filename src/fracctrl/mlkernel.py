@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -245,6 +246,8 @@ def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
     The stop rule is ``SeriesPolicy``'s on doubles, but a term is converted
     to float only near the stop: one at least 2 rel_tol times the partial
     sum (at 34 digits) cannot pass the float test and is added unconverted.
+    Away from the stop, decimal exponents certify that: ta >= sa + e + 2 and
+    -307 - e <= sa <= 307 for those of a nonzero term, partial sum, 2 rel_tol.
     """
     z = float(z)
     alpha, beta = params.alpha, params.beta
@@ -253,27 +256,33 @@ def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
     # bound once: a method lookup on a Context costs about 0.12 us
     mul, add = _CTX.multiply, _CTX.add
     zd = _D(z)
-    row = _rgamma_chunk(alpha, beta, 0)
-    total = row[0]
-    zk = _D(1)
-    tol2 = _D(2.0 * policy.rel_tol)
-    for k in range(1, policy.max_terms + 1):
+    # the coefficients k = 0, 1, ..., each cached row built once reached
+    coefs = itertools.chain.from_iterable(
+        map(functools.partial(_rgamma_chunk, alpha, beta), itertools.count()))
+    total = next(coefs)
+    zk = _ONE
+    rel_tol = policy.rel_tol
+    tol2 = _D(2.0 * rel_tol)
+    # certificate: |term| >= 10^(sa+e+2) >= 2 rel_tol |total| rounded >= 10^(sa+e)
+    # >= 10^-307 > _TINY4, |total| < 10^308 < _FMAX; a zero's exponent bounds nothing
+    e = tol2.adjusted()
+    step, lo = (e + 2 if z else math.inf), -307 - e
+    for r in itertools.islice(coefs, policy.max_terms):
         zk = mul(zk, zd)
-        if zk.copy_abs() > _ZK_MAX:
+        if zk.adjusted() >= 300 and zk.copy_abs() > _ZK_MAX:  # |zk| < 10^300 passes
             raise NonConvergence(f"E_{{{alpha},{beta}}}({z}): series terms overflow")
-        if not k % 16:
-            row = _rgamma_chunk(alpha, beta, k // 16)
-        term = mul(zk, row[k % 16])
-        # |term| >= 2 rel_tol |total| at 34 digits implies mag >= rel_tol * ref
-        # (each float rounding is within 2^-53) while rel_tol |total| is a
-        # normal double and |total| a finite one: only other terms convert
-        size = total.copy_abs()
-        bound = mul(tol2, size)
-        if not (term.copy_abs() >= bound >= _TINY4 and size <= _FMAX):
-            ref = abs(float(total))
-            mag = abs(float(term))
-            if (ref > 0.0 and mag < policy.rel_tol * ref) or (ref == 0.0 and mag < policy.rel_tol):
-                return float(total)
+        term = mul(zk, r)
+        sa = total.adjusted()
+        if not (total and lo <= sa <= 307 and term.adjusted() >= sa + step):
+            # |term| >= 2 rel_tol |total| at 34 digits gives mag >= rel_tol * ref (float
+            # roundings are within 2^-53) if rel_tol |total| is a normal double, |total| finite
+            size = total.copy_abs()
+            bound = mul(tol2, size)
+            if not (term.copy_abs() >= bound >= _TINY4 and size <= _FMAX):
+                ref = abs(float(total))
+                mag = abs(float(term))
+                if (ref > 0.0 and mag < rel_tol * ref) or (ref == 0.0 and mag < rel_tol):
+                    return float(total)
         total = add(total, term)
     raise NonConvergence(
         f"E_{{{alpha},{beta}}}({z}): no convergence in {policy.max_terms} terms")
@@ -495,17 +504,25 @@ def cl_truncation(L: int, t: float) -> float:
     exact series beyond k = 1 (the exact expansion carries t^k with
     alternating signs, not t^(2k-1) with fixed sign); this routine exists
     only to reproduce the published truncation-energy table and must not be
-    used as a cosine approximation.
+    used as a cosine approximation.  ``NonConvergence`` once a term overflows.
     """
+    L = _count(L, "L", DomainError)
     if L < 1:
         raise DomainError(f"cl_truncation requires L >= 1, got {L}")
-    if not t > 0.0:
+    if not 0.0 < t < math.inf:
         raise DomainError(f"cl_truncation requires t > 0, got {t}")
     acc = 1.0
     prod = 1.0
-    for k in range(1, L + 1):
-        prod *= 2 * k - 1
-        acc -= 2.0**k * t ** (2 * k - 1) / prod
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a numpy t's powers
+            for k in range(1, L + 1):
+                prod *= 2 * k - 1
+                acc -= 2.0**k * t ** (2 * k - 1) / prod
+    except OverflowError:  # a float power that overflows raises
+        acc = math.nan
+    # a sum that once stops being finite stays so
+    if not math.isfinite(acc):
+        raise NonConvergence(f"cl_truncation({L}, {t}): terms overflow")
     return acc / np.sqrt(np.pi * t)
 
 

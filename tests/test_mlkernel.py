@@ -1,6 +1,7 @@
 """Mittag-Leffler kernel tests: series identities, closed forms, and the
 frozen high-precision oracle values."""
 
+import collections
 import decimal
 import functools
 import math
@@ -350,11 +351,16 @@ class TestScalar:
 
     def test_bitwise_equal_to_pointwise_stop_loop(self):
         # seeded battery over orders, arguments (with the edges: signed zeros,
-        # +-1e-300, the overflow refusal at -7.35, the budget refusal at 5e3)
-        # and policies down to rel_tol = 1e-300 and up to 0.5
+        # +-1e-300, the overflow refusal at -7.35, the budget refusal at 5e3,
+        # the exact zero sum of E_{1,1}(-1), and |z|^k reaching 1e300 below
+        # the overflow bound, then passing it) and policies down to rel_tol =
+        # 1e-300 and up to 0.75, with 2 rel_tol at decimal exponents -15 and -14
         policies = [DEFAULT_POLICY, _ML_PRINT_POLICY, SeriesPolicy(max_terms=5),
-                    SeriesPolicy(rel_tol=1e-300), SeriesPolicy(rel_tol=0.5)]
-        edges = [0.0, -0.0, 1e-300, -1e-300, -6.5, -7.2, -7.35, 5e3]
+                    SeriesPolicy(rel_tol=1e-300), SeriesPolicy(rel_tol=0.5),
+                    SeriesPolicy(rel_tol=4e-15), SeriesPolicy(rel_tol=6e-15),
+                    SeriesPolicy(rel_tol=0.75)]
+        edges = [0.0, -0.0, 1e-300, -1e-300, -1.0, -6.5, -7.2, -7.35, 5e3,
+                 1.07e75, -1.08e75, 1.1e100, 1e150, -1.157e150, 1.158e150, -1.3e300, 1.34e300]
         rng = np.random.default_rng(2015)
         outcomes = []
         for alpha in (0.3, 0.5, 0.7, 0.9, 1.0, 1.7, 2.5):
@@ -364,8 +370,30 @@ class TestScalar:
                 zs = edges + rng.uniform(-zmax, zmax, 22).tolist()
                 outcomes += [assert_same_scalar_outcome(params, z, policy)
                              for policy in policies for z in zs]
+            # beta = 1, and beta >= 171.6, where 1/Gamma(beta) is a subnormal
+            # double (171.7) or rounds to 0.0 (180)
+            for beta in (1.0, 171.7, 180.0):
+                zs = edges + np.linspace(-zmax, zmax, 9).tolist()
+                outcomes += [assert_same_scalar_outcome(MLParams(alpha, beta), z, policy)
+                             for policy in policies for z in zs]
         assert len(outcomes) >= 2000
         assert outcomes.count(None) >= 1000 and outcomes.count(NonConvergence) >= 100
+
+    @pytest.mark.parametrize("alpha, beta, z", [(0.3, 1.3, -2.5), (0.5, 1.0, -6.5),
+                                                (0.9, 0.9, 5.0), (1.0, 1.0, -10.0)])
+    def test_warm_term_costs_two_multiplies_and_one_add(self, alpha, beta, z, monkeypatch):
+        # a term takes zk z, zk c_k and its add; the bound 2 rel_tol |sum|
+        # is multiplied out only where the exponent certificate fails, for
+        # the terms within about 10^4 of the stop (10 of 274 at alpha 0.3,
+        # where the terms fall slowest).  The stopping term is not added.
+        params = MLParams(alpha, beta)
+        want = ml_scalar(params, z)  # builds the key's rows outside the count
+        counts = collections.Counter()
+        monkeypatch.setattr(mlkernel, "_CTX", op_counting_context(counts))
+        assert ml_scalar(params, z) == want
+        terms = counts["add"] + 1
+        assert terms >= 20 and set(counts) == {"multiply", "add"}
+        assert 2 * terms <= counts["multiply"] <= 2 * terms + 12
 
     def test_overflow_refusal_near_x_eight(self):
         # E_{1/2,1}(-x) needs |x|^k beyond 1.3e300 before it stops near
@@ -799,18 +827,39 @@ def near_integers(n, ulp):
     return [mlkernel._CTX.fma(d, ulp, n) for d in (0, 1, -1, 2, -2, 10**6, -10**6)]
 
 
+def like_ctx(cls):
+    """An instance of the ``decimal.Context`` subclass ``cls`` with ``_CTX``'s settings."""
+    base = mlkernel._CTX
+    return cls(prec=base.prec, rounding=base.rounding, Emin=base.Emin, Emax=base.Emax,
+               capitals=base.capitals, clamp=base.clamp, flags=[],
+               traps=[t for t, on in base.traps.items() if on])
+
+
 def counting_context(calls):
     """A context with ``_CTX``'s settings whose ``ln`` records its arguments."""
-    base = mlkernel._CTX
 
     class Counting(decimal.Context):
         def ln(self, x):
             calls.append(x)
             return super().ln(x)
 
-    return Counting(prec=base.prec, rounding=base.rounding, Emin=base.Emin, Emax=base.Emax,
-                    capitals=base.capitals, clamp=base.clamp, flags=[],
-                    traps=[t for t, on in base.traps.items() if on])
+    return like_ctx(Counting)
+
+
+def op_counting_context(counts):
+    """A context with ``_CTX``'s settings that counts its ``multiply`` and
+    ``add`` calls in the Counter ``counts``."""
+
+    class Counting(decimal.Context):
+        def multiply(self, a, b):
+            counts["multiply"] += 1
+            return super().multiply(a, b)
+
+        def add(self, a, b):
+            counts["add"] += 1
+            return super().add(a, b)
+
+    return like_ctx(Counting)
 
 
 def assert_same_decimal(got, want):
@@ -1111,6 +1160,33 @@ class TestClTruncation:
         # the sum would carry the NaN through and return it
         with pytest.raises(DomainError, match="cl_truncation requires t > 0, got nan"):
             cl_truncation(2, math.nan)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [math.inf, np.float64(np.inf)])
+    def test_infinite_time_refused(self, t):
+        # once a NaN after a numpy RuntimeWarning
+        with pytest.raises(DomainError, match="cl_truncation requires t > 0, got inf"):
+            cl_truncation(2, t)
+
+    @pytest.mark.parametrize("L", [2.5, 2.0, True, "2", None])
+    def test_non_integer_count_refused(self, L):
+        # once a TypeError from range, or L = 1 for True
+        with pytest.raises(DomainError, match="L must be an integer"):
+            cl_truncation(L, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("L, t", [(400, 2.0), (400, np.float64(2.0)), (12, 1e15),
+                                      (12, np.float64(1e15)), (2, 1e200)])
+    def test_overflowing_terms_are_non_convergence(self, L, t):
+        # once a silent NaN (inf / inf at L = 400), a numpy RuntimeWarning or
+        # a bare OverflowError from the float power
+        with pytest.raises(NonConvergence, match=r"cl_truncation\(.*\): terms overflow"):
+            cl_truncation(L, t)
+
+    def test_late_terms_below_the_smallest_double_still_sum(self):
+        # (2k-1)!! overflows near k = 150, where the terms at t = 3 are far
+        # below the sum: they vanish instead of refusing the call
+        assert cl_truncation(200, 3.0) == cl_truncation(100, 3.0)
 
 
 class TestInverseKernel:
