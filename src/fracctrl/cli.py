@@ -313,7 +313,8 @@ def cmd_ml(args) -> int:
     if args.A is None:
         raise InputError("--exp/--s0 need --A")
     try:
-        A = np.asarray(json.loads(args.A), dtype=float)
+        A = np.asarray(_number(json.loads(args.A), "each entry of --A", InputError, nested=True),
+                       dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"--A must be a JSON matrix: {exc}") from None
     if args.t is None:

@@ -292,7 +292,10 @@ def synthesize_min_energy(prob: SteeringProblem) -> SynthesisResult:
         )
     c = _solve_spd(gram.Q, f)
     control = MinEnergyControl(sys.A, sys.B, sys.alpha, prob.T, c)
-    energy = float(c @ f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(c @ f)
+    if not math.isfinite(energy):
+        raise NonConvergence("min-energy energy <Q_T^-1 f_T, f_T> overflows")
     return SynthesisResult(control, f, energy, "min-energy", gram)
 
 
@@ -323,13 +326,19 @@ def _default_shaping_density(grid: TimeGrid, alpha: float) -> GridFunction:
 
     Vanishing at both endpoints tames the t^(1-alpha) factor of the inverse
     kernel and the repeated Riemann-Liouville differentiation of the
-    rank-based construction.
+    rank-based construction.  ``NonConvergence`` where c is not a finite
+    double.
     """
-    T = grid.t1
+    T = float(grid.t1)
     g = alpha + 1.0
     t = grid.nodes
     log_beta = 2.0 * math.lgamma(g + 1.0) - math.lgamma(2.0 * g + 2.0)  # log B(g+1, g+1)
-    c = 1.0 / (T ** (2.0 * g + 1.0) * math.exp(log_beta))
+    try:
+        c = 1.0 / (T ** (2.0 * g + 1.0) * math.exp(log_beta))
+    except (OverflowError, ZeroDivisionError):  # T^(2g+1) overflows, or underflows to 0
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise NonConvergence(f"shaping density normalization overflows at T={T}")
     return GridFunction(grid, c * t**g * (T - t) ** g)
 
 
@@ -401,7 +410,8 @@ def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
     s^(2 alpha - 2) weight.
 
     Returns ``inf`` when u(T) != 0 and alpha <= 1/2, where the modified
-    energy genuinely diverges.  The grid may reach beyond [0, T], as in
+    energy genuinely diverges; raises ``NonConvergence`` where a sum of
+    finite moments overflows.  The grid may reach beyond [0, T], as in
     ``simulate``; the panels are its nodes inside (0, T), with 0 and T as ends.
     """
     g, nodes = u.data.grid, u.data.grid.nodes
@@ -417,29 +427,32 @@ def _energy_sampled(u: SampledControl, alpha: float, T: float) -> float:
     # panel touching s = 0 (t = T) handled alone: moments may diverge there
     s1 = snodes[1]
     u0, u1 = vals[0], vals[1]
-    a1 = (u1 - u0) / s1
-    total = float(a1 @ a1) * _power_moment(e + 2.0, s1)
-    if np.abs(u0).max() != 0.0:
-        total += (float(u0 @ u0) * _power_moment(e, s1)
-                  + 2.0 * float(u0 @ a1) * _power_moment(e + 1.0, s1))
-    if not np.isfinite(total):
+    m0 = _power_moment(e, s1) if np.abs(u0).max() != 0.0 else None
+    if m0 == math.inf:
         return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        a1 = (u1 - u0) / s1
+        total = float(a1 @ a1) * _power_moment(e + 2.0, s1)
+        if m0 is not None:
+            total += float(u0 @ u0) * m0 + 2.0 * float(u0 @ a1) * _power_moment(e + 1.0, s1)
 
-    s0v, s1v = snodes[1:-1], snodes[2:]
-    u0v, u1v = vals[1:-1], vals[2:]
-    a1v = (u1v - u0v) / (s1v - s0v)[:, None]
-    a0v = u0v - a1v * s0v[:, None]
-    if e == -1.0:
-        M0 = np.log(s1v / s0v)
-    else:
-        M0 = (s1v ** (e + 1.0) - s0v ** (e + 1.0)) / (e + 1.0)
-    M1 = (s1v ** (e + 2.0) - s0v ** (e + 2.0)) / (e + 2.0)
-    M2 = (s1v ** (e + 3.0) - s0v ** (e + 3.0)) / (e + 3.0)
-    total += float(
-        np.einsum("ij,ij,i->", a0v, a0v, M0)
-        + 2.0 * np.einsum("ij,ij,i->", a0v, a1v, M1)
-        + np.einsum("ij,ij,i->", a1v, a1v, M2)
-    )
+        s0v, s1v = snodes[1:-1], snodes[2:]
+        u0v, u1v = vals[1:-1], vals[2:]
+        a1v = (u1v - u0v) / (s1v - s0v)[:, None]
+        a0v = u0v - a1v * s0v[:, None]
+        if e == -1.0:
+            M0 = np.log(s1v / s0v)
+        else:
+            M0 = (s1v ** (e + 1.0) - s0v ** (e + 1.0)) / (e + 1.0)
+        M1 = (s1v ** (e + 2.0) - s0v ** (e + 2.0)) / (e + 2.0)
+        M2 = (s1v ** (e + 3.0) - s0v ** (e + 3.0)) / (e + 3.0)
+        total += float(
+            np.einsum("ij,ij,i->", a0v, a0v, M0)
+            + 2.0 * np.einsum("ij,ij,i->", a0v, a1v, M1)
+            + np.einsum("ij,ij,i->", a1v, a1v, M2)
+        )
+    if not math.isfinite(total):
+        raise NonConvergence("energy quadrature overflows")
     return float(total)  # the first panel's moments are numpy scalars
 
 

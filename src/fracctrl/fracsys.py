@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, InvalidParams, NonConvergence
 from .fraccalc import (GridFunction, TimeGrid, _centered_diff, _convolved, _spectrum,
                        caputo_derivative)
-from .mlkernel import (_as_square, _check_order, _checked_inverse, _finite, _ml_series,
+from .mlkernel import (_BLOCK, _as_square, _check_order, _checked_inverse, _finite, _ml_series,
                        _rgamma_floats, ml_matrix_batch)
 
 __all__ = [
@@ -321,7 +321,7 @@ def _kernel_table(sys: FracSystem, grid: TimeGrid, a: np.ndarray, moments: bool)
 def _moment_coefs(alpha: float) -> list:
     """c_k = 1/(Gamma(k alpha + alpha) (k alpha + p alpha + 1)) from cached rows: the
     series of x^-(p alpha + 1) int_0^x E_{alpha,alpha}(A s^alpha) B s^(p alpha) ds."""
-    return [lambda k, p=p: np.divide(_rgamma_floats(alpha, alpha, int(k[0]) // 16),
+    return [lambda k, p=p: np.divide(_rgamma_floats(alpha, alpha, int(k[0]) // _BLOCK),
                                      k * alpha + p * alpha + 1.0) for p in range(3)]
 
 

@@ -155,9 +155,6 @@ _HALF_LN_2PI = _D("0.9189385332046727417803297364056176398614")
 # |z|^k is refused beyond float_info.max / (2^27 + 1), about 1.3e300, where the
 # earlier double-double products overflowed, so the same arguments refuse
 _ZK_MAX = _D(sys.float_info.max / 134217729.0)
-# ml_scalar's pre-test holds while 2 rel_tol |total| >= _TINY4, |total| <= _FMAX
-_TINY4 = _D(4.0 * sys.float_info.min)
-_FMAX = _D(sys.float_info.max)
 _ONE, _HALF, _THIRTY = _D(1), _D("0.5"), _D(30)
 _CTX44 = _CTX.copy()  # for ln x, x >= 30, taken first at 44 digits
 _CTX44.prec = 44
@@ -231,8 +228,8 @@ def _rgamma(x: float) -> float:
 
 @functools.lru_cache(maxsize=4096)
 def _rgamma_floats(alpha: float, beta: float, j: int) -> tuple:
-    """1 / Gamma(k alpha + beta) for k = 16 j, ..., 16 j + 15, as floats."""
-    return tuple(_rgamma(np.arange(16 * j, 16 * j + 16) * alpha + beta).tolist())
+    """1 / Gamma(k alpha + beta) for the k of _ml_series' block j, as floats."""
+    return tuple(_rgamma(np.arange(_BLOCK * j, _BLOCK * (j + 1)) * alpha + beta).tolist())
 
 
 def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -243,11 +240,12 @@ def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
     raised (asymptotic large-argument algorithms are out of scope), as it is
     for a non-finite z and once |z|^k passes about 1.3e300.
 
-    The stop rule is ``SeriesPolicy``'s on doubles, but a term is converted
-    to float only near the stop: one at least 2 rel_tol times the partial
-    sum (at 34 digits) cannot pass the float test and is added unconverted.
-    Away from the stop, decimal exponents certify that: ta >= sa + e + 2 and
-    -307 - e <= sa <= 307 for those of a nonzero term, partial sum, 2 rel_tol.
+    The stop rule is ``SeriesPolicy``'s on doubles, applied in two steps.
+    Decimal exponents first certify that a term cannot pass the float test:
+    ta >= sa + e + 2 and -307 - e <= sa <= 307 for those of a nonzero term,
+    partial sum and 2 rel_tol.  Such a term is added unconverted; any other
+    term and the partial sum are rounded to doubles, and the float test
+    decides.
     """
     z = float(z)
     alpha, beta = params.alpha, params.beta
@@ -262,10 +260,10 @@ def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
     total = next(coefs)
     zk = _ONE
     rel_tol = policy.rel_tol
-    tol2 = _D(2.0 * rel_tol)
-    # certificate: |term| >= 10^(sa+e+2) >= 2 rel_tol |total| rounded >= 10^(sa+e)
-    # >= 10^-307 > _TINY4, |total| < 10^308 < _FMAX; a zero's exponent bounds nothing
-    e = tol2.adjusted()
+    # certificate that the float test continues (e the exponent of 2 rel_tol): |term| >=
+    # 10^(sa+e+2) > 2 rel_tol |total|, with |total| < 10^308 and rel_tol |total| >= 5e-308
+    # normal doubles, each rounded within 2^-53; a zero's exponent bounds nothing
+    e = _D(2.0 * rel_tol).adjusted()
     step, lo = (e + 2 if z else math.inf), -307 - e
     for r in itertools.islice(coefs, policy.max_terms):
         zk = mul(zk, zd)
@@ -274,15 +272,10 @@ def ml_scalar(params: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
         term = mul(zk, r)
         sa = total.adjusted()
         if not (total and lo <= sa <= 307 and term.adjusted() >= sa + step):
-            # |term| >= 2 rel_tol |total| at 34 digits gives mag >= rel_tol * ref (float
-            # roundings are within 2^-53) if rel_tol |total| is a normal double, |total| finite
-            size = total.copy_abs()
-            bound = mul(tol2, size)
-            if not (term.copy_abs() >= bound >= _TINY4 and size <= _FMAX):
-                ref = abs(float(total))
-                mag = abs(float(term))
-                if (ref > 0.0 and mag < rel_tol * ref) or (ref == 0.0 and mag < rel_tol):
-                    return float(total)
+            ref = abs(float(total))
+            mag = abs(float(term))
+            if (ref > 0.0 and mag < rel_tol * ref) or (ref == 0.0 and mag < rel_tol):
+                return float(total)
         total = add(total, term)
     raise NonConvergence(
         f"E_{{{alpha},{beta}}}({z}): no convergence in {policy.max_terms} terms")
@@ -339,9 +332,9 @@ def _ml_series(A: np.ndarray, alpha: float, beta, s: np.ndarray,
     """
     if not (s >= 0).all():
         raise DomainError("Mittag-Leffler kernels need lags s >= 0")
-    # each sequence as j -> its c_k for k = 16 j, ..., 16 j + 15; for a
-    # number these rows are cached, so the loop makes no gamma call per term
-    coef = [(lambda j, b=b: b(np.arange(16 * j, 16 * j + 16)).tolist()) if callable(b)
+    # each sequence as j -> its c_k for the k of block j; for a number these
+    # rows are cached, so the loop makes no gamma call per term
+    coef = [(lambda j, b=b: b(np.arange(_BLOCK * j, _BLOCK * (j + 1))).tolist()) if callable(b)
             else functools.partial(_rgamma_floats, float(alpha), float(b))
             for b in (beta if isinstance(beta, list) else [beta])]
     q = len(coef)
@@ -504,7 +497,8 @@ def cl_truncation(L: int, t: float) -> float:
     exact series beyond k = 1 (the exact expansion carries t^k with
     alternating signs, not t^(2k-1) with fixed sign); this routine exists
     only to reproduce the published truncation-energy table and must not be
-    used as a cosine approximation.  ``NonConvergence`` once a term overflows.
+    used as a cosine approximation.  ``NonConvergence`` once a term's
+    numerator overflows before (2k-1)!! does.
     """
     L = _count(L, "L", DomainError)
     if L < 1:
@@ -517,6 +511,8 @@ def cl_truncation(L: int, t: float) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # a numpy t's powers
             for k in range(1, L + 1):
                 prod *= 2 * k - 1
+                if prod == math.inf:
+                    break  # later terms are 0.0 or NaN in doubles; the true tail is geometric
                 acc -= 2.0**k * t ** (2 * k - 1) / prod
     except OverflowError:  # a float power that overflows raises
         acc = math.nan
@@ -539,7 +535,9 @@ def _checked_inverse(E: np.ndarray, rcond_threshold: float | None = None) -> np.
     except np.linalg.LinAlgError:
         Einv = None
     else:
-        r = float((np.linalg.norm(E, axis=(-2, -1)) * np.linalg.norm(Einv, axis=(-2, -1))).max())
+        with np.errstate(over="ignore"):  # an infinite r fails the certificate
+            r = np.linalg.norm(E, axis=(-2, -1)) * np.linalg.norm(Einv, axis=(-2, -1))
+        r = float(r.max())
         if 2.0 * rcond_threshold * r <= 1.0 and 64.0 * E.shape[-1] * np.finfo(float).eps * r <= 1.0:
             return Einv
     sv = np.linalg.svd(E, compute_uv=False)

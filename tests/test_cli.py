@@ -98,6 +98,10 @@ class TestMl:
     @pytest.mark.parametrize("args, message", [
         (["--sin"], "--sin/--cos need --t"),
         (["--A", "not json", "--t", "1"], "--A must be a JSON matrix"),
+        # JSON numbers as a problem file reads them: no bool, string or null
+        (["--A", "[[true]]", "--t", "1"], "each entry of --A must be a number, got True"),
+        (["--A", '[["1"]]', "--t", "1"], "each entry of --A must be a number, got '1'"),
+        (["--A", "[[null]]", "--t", "1"], "each entry of --A must be a number, got None"),
         (["--A", "[[1]]"], "matrix evaluation needs --t"),
         (["--t", "1", "--sin", "--cos"], "ml --sin does not read --cos"),
         (["--A", "[[0,1],[0,0]]", "--t", "1", "--exp", "--s0"], "ml --exp does not read --s0"),
@@ -615,6 +619,15 @@ class TestSynthesize:
         miss = max(abs(xi - bi) for xi, bi in zip(x, [-0.2, 0.4]))
         assert miss == doc["report"]["terminal_error_abs"]
 
+    @pytest.mark.parametrize("T", [1e300, 1e-300])
+    def test_rank_extreme_horizon_numeric_exit(self, tmp_path, capsys, T):
+        # the shaping density's normalization ended in an OverflowError (T =
+        # 1e300) or a ZeroDivisionError (T = 1e-300) traceback
+        pf = write_problem(tmp_path / "p.json", steering={**STEERING, "T": T})
+        assert main(["synthesize", pf, "--method", "rank"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: NonConvergence: shaping density")
+
     def test_singular_gramian_numeric_exit(self, tmp_path):
         pf = write_problem(
             tmp_path / "p.json",
@@ -764,10 +777,11 @@ class TestFuzz:
             mutate(doc, field, value)
         path = tmp_path_factory.getbasetemp() / "fuzz.json"
         path.write_text(json.dumps(doc))
-        for cmd in ("simulate", "gramian", "synthesize"):
+        for cmd in (["simulate"], ["gramian"], ["synthesize"],
+                    ["synthesize", "--method", "pinv"], ["synthesize", "--method", "rank"]):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
-                rc = main([cmd, str(path)])
+                rc = main([*cmd, str(path)])
             err = err.getvalue()
             assert rc in (0, 2, 3) and "Traceback" not in err, (cmd, rc, err)
             assert rc != 2 or err.startswith("input error:"), (cmd, err)

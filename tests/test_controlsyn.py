@@ -376,6 +376,12 @@ class TestMinEnergy:
         with pytest.raises(SingularGramian):
             synthesize_min_energy(problem(sys, [1.0, 0.0], [0.0, 0.0], 1.0, steps=64))
 
+    def test_energy_overflow_refused(self, example1_system):
+        # <c, f_T> overflowed with a matmul warning and came back as inf
+        prob = problem(example1_system, [1e300, 0.0], [0.0, 0.0], 10.0, steps=64)
+        with pytest.raises(NonConvergence, match="energy <Q_T\\^-1 f_T, f_T> overflows"):
+            synthesize_min_energy(prob)
+
 
 class TestPinv:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
@@ -417,6 +423,13 @@ class TestPinv:
     def test_rank_deficient_b_rejected(self, example1_system):
         with pytest.raises(RankDeficientB):
             synthesize_pinv(problem(example1_system, [1.0, 0.0], [0.0, 0.0], 1.0, steps=64))
+
+    def test_kernel_norm_overflow_left_to_svd(self):
+        # the Frobenius norm of E overflowed with a warning; an infinite
+        # certificate fails, and the SVD refuses the kernel
+        sys = FracSystem([[0.0, 1e300], [0.0, 0.0]], np.eye(2), alpha=0.5)
+        with pytest.raises(SingularKernel, match="ill-conditioned"):
+            synthesize_pinv(problem(sys, [1.0, 0.0], [0.0, 0.0], 1.0, steps=64))
 
     def test_ill_conditioned_kernel_refused_by_energy(self, monkeypatch, example1_system):
         # E_{1/2,1/2}(A s^(1/2)) of the chain system has singular-value
@@ -484,6 +497,22 @@ class TestRankBased:
         with pytest.raises(RankDeficient):
             synthesize_rank_based(problem(sys, [1.0, 0.0], [0.0, 0.0], 1.0, steps=64))
 
+    @pytest.mark.parametrize("T", [1e300, 1e80, 1e-78, 1e-300])
+    def test_density_normalization_overflow_refused(self, example1_system, T):
+        # c = 1 / (T^(2g+1) B(g+1, g+1)) raised OverflowError (1e300, 1e80),
+        # ZeroDivisionError (1e-300), or overflowed to inf and gave NaN
+        # densities (1e-78, where the product is a subnormal)
+        with pytest.raises(NonConvergence, match="shaping density normalization overflows"):
+            synthesize_rank_based(problem(example1_system, [1.0, 0.0], [0.0, 0.0], T, steps=64))
+
+    @pytest.mark.parametrize("alpha", [0.7, 0.9])
+    def test_energy_overflow_refused(self, alpha):
+        # every moment is finite for alpha > 1/2: the sampled energy's sum
+        # overflowed with a warning and came back as inf
+        sys = FracSystem([[0.0, 1.0], [0.0, 0.0]], 1e-300 * np.eye(2), alpha=alpha)
+        with pytest.raises(NonConvergence, match="energy quadrature overflows"):
+            synthesize_rank_based(problem(sys, [1.0, 0.0], [0.0, 0.0], 1.0, steps=64))
+
     def test_order_one_refused(self, scalar_system):
         with pytest.raises(InvalidOrder, match="requires alpha in"):
             synthesize_rank_based(problem(scalar_system(1.0), [0.0], [1.0], 1.0, steps=64))
@@ -519,6 +548,14 @@ class TestModifiedEnergy:
         grid = TimeGrid(0.0, 1.0, 64)
         u = SampledControl(GridFunction(grid, np.ones((65, 1))))
         assert modified_energy(u, 0.5, 1.0) == np.inf
+
+    def test_divergence_not_overflow_gives_inf(self):
+        # at alpha 1/2 the moment of u(T) diverges, whatever the size of u;
+        # at 0.7 every moment is finite, and |u|^2 = 1e400 overflows
+        u = SampledControl(GridFunction(TimeGrid(0.0, 1.0, 64), np.full((65, 1), 1e200)))
+        assert modified_energy(u, 0.5, 1.0) == np.inf
+        with pytest.raises(NonConvergence, match="energy quadrature overflows"):
+            modified_energy(u, 0.7, 1.0)
 
     @pytest.mark.parametrize("t0, t1", [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0 - 1e-9)])
     def test_sampled_control_must_span_horizon(self, t0, t1):

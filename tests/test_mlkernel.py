@@ -382,10 +382,9 @@ class TestScalar:
     @pytest.mark.parametrize("alpha, beta, z", [(0.3, 1.3, -2.5), (0.5, 1.0, -6.5),
                                                 (0.9, 0.9, 5.0), (1.0, 1.0, -10.0)])
     def test_warm_term_costs_two_multiplies_and_one_add(self, alpha, beta, z, monkeypatch):
-        # a term takes zk z, zk c_k and its add; the bound 2 rel_tol |sum|
-        # is multiplied out only where the exponent certificate fails, for
-        # the terms within about 10^4 of the stop (10 of 274 at alpha 0.3,
-        # where the terms fall slowest).  The stopping term is not added.
+        # a term takes zk z, zk c_k and its add, also where the exponent
+        # certificate fails and the float test decides.  The stopping term
+        # is not added.
         params = MLParams(alpha, beta)
         want = ml_scalar(params, z)  # builds the key's rows outside the count
         counts = collections.Counter()
@@ -393,7 +392,7 @@ class TestScalar:
         assert ml_scalar(params, z) == want
         terms = counts["add"] + 1
         assert terms >= 20 and set(counts) == {"multiply", "add"}
-        assert 2 * terms <= counts["multiply"] <= 2 * terms + 12
+        assert counts["multiply"] == 2 * terms
 
     def test_overflow_refusal_near_x_eight(self):
         # E_{1/2,1}(-x) needs |x|^k beyond 1.3e300 before it stops near
@@ -1175,11 +1174,12 @@ class TestClTruncation:
             cl_truncation(L, 0.5)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("L, t", [(400, 2.0), (400, np.float64(2.0)), (12, 1e15),
+    @pytest.mark.parametrize("L, t", [(400, 8.0), (400, np.float64(8.0)), (12, 1e15),
                                       (12, np.float64(1e15)), (2, 1e200)])
     def test_overflowing_terms_are_non_convergence(self, L, t):
-        # once a silent NaN (inf / inf at L = 400), a numpy RuntimeWarning or
-        # a bare OverflowError from the float power
+        # the numerator overflows before (2k-1)!! does (t = 8 near k = 150):
+        # once a silent NaN, a numpy RuntimeWarning or a bare OverflowError
+        # from the float power
         with pytest.raises(NonConvergence, match=r"cl_truncation\(.*\): terms overflow"):
             cl_truncation(L, t)
 
@@ -1187,6 +1187,15 @@ class TestClTruncation:
         # (2k-1)!! overflows near k = 150, where the terms at t = 3 are far
         # below the sum: they vanish instead of refusing the call
         assert cl_truncation(200, 3.0) == cl_truncation(100, 3.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("L, t", [(400, 2.0), (400, np.float64(2.0)), (1024, 1e-300),
+                                      (1024, 0.1), (2000, 1.0), (5000, 7.5), (200, 7.4)])
+    def test_terms_past_the_double_factorial_overflow_are_summed(self, L, t):
+        # once refused when 2.0**k overflowed (k = 1024) or the numerator did
+        # after (2k-1)!! had: every later term is 0.0 in doubles, and the
+        # true tail falls geometrically
+        assert cl_truncation(L, t) == pytest.approx(float(oracles.cl_truncation(L, t)), rel=1e-15)
 
 
 class TestInverseKernel:
